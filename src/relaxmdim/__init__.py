@@ -22,7 +22,7 @@ from .graph import (
     largest_connected_component,
     load_edge_list,
 )
-from .greedy import GreedyTrace, PairUniverse, greedy_k_resolving_set, greedy_resolve_within
+from .greedy import GreedyTrace, greedy_k_resolving_set, greedy_resolve_within
 from .gw import GWConstants, OffspringDistribution, gw_sequence, monte_carlo_cr, poisson_closed_form
 from .generators import (
     GeneratorConfig,
@@ -81,7 +81,6 @@ __all__ = [
     "is_tree",
     "is_path_graph",
     "tree_diameter",
-    "PairUniverse",
     "GreedyTrace",
     "greedy_k_resolving_set",
     "greedy_resolve_within",

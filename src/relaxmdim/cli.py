@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -86,16 +85,6 @@ def _emit(
 
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-def _threads(args: argparse.Namespace) -> int:
-    value = args.threads
-    if value is None:
-        value = os.environ.get("RELAXMDIM_THREADS", "1")
-    count = int(value)
-    if count < 1:
-        raise ValueError("--threads must be at least 1")
-    return count
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -256,12 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
         "greedy resolver, generators, branching-process constants and "
         "two-step sensor placement.",
     )
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help="cap on worker count (default: RELAXMDIM_THREADS or 1)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stats", help="structural statistics of an edge list")
@@ -291,11 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_two_step)
 
     p = sub.add_parser("generate", help="sample a random graph, write an edge list")
-    p.add_argument(
-        "--model",
-        choices=("ba-tree", "gw-tree", "config-model", "rgg", "uniform-tree"),
-        required=True,
-    )
+    p.add_argument("--model", choices=generators.MODELS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--offspring", default="poisson:1", help="gw-tree only")
@@ -316,7 +295,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _threads(args)  # validated; computation is currently single-process
         return args.func(args)
     except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)

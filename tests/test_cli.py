@@ -8,7 +8,8 @@ import sys
 
 import pytest
 
-from relaxmdim.cli import main
+from relaxmdim.cli import build_parser, main
+from relaxmdim.generators import MODELS
 
 PATH9 = "\n".join(f"{i} {i + 1}" for i in range(8)) + "\n"
 CYCLE4 = "0 1\n1 2\n2 3\n3 0\n"
@@ -175,13 +176,21 @@ class TestGWConstants:
         assert main(["gw-constants", "--offspring", "zipf:2", "--r-max", "1"]) == 2
 
 
-class TestThreads:
-    def test_env_fallback(self, path_file, capsys, monkeypatch):
-        monkeypatch.setenv("RELAXMDIM_THREADS", "4")
-        assert main(["stats", path_file]) == 0
+def test_threads_option_is_gone(path_file, capsys):
+    for argv in (["--threads", "2", "stats", path_file], ["stats", path_file, "--threads", "2"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
 
-    def test_invalid_thread_count(self, path_file, capsys):
-        assert main(["--threads", "0", "stats", path_file]) == 2
+
+def test_generate_accepts_exactly_the_generator_models(capsys):
+    parser = build_parser()
+    for model in MODELS:
+        args = parser.parse_args(["generate", "--model", model, "--n", "5", "--seed", "0"])
+        assert args.model == model
+    with pytest.raises(SystemExit):
+        parser.parse_args(["generate", "--model", "erdos-renyi", "--n", "5", "--seed", "0"])
 
 
 def test_console_script_help():

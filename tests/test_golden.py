@@ -1,0 +1,92 @@
+"""Golden outputs: frozen sha256 digests of CLI result files.
+
+Seeded n = 200 inputs (a BA tree, a configuration model and the largest
+component of a random geometric graph) go through ``sweep --method greedy``,
+``two-step`` and ``mdim --method greedy`` (whose JSON embeds the full greedy
+trace). Any change to a sensor sequence, a tie-break, a trace row or a
+number's formatting changes a digest. Regenerate the table only for an
+intended change of results: ``python tests/test_golden.py`` prints it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from relaxmdim import ba_tree, configuration_model, largest_connected_component, rgg
+from relaxmdim.cli import main
+
+INPUTS = {
+    "ba": lambda: ba_tree(200, seed=1),
+    "cm": lambda: configuration_model(200, seed=2),
+    "rgg": lambda: largest_connected_component(rgg(200, 1.5, seed=3))[0],
+}
+
+# (result file, CLI arguments after the input path; "{out}" is the result path)
+COMMANDS = (
+    ("sweep.csv", ("sweep", "--method", "greedy", "--k-max", "6", "--out", "{out}")),
+    ("two-step.csv", ("two-step", "--k-max", "4", "--out", "{base}")),
+    ("two-step.json", None),  # written by the two-step command above
+    ("mdim-k0.json", ("mdim", "--method", "greedy", "--k", "0", "--out", "{out}")),
+    ("mdim-k3.json", ("mdim", "--method", "greedy", "--k", "3", "--out", "{out}")),
+)
+
+# recorded from the pair-scan greedy, before the partition engine replaced it
+GOLDEN = {
+    "ba/mdim-k0.json": "cbfe1470a786df418d5e2d3d21f41b311f4819df35a14ea7d6af296c1c994633",
+    "ba/mdim-k3.json": "a3c4a9e7883727398f2ad83a9b78a4f701f4b45aeebb3fda70e206c00a13d9ff",
+    "ba/sweep.csv": "2f54e08df209002dc32976f407ec6fef4a13f3463b540517301a21706e4309c6",
+    "ba/two-step.csv": "a5f982332baf8df5358b6d03386dfb4907c2dbb1a0e5a0e22c00ab28e5ed54b3",
+    "ba/two-step.json": "ef912911a3afc599ddd6b2f889b3f32d888bb55d47d67b899f6254578fc468ad",
+    "cm/mdim-k0.json": "aee729d227f7b03e3b1473bac4dc0ed7583dd565fa3433741e8e1e7e235498fd",
+    "cm/mdim-k3.json": "36b64c48014ba7f19e42d9d964446e71063906a7250ec1a902faacf6fd4e47ae",
+    "cm/sweep.csv": "325e7715f8f0153aae0c41bcae726c2587ab9b23651dd4c3ea2eb3deea9aeca3",
+    "cm/two-step.csv": "830a8c85ca1641b6d2d101c351df483447f93a16ad66014f31aee8f2303477b2",
+    "cm/two-step.json": "4e4075dd6c5a131cd70d7b5d3c9a1c8c472f08d2c8c68626e6d32a6aa8eb6934",
+    "rgg/mdim-k0.json": "807f07ef0620566e7bace8959b7c8242c6c9806db2a7b3452d6c84fdebde0544",
+    "rgg/mdim-k3.json": "5a9a0002fc88616d9309369597524455322c27d85d087071add11ac52517fa78",
+    "rgg/sweep.csv": "182e35e0e007e92e311880b25471a666762a765cb1b49ff3d5125cf8fbd73cc0",
+    "rgg/two-step.csv": "aadafa3fd8a2bca09eb0a157c01ea10ae36ef0b9b72260161092373bc7a829c7",
+    "rgg/two-step.json": "53eda2cd533b77a995c604d462a02916525dde9339dd7d7ec36a130aa26d5b8c",
+}
+
+
+def result_digests(workdir: Path) -> dict[str, str]:
+    """Run every command on every input inside ``workdir``; digest results."""
+    digests = {}
+    for name, build in INPUTS.items():
+        g = build()
+        edge_list = workdir / f"{name}.txt"
+        edge_list.write_text("".join(f"{u} {v}\n" for u, v in g.edges()))
+        for result, argv in COMMANDS:
+            out = workdir / f"{name}-{result}"
+            if argv is not None:
+                base = str(out).rsplit(".", 1)[0]
+                args = [a.format(out=out, base=base) for a in argv]
+                assert main([args[0], str(edge_list), *args[1:]]) == 0
+            digests[f"{name}/{result}"] = hashlib.sha256(out.read_bytes()).hexdigest()
+    return digests
+
+
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory) -> dict[str, str]:
+    return result_digests(tmp_path_factory.mktemp("golden"))
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_result_file_unchanged(digests, key):
+    assert digests[key] == GOLDEN[key]
+
+
+def test_table_covers_every_result(digests):
+    assert sorted(digests) == sorted(GOLDEN)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        for key, value in sorted(result_digests(Path(tmp)).items()):
+            print(f'    "{key}": "{value}",')

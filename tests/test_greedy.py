@@ -1,13 +1,22 @@
-"""greedy module: coverage universe, greedy picks, approximation behavior."""
+"""greedy module: the partition engine against the pair-scan oracle, greedy
+picks, approximation behavior."""
 
 from __future__ import annotations
 
 import math
+from collections import Counter
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import relaxmdim.greedy as engine
 from relaxmdim import (
+    DistanceMatrix,
+    Graph,
     all_pairs_distances,
     ba_tree,
     brute_force_md,
@@ -16,7 +25,6 @@ from relaxmdim import (
     greedy_resolve_within,
     is_k_relaxed_resolving,
 )
-from relaxmdim.greedy import PairUniverse
 
 from conftest import (
     path_graph,
@@ -24,6 +32,7 @@ from conftest import (
     star_graph,
     unicyclic_graph,
 )
+from greedy_oracle import PairUniverse, oracle_k_resolving_set, oracle_resolve_within
 
 
 class TestPairUniverse:
@@ -155,3 +164,86 @@ class TestGreedyOnTrees:
         s2, _ = greedy_k_resolving_set(dm, 2)
         s3, _ = greedy_k_resolving_set(dm, 3)
         assert len(s2) == len(s3)
+
+
+@st.composite
+def connected_graphs(draw, max_n: int = 60):
+    """A random tree, unicyclic graph or sparse connected graph."""
+    n = draw(st.integers(1, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    kind = draw(st.sampled_from(("tree", "unicyclic", "sparse")))
+    chords = {"tree": 0, "unicyclic": 1, "sparse": draw(st.integers(0, n // 4))}[kind]
+    for _ in range(chords if n >= 3 else 0):
+        u, v = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+        edges.add((u, v))
+    return Graph.from_edges(n, sorted(edges))
+
+
+@contextmanager
+def lazy_everywhere():
+    """Engine settings under which every round after the first is lazy and
+    no batch is promoted to a full pass."""
+    with mock.patch.object(engine, "_FULL_PASS_ELEMENTS", 0), mock.patch.object(engine, "_FULL_PASS", 1):
+        yield
+
+
+class TestAgainstPairScanOracle:
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(connected_graphs())
+    def test_same_sensors_and_trace_at_every_k(self, g):
+        dm = all_pairs_distances(g)
+        for k in range(dm.diameter + 1):
+            expected = oracle_k_resolving_set(dm, k)
+            sensors, trace = greedy_k_resolving_set(dm, k)
+            assert (sensors, trace) == (expected.sensors, expected)
+            with lazy_everywhere():
+                assert greedy_k_resolving_set(dm, k)[1] == expected
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(connected_graphs(), st.data())
+    def test_resolve_within_random_targets(self, g, data):
+        dm = all_pairs_distances(g)
+        for _ in range(3):
+            # unsorted, with duplicates
+            targets = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=2 * g.n))
+            expected = oracle_resolve_within(dm, targets)
+            assert greedy_resolve_within(dm, targets) == expected
+            with lazy_everywhere():
+                assert greedy_resolve_within(dm, targets) == expected
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(connected_graphs(max_n=12))
+    def test_never_below_brute_force(self, g):
+        dm = all_pairs_distances(g)
+        for k in range(dm.diameter + 1):
+            optimum, _ = brute_force_md(g, k, dm)
+            assert len(greedy_k_resolving_set(dm, k)[0]) >= optimum
+
+    def test_larger_graphs_match(self):
+        for g in (ba_tree(300, seed=4), random_connected_graph(250, 60, seed=8)):
+            dm = all_pairs_distances(g)
+            for k in (0, 1, 3):
+                assert greedy_k_resolving_set(dm, k)[1] == oracle_k_resolving_set(dm, k)
+
+
+class TestCountKeys:
+    def test_dense_and_sorted_counts_agree(self):
+        rng = np.random.default_rng(0)
+        keys = rng.integers(0, 12, size=(7, 30))
+        expected = [sum(c * (c - 1) // 2 for c in Counter(row).values()) for row in keys.tolist()]
+        assert engine._pairs_left_together(keys, 12).tolist() == expected
+        assert engine._pairs_left_together(keys, 10**6).tolist() == expected
+
+    def test_large_distance_values_are_not_narrowed(self):
+        # 32768 * d overflowed the old int16 copy of the matrix
+        g = random_connected_graph(14, 5, seed=0)
+        dm = all_pairs_distances(g)
+        scaled = DistanceMatrix(dm.matrix.astype(np.int64) * 32768)
+        assert greedy_k_resolving_set(scaled, 0)[0] == greedy_k_resolving_set(dm, 0)[0]
+        assert greedy_resolve_within(scaled, range(6)) == greedy_resolve_within(dm, range(6))
+
+    def test_keys_stay_small_for_huge_values(self):
+        block = np.array([[0, 10**9], [10**9, 0]])
+        keys, width = engine._dense_ranks(block)
+        assert width == 2
+        assert keys.dtype == np.uint8
