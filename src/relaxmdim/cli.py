@@ -149,6 +149,8 @@ def cmd_mdim(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     g = _read_graph(args.input)
+    if args.k_max < 0:
+        raise ValueError(f"--k-max {args.k_max} is negative")
     if args.method == "exact-tree" and not is_tree(g):
         raise IncompatibleMethodError(
             "method exact-tree requires a connected acyclic input"
@@ -173,20 +175,15 @@ def cmd_two_step(args: argparse.Namespace) -> int:
     csv_lines = ["k,phase1_size,max_s2,qstar"] + [
         f"{r.k},{len(r.phase1)},{r.max_s2},{r.qstar}" for r in curve
     ]
-    payload = {
-        "schema": "relaxmdim/two-step/1",
-        "results": [r.as_dict() for r in curve],
-    }
+    json_text = _json_text(
+        {"schema": "relaxmdim/two-step/1", "results": [r.as_dict() for r in curve]}
+    )
+    params, inputs = vars(args), [args.input]
     if args.out is None:
-        sys.stdout.write(_json_text(payload))
-        return EXIT_OK
-    base = args.out
-    with open(base + ".csv", "w", encoding="utf-8") as handle:
-        handle.write("\n".join(csv_lines) + "\n")
-    _write_manifest(base + ".csv", "two-step", vars(args), [args.input], time.perf_counter() - started)
-    with open(base + ".json", "w", encoding="utf-8") as handle:
-        handle.write(_json_text(payload))
-    _write_manifest(base + ".json", "two-step", vars(args), [args.input], time.perf_counter() - started)
+        _emit(json_text, None, "two-step", params, inputs, started)
+    else:
+        _emit("\n".join(csv_lines) + "\n", args.out + ".csv", "two-step", params, inputs, started)
+        _emit(json_text, args.out + ".json", "two-step", params, inputs, started)
     return EXIT_OK
 
 

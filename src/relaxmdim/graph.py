@@ -282,20 +282,28 @@ class EquivalencePartition:
         return hist
 
 
+def _profile_blocks(dm: DistanceMatrix, sensors: list[int]) -> list[tuple[int, ...]]:
+    """Vertices grouped by identification vector: each block ascending, blocks
+    ordered by smallest member. Rows are compared as raw bytes in one sort."""
+    n = dm.n
+    if not sensors:
+        return [tuple(range(n))] if n else []
+    rows = np.ascontiguousarray(dm.matrix[:, sensors])
+    keys = rows.view(np.dtype((np.void, rows.itemsize * len(sensors)))).ravel()
+    order = np.argsort(keys, kind="stable")  # equal rows stay in vertex order
+    keys = keys[order]
+    cuts = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
+    order = order.tolist()
+    blocks = [tuple(order[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
+    blocks.sort()  # by first, i.e. smallest, member
+    return blocks
+
+
 def equivalence_partition(dm: DistanceMatrix, sensors: SensorSet) -> EquivalencePartition:
     """Group vertices by identification vector with respect to ``sensors``."""
-    n = dm.n
-    s = _check_sensors(n, sensors)
-    if n == 0:
+    blocks = tuple(_profile_blocks(dm, _check_sensors(dm.n, sensors)))
+    if not blocks:
         return EquivalencePartition((), 0, 0)
-    if not s:
-        block = tuple(range(n))
-        return EquivalencePartition((block,), n, 0 if n == 1 else n)
-    sub = dm.matrix[:, s]
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for v, row in enumerate(sub.tolist()):
-        groups.setdefault(tuple(row), []).append(v)
-    blocks = tuple(sorted((tuple(b) for b in groups.values()), key=lambda b: b[0]))
     alpha = max(len(b) for b in blocks)
     non_resolved = sum(len(b) for b in blocks if len(b) > 1)
     return EquivalencePartition(blocks, alpha, non_resolved)
@@ -311,12 +319,9 @@ def is_k_relaxed_resolving(dm: DistanceMatrix, sensors: SensorSet, k: int) -> bo
             "k-relaxed resolving sets are defined on connected graphs; "
             "extract the largest connected component first"
         )
-    part = equivalence_partition(dm, sensors)
-    for block in part.blocks:
-        if len(block) > 1:
-            idx = list(block)
-            if int(dm.matrix[np.ix_(idx, idx)].max()) > k:
-                return False
+    for block in _profile_blocks(dm, _check_sensors(dm.n, sensors)):
+        if len(block) > 1 and int(dm.matrix[np.ix_(block, block)].max()) > k:
+            return False
     return True
 
 
@@ -325,25 +330,32 @@ def peel_degree_le1(g: Graph, rounds: int | None = None) -> list[list[int]]:
 
     With ``rounds=None`` peeling runs to the fixpoint and only non-empty
     rounds are recorded; with an explicit count, exactly that many rounds are
-    recorded (possibly empty). Returns the removed vertices per round.
+    recorded (possibly empty). Returns the removed vertices per round, each
+    batch ascending.
+
+    Queue-driven (Batagelj & Zaversnik 2003): a round's batch is exactly the
+    vertices whose degree fell to <= 1 during the previous round, so the
+    whole peel costs O(n + m) plus sorting each batch.
     """
-    n = g.n
     degree = g.degrees()
-    alive = [True] * n
+    alive = [True] * g.n
+    batch = [v for v, d in enumerate(degree) if d <= 1]
     removed_per_round: list[list[int]] = []
-    r = 0
-    while rounds is None or r < rounds:
-        batch = [v for v in range(n) if alive[v] and degree[v] <= 1]
+    while rounds is None or len(removed_per_round) < rounds:
         if rounds is None and not batch:
             break
         for v in batch:
             alive[v] = False
+        nxt = []
         for v in batch:
             for w in g.adjacency[v]:
                 if alive[w]:
                     degree[w] -= 1
+                    if degree[w] == 1:  # fell from 2: joins the next batch once
+                        nxt.append(w)
         removed_per_round.append(batch)
-        r += 1
+        nxt.sort()
+        batch = nxt
     return removed_per_round
 
 

@@ -149,10 +149,12 @@ def two_step_qstar(
 
 
 def qstar_curve(g: Graph, k_max: int) -> list[TwoStepResult]:
-    """Two-step prices for k = 0..k_max (k_max at most the diameter)."""
+    """Two-step prices for k = 0..k_max (0 <= k_max <= the diameter)."""
     dm = all_pairs_distances(g)
     if not dm.connected:
         raise ValueError("two-step localization requires a connected graph")
+    if k_max < 0:
+        raise ValueError(f"k_max {k_max} is negative")
     if k_max > dm.diameter:
         raise ValueError(f"k_max {k_max} exceeds the diameter {dm.diameter}")
     return [two_step_qstar(g, k, dm) for k in range(k_max + 1)]

@@ -11,14 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-import numpy as np
-
 from .graph import (
     DistanceMatrix,
     Graph,
     all_pairs_distances,
     bfs_distances,
     induced_subgraph,
+    is_k_relaxed_resolving,
     peel_degree_le1,
 )
 
@@ -36,15 +35,7 @@ def is_tree(g: Graph) -> bool:
 
 def is_path_graph(g: Graph) -> bool:
     """True for a simple path; by convention a single vertex is a path."""
-    n = g.n
-    if n == 0:
-        return False
-    if n == 1:
-        return True
-    if g.m != n - 1 or bfs_distances(g, 0).count(-1) > 0:
-        return False
-    degs = g.degrees()
-    return max(degs) <= 2 and degs.count(1) == 2
+    return is_tree(g) and max(g.degrees()) <= 2
 
 
 def tree_diameter(g: Graph) -> int:
@@ -153,27 +144,27 @@ def stem(g: Graph) -> StemResult:
     return stem_r(g, 1)
 
 
+def _subtree_heights(t: RootedTree) -> list[int]:
+    """Height of every vertex's downward subtree (0 for a childless vertex)."""
+    height = [0] * t.n
+    for v in reversed(t.topo_order()):
+        if t.children[v]:
+            height[v] = 1 + max(height[c] for c in t.children[v])
+    return height
+
+
 def down_stem_vertices(t: RootedTree, r: int) -> tuple[int, ...]:
     """Surviving vertex ids after ``r`` rounds of down-stemming: each round
-    removes the non-root vertices of degree <= 1, the root always stays."""
+    removes the non-root vertices of degree <= 1, the root always stays.
+
+    A non-root vertex still has a child after round i - 1 exactly when its
+    subtree height is at least i, so the survivors are the root and the
+    vertices of subtree height >= ``r``.
+    """
     if r < 0:
         raise ValueError("down-stemming rounds must be nonnegative")
-    g = t.graph
-    degree = g.degrees()
-    alive = [True] * g.n
-    for _ in range(r):
-        batch = [
-            v for v in range(g.n) if alive[v] and v != t.root and degree[v] <= 1
-        ]
-        if not batch:
-            break
-        for v in batch:
-            alive[v] = False
-        for v in batch:
-            for w in g.adjacency[v]:
-                if alive[w]:
-                    degree[w] -= 1
-    return tuple(v for v in range(g.n) if alive[v])
+    height = _subtree_heights(t)
+    return tuple(v for v in range(t.n) if v == t.root or height[v] >= r)
 
 
 def down_stem_r(t: RootedTree, r: int) -> RootedTree:
@@ -184,14 +175,14 @@ def down_stem_r(t: RootedTree, r: int) -> RootedTree:
     return RootedTree.from_graph(subgraph, new_root, to_original)
 
 
-def _leaf_groups(g: Graph) -> dict[int, list[int]]:
-    """Leaves grouped by their closest major vertex (degree >= 3), i.e. by the
-    exterior major vertex owning their leaf path. Leaves on path components
-    have no major vertex and are omitted."""
+def _leaf_groups(g: Graph) -> tuple[list[int], dict[int, list[int]]]:
+    """The leaves (ascending), and the leaves grouped by their closest major
+    vertex (degree >= 3), i.e. by the exterior major vertex owning their leaf
+    path. Leaves on path components have no major vertex and are in no
+    group."""
+    leaves = [v for v in range(g.n) if g.degree(v) == 1]
     groups: dict[int, list[int]] = {}
-    for leaf in range(g.n):
-        if g.degree(leaf) != 1:
-            continue
+    for leaf in leaves:
         prev, cur = -1, leaf
         while g.degree(cur) <= 2:
             nxt = [w for w in g.adjacency[cur] if w != prev]
@@ -201,7 +192,7 @@ def _leaf_groups(g: Graph) -> dict[int, list[int]]:
             prev, cur = cur, nxt[0]
         if cur >= 0:
             groups.setdefault(cur, []).append(leaf)
-    return groups
+    return leaves, groups
 
 
 def count_sigma_ex(g: Graph) -> tuple[int, int]:
@@ -210,8 +201,8 @@ def count_sigma_ex(g: Graph) -> tuple[int, int]:
     An exterior major vertex has degree >= 3 and at least one attached leaf
     path (a chain of degree-2 vertices ending in a leaf).
     """
-    sigma = sum(1 for v in range(g.n) if g.degree(v) == 1)
-    return sigma, len(_leaf_groups(g))
+    leaves, groups = _leaf_groups(g)
+    return len(leaves), len(groups)
 
 
 @dataclass(frozen=True)
@@ -250,7 +241,8 @@ def exact_tree_md(g: Graph, k: int) -> TreeMDReport:
     always separate vertices at odd distances), so only r = floor(k/2)
     stemming rounds matter. The witness keeps, for every exterior major
     vertex of the r-stem, all but the smallest-id leaf of its leaf paths; for
-    a path stem it is the smaller-id endpoint.
+    a path stem (the only trees without an exterior major vertex) it is the
+    smaller-id endpoint. One walk of the stem's leaf paths gives all of it.
     """
     if k < 0:
         raise ValueError("relaxation parameter k must be nonnegative")
@@ -265,17 +257,15 @@ def exact_tree_md(g: Graph, k: int) -> TreeMDReport:
     if sub.n == 0:
         # unreachable for trees with k < diameter; kept total for safety
         raise ValueError("stem vanished although k < diameter")
-    sigma, ex = count_sigma_ex(sub)
-    if is_path_graph(sub):
-        if sub.n == 1:
-            w = st.to_original[0]
-        else:
-            endpoints = [v for v in range(sub.n) if sub.degree(v) == 1]
-            w = min(st.to_original[v] for v in endpoints)
+    leaves, groups = _leaf_groups(sub)
+    sigma, ex = len(leaves), len(groups)
+    if ex == 0:
+        # to_original ascends, so the smallest endpoint maps to the smallest id
+        w = st.to_original[leaves[0] if leaves else 0]
         return TreeMDReport(k, r, sigma, ex, True, 1, (w,))
     witness: list[int] = []
-    for major, leaves in _leaf_groups(sub).items():
-        originals = sorted(st.to_original[leaf] for leaf in leaves)
+    for group in groups.values():
+        originals = sorted(st.to_original[leaf] for leaf in group)
         witness.extend(originals[1:])
     witness.sort()
     md = sigma - ex
@@ -300,10 +290,7 @@ def subtree_property_counts(t: RootedTree, r: int) -> tuple[int, int]:
         raise ValueError("r must be nonnegative")
     n = t.n
     order = t.topo_order()
-    height = [0] * n
-    for v in reversed(order):
-        if t.children[v]:
-            height[v] = 1 + max(height[c] for c in t.children[v])
+    height = _subtree_heights(t)
     surviving = [
         [c for c in t.children[v] if height[c] >= r] for v in range(n)
     ]
@@ -321,18 +308,6 @@ def subtree_property_counts(t: RootedTree, r: int) -> tuple[int, int]:
         if len(surviving[v]) >= 2 and any(line_down[c] for c in surviving[v])
     )
     return nl, ne
-
-
-def _is_k_resolved(matrix: np.ndarray, sensors: tuple[int, ...], k: int) -> bool:
-    if not sensors:
-        return int(matrix.max()) <= k
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for v, row in enumerate(matrix[:, list(sensors)].tolist()):
-        groups.setdefault(tuple(row), []).append(v)
-    for block in groups.values():
-        if len(block) > 1 and int(matrix[np.ix_(block, block)].max()) > k:
-            return False
-    return True
 
 
 def brute_force_md(
@@ -356,9 +331,8 @@ def brute_force_md(
         dm = all_pairs_distances(g)
     if not dm.connected:
         raise ValueError("brute_force_md requires a connected graph")
-    matrix = dm.matrix
     for size in range(g.n + 1):
         for comb in combinations(range(g.n), size):
-            if _is_k_resolved(matrix, comb, k):
+            if is_k_relaxed_resolving(dm, comb, k):
                 return size, comb
     raise AssertionError("full vertex set always resolves")  # pragma: no cover

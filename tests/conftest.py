@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from relaxmdim import Graph, uniform_tree
 
@@ -62,3 +63,33 @@ def unicyclic_graph(n: int, seed: int) -> Graph:
         u, v = sorted(rng.integers(0, n, size=2).tolist())
         if u != v and (u, v) not in existing:
             return Graph.from_edges(n, sorted(existing | {(u, v)}))
+
+
+@st.composite
+def connected_graphs(draw, max_n: int = 60):
+    """A random tree, unicyclic graph or sparse connected graph."""
+    n = draw(st.integers(1, max_n))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    kind = draw(st.sampled_from(("tree", "unicyclic", "sparse")))
+    chords = {"tree": 0, "unicyclic": 1, "sparse": draw(st.integers(0, n // 4))}[kind]
+    for _ in range(chords if n >= 3 else 0):
+        u, v = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
+        edges.add((u, v))
+    return Graph.from_edges(n, sorted(edges))
+
+
+@st.composite
+def random_trees(draw, max_n: int = 60):
+    """A random tree whose vertex ids are shuffled, so ids carry no depth."""
+    n = draw(st.integers(1, max_n))
+    ids = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, [(ids[draw(st.integers(0, v - 1))], ids[v]) for v in range(1, n)])
+
+
+@st.composite
+def sparse_graphs(draw, max_n: int = 60):
+    """At most n/2 random edges on n vertices: usually disconnected, with
+    isolated vertices."""
+    n = draw(st.integers(1, max_n))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n // 2))
+    return Graph.from_edges(n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))

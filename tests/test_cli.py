@@ -110,6 +110,12 @@ class TestSweep:
         assert main(["sweep", path_file, "--k-max", "3", "--method", "exact-tree", "--out", str(out)]) == 0
         assert len(out.read_text().strip().splitlines()) == 5
 
+    def test_negative_kmax_rejected(self, path_file, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", path_file, "--k-max", "-1", "--out", str(out)]) == 2
+        assert "negative" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTwoStep:
     def test_star_endpoints_equal(self, star_file, tmp_path):
@@ -122,6 +128,17 @@ class TestTwoStep:
         assert payload["results"][0]["qstar"] == int(first[3])
         assert (tmp_path / "twostep.csv.manifest.json").exists()
         assert (tmp_path / "twostep.json.manifest.json").exists()
+
+    def test_stdout_when_no_out(self, star_file, capsys):
+        assert main(["two-step", star_file, "--k-max", "1"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [r["k"] for r in payload["results"]] == [0, 1]
+
+    def test_negative_kmax_rejected(self, star_file, tmp_path, capsys):
+        base = tmp_path / "twostep"
+        assert main(["two-step", star_file, "--k-max", "-2", "--out", str(base)]) == 2
+        assert "negative" in capsys.readouterr().err
+        assert not (tmp_path / "twostep.json").exists()
 
 
 class TestGenerate:

@@ -3,8 +3,12 @@
 Seeded n = 200 inputs (a BA tree, a configuration model and the largest
 component of a random geometric graph) go through ``sweep --method greedy``,
 ``two-step`` and ``mdim --method greedy`` (whose JSON embeds the full greedy
-trace). Any change to a sensor sequence, a tie-break, a trace row or a
-number's formatting changes a digest. Regenerate the table only for an
+trace); the random geometric graph also goes through ``stats --lcc``, whose
+1-shell size comes from the degree-<=1 peel. A seeded n = 200 uniform tree
+goes through ``stats``, ``mdim --method exact-tree`` and ``sweep --method
+exact-tree`` (stemming, leaf/exterior-major counts, witness and partition).
+Any change to a sensor sequence, a tie-break, a trace row or a number's
+formatting changes a digest. Regenerate the table only for an
 intended change of results: ``python tests/test_golden.py`` prints it.
 """
 
@@ -15,23 +19,40 @@ from pathlib import Path
 
 import pytest
 
-from relaxmdim import ba_tree, configuration_model, largest_connected_component, rgg
+from relaxmdim import (
+    ba_tree,
+    configuration_model,
+    largest_connected_component,
+    rgg,
+    uniform_tree,
+)
 from relaxmdim.cli import main
 
-INPUTS = {
-    "ba": lambda: ba_tree(200, seed=1),
-    "cm": lambda: configuration_model(200, seed=2),
-    "rgg": lambda: largest_connected_component(rgg(200, 1.5, seed=3))[0],
-}
-
 # (result file, CLI arguments after the input path; "{out}" is the result path)
-COMMANDS = (
+GREEDY_COMMANDS = (
     ("sweep.csv", ("sweep", "--method", "greedy", "--k-max", "6", "--out", "{out}")),
     ("two-step.csv", ("two-step", "--k-max", "4", "--out", "{base}")),
     ("two-step.json", None),  # written by the two-step command above
     ("mdim-k0.json", ("mdim", "--method", "greedy", "--k", "0", "--out", "{out}")),
     ("mdim-k3.json", ("mdim", "--method", "greedy", "--k", "3", "--out", "{out}")),
 )
+TREE_COMMANDS = (
+    ("stats.json", ("stats", "--out", "{out}")),
+    ("mdim-exact-k0.json", ("mdim", "--method", "exact-tree", "--k", "0", "--out", "{out}")),
+    ("mdim-exact-k3.json", ("mdim", "--method", "exact-tree", "--k", "3", "--out", "{out}")),
+    ("sweep-exact.csv", ("sweep", "--method", "exact-tree", "--k-max", "6", "--out", "{out}")),
+)
+
+# input name -> (graph builder, commands run on its edge list)
+INPUTS = {
+    "ba": (lambda: ba_tree(200, seed=1), GREEDY_COMMANDS),
+    "cm": (lambda: configuration_model(200, seed=2), GREEDY_COMMANDS),
+    "rgg": (
+        lambda: largest_connected_component(rgg(200, 1.5, seed=3))[0],
+        GREEDY_COMMANDS + (("stats-lcc.json", ("stats", "--lcc", "--out", "{out}")),),
+    ),
+    "tree": (lambda: uniform_tree(200, seed=4), TREE_COMMANDS),
+}
 
 # recorded from the pair-scan greedy, before the partition engine replaced it
 GOLDEN = {
@@ -50,17 +71,23 @@ GOLDEN = {
     "rgg/sweep.csv": "182e35e0e007e92e311880b25471a666762a765cb1b49ff3d5125cf8fbd73cc0",
     "rgg/two-step.csv": "aadafa3fd8a2bca09eb0a157c01ea10ae36ef0b9b72260161092373bc7a829c7",
     "rgg/two-step.json": "53eda2cd533b77a995c604d462a02916525dde9339dd7d7ec36a130aa26d5b8c",
+    # recorded from the round-scan peel and the two-walk exact tree solver
+    "rgg/stats-lcc.json": "b84326d972664138d0012b63fc2bbf1b2e16bb756f91e07f4b7acb827d338964",
+    "tree/mdim-exact-k0.json": "2b1b5f09db717fd10e8189303cf458774e46d5d190d1227240d3ac5db032e4b6",
+    "tree/mdim-exact-k3.json": "e097278a747ff932047c4ded4d6538c3f2ffa854eec4e28a0d21820fcb9e98d8",
+    "tree/stats.json": "c01f337db7156a5043584ff1a495fd15a9c5e939c397a090e734d18358c78623",
+    "tree/sweep-exact.csv": "896a055ca04241e38220c8c2941c48de4510175a07a76a335e6516b2e16eac07",
 }
 
 
 def result_digests(workdir: Path) -> dict[str, str]:
     """Run every command on every input inside ``workdir``; digest results."""
     digests = {}
-    for name, build in INPUTS.items():
+    for name, (build, commands) in INPUTS.items():
         g = build()
         edge_list = workdir / f"{name}.txt"
         edge_list.write_text("".join(f"{u} {v}\n" for u, v in g.edges()))
-        for result, argv in COMMANDS:
+        for result, argv in commands:
             out = workdir / f"{name}-{result}"
             if argv is not None:
                 base = str(out).rsplit(".", 1)[0]

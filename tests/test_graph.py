@@ -21,7 +21,27 @@ from relaxmdim import (
 )
 from relaxmdim.graph import UNREACHABLE, bfs_distances, peel_degree_le1
 
-from conftest import cycle_graph, path_graph, random_connected_graph, star_graph
+from conftest import (
+    connected_graphs,
+    cycle_graph,
+    path_graph,
+    random_connected_graph,
+    random_trees,
+    sparse_graphs,
+    star_graph,
+)
+from graph_oracle import dict_blocks, dict_is_k_resolved, round_scan_peel
+
+# trees, unicyclic and sparse connected graphs, and disconnected sparse
+# graphs with isolated vertices
+ANY_GRAPH = st.one_of(random_trees(), connected_graphs(), sparse_graphs())
+
+
+@st.composite
+def graph_and_sensors(draw, graphs=ANY_GRAPH):
+    """A graph and a list of distinct sensors in arbitrary order (maybe empty)."""
+    g = draw(graphs)
+    return g, draw(st.lists(st.integers(0, g.n - 1), unique=True, max_size=g.n))
 
 
 class TestLoadEdgeList:
@@ -212,6 +232,17 @@ class TestEquivalencePartition:
         part = equivalence_partition(dm, (0,))
         assert part.histogram() == {2: 1}
 
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(graph_and_sensors())
+    def test_blocks_match_dict_grouping(self, case):
+        g, sensors = case
+        dm = all_pairs_distances(g)
+        part = equivalence_partition(dm, sensors)
+        expected = dict_blocks(dm.matrix, sensors)
+        assert part.blocks == expected
+        assert part.alpha == max(len(b) for b in expected)
+        assert part.non_resolved_count == sum(len(b) for b in expected if len(b) > 1)
+
 
 class TestIsKRelaxedResolving:
     def test_cycle_k2_true(self):
@@ -251,6 +282,14 @@ class TestIsKRelaxedResolving:
         with pytest.raises(ValueError, match="connected"):
             is_k_relaxed_resolving(dm, (0,), 1)
 
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(graph_and_sensors(st.one_of(random_trees(), connected_graphs())))
+    def test_matches_dict_check_at_every_k(self, case):
+        g, sensors = case
+        dm = all_pairs_distances(g)
+        for k in range(dm.diameter + 1):
+            assert is_k_relaxed_resolving(dm, sensors, k) == dict_is_k_resolved(dm.matrix, sensors, k)
+
 
 class TestGraphStats:
     def test_path4(self):
@@ -284,6 +323,19 @@ class TestPeeling:
     def test_fixed_rounds_pad_with_empty(self):
         rounds = peel_degree_le1(cycle_graph(4), rounds=2)
         assert rounds == [[], []]
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(ANY_GRAPH)
+    def test_matches_round_scan(self, g):
+        for rounds in (None, 0, 1, 2, 5, 50):
+            assert peel_degree_le1(g, rounds) == round_scan_peel(g, rounds)
+
+    def test_long_path_peels_from_both_ends(self):
+        # 10001 rounds: a rescan of all 20001 vertices per round took seconds
+        rounds = peel_degree_le1(path_graph(20001))
+        assert len(rounds) == 10001
+        assert rounds[-1] == [10000]
+        assert all(batch == [i, 20000 - i] for i, batch in enumerate(rounds[:-1]))
 
 
 class TestGraphValidation:

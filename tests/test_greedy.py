@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 import relaxmdim.greedy as engine
 from relaxmdim import (
     DistanceMatrix,
-    Graph,
     all_pairs_distances,
     ba_tree,
     brute_force_md,
@@ -27,6 +26,7 @@ from relaxmdim import (
 )
 
 from conftest import (
+    connected_graphs,
     path_graph,
     random_connected_graph,
     star_graph,
@@ -164,19 +164,6 @@ class TestGreedyOnTrees:
         s2, _ = greedy_k_resolving_set(dm, 2)
         s3, _ = greedy_k_resolving_set(dm, 3)
         assert len(s2) == len(s3)
-
-
-@st.composite
-def connected_graphs(draw, max_n: int = 60):
-    """A random tree, unicyclic graph or sparse connected graph."""
-    n = draw(st.integers(1, max_n))
-    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
-    kind = draw(st.sampled_from(("tree", "unicyclic", "sparse")))
-    chords = {"tree": 0, "unicyclic": 1, "sparse": draw(st.integers(0, n // 4))}[kind]
-    for _ in range(chords if n >= 3 else 0):
-        u, v = sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True)))
-        edges.add((u, v))
-    return Graph.from_edges(n, sorted(edges))
 
 
 @contextmanager

@@ -29,13 +29,16 @@ from relaxmdim import (
 from relaxmdim.graph import induced_subgraph
 
 from conftest import (
+    connected_graphs,
     cycle_graph,
     full_m_ary_tree,
     path_graph,
+    random_trees,
     spider_graph,
     star_graph,
     unicyclic_graph,
 )
+from graph_oracle import dict_brute_force_md, round_scan_down_stem
 
 
 # ---------------------------------------------------------------- predicates
@@ -159,6 +162,13 @@ class TestDownStem:
                 )
                 assert down_stem_vertices(t, r) == expected
 
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(random_trees(), st.data())
+    def test_matches_round_scan_at_any_root(self, g, data):
+        t = RootedTree.from_graph(g, root=data.draw(st.integers(0, g.n - 1)))
+        for r in range(8):
+            assert down_stem_vertices(t, r) == round_scan_down_stem(t, r)
+
     def test_difference_with_stem_is_path(self):
         for seed in range(30):
             n = int(np.random.default_rng(seed).integers(2, 60))
@@ -249,6 +259,21 @@ class TestExactTreeMD:
                 if 2 * r + 1 < diam:
                     assert exact_tree_md(g, 2 * r).md == exact_tree_md(g, 2 * r + 1).md
 
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(random_trees())
+    def test_one_walk_matches_separate_counts(self, g):
+        # sigma, ex and is_line as the stem's own counters and path test give
+        # them; a path stem's witness is its smaller-id end
+        for k in range(tree_diameter(g)):
+            rep = exact_tree_md(g, k)
+            res = stem_r(g, k // 2)
+            sub = res.subgraph
+            assert (rep.sigma_r, rep.ex_r) == count_sigma_ex(sub)
+            assert rep.is_line == is_path_graph(sub) == (rep.ex_r == 0)
+            if rep.is_line:
+                ends = [v for v in range(sub.n) if sub.degree(v) <= 1]
+                assert rep.witness == (min(res.to_original[v] for v in ends),)
+
     def test_report_json_schema(self):
         d = exact_tree_md(path_graph(4), 0).as_dict()
         assert set(d) == {"k", "r", "sigma_r", "ex_r", "is_line", "md", "witness"}
@@ -280,6 +305,13 @@ class TestBruteForce:
         md, witness = brute_force_md(cycle_graph(5), 0)
         assert md == 2
         assert witness == (0, 1)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(connected_graphs(max_n=9))
+    def test_matches_dict_check_search(self, g):
+        dm = all_pairs_distances(g)
+        for k in range(dm.diameter + 1):
+            assert brute_force_md(g, k, dm) == dict_brute_force_md(dm.matrix, k)
 
 
 # --------------------------------------------------- subtree property counts
