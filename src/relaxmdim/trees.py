@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .graph import (
+    UNREACHABLE,
     DistanceMatrix,
     Graph,
     all_pairs_distances,
@@ -26,11 +27,17 @@ class TooLargeError(RuntimeError):
     """Raised when an exhaustive search is refused on resource grounds."""
 
 
+def _tree_bfs(g: Graph) -> list[int] | None:
+    """The BFS distances from vertex 0 if ``g`` is a tree, else None."""
+    if g.n == 0 or g.m != g.n - 1:
+        return None
+    dist = bfs_distances(g, 0)
+    return None if UNREACHABLE in dist else dist
+
+
 def is_tree(g: Graph) -> bool:
     """Connected and acyclic (a single vertex counts)."""
-    if g.n == 0 or g.m != g.n - 1:
-        return False
-    return bfs_distances(g, 0).count(-1) == 0
+    return _tree_bfs(g) is not None
 
 
 def is_path_graph(g: Graph) -> bool:
@@ -42,10 +49,13 @@ def tree_diameter(g: Graph) -> int:
     """Diameter of a tree via double BFS (undefined on non-trees)."""
     if g.n == 0:
         raise ValueError("empty graph")
-    dist = bfs_distances(g, 0)
-    far = dist.index(max(dist))
-    dist = bfs_distances(g, far)
-    return max(dist)
+    return _second_sweep(g, bfs_distances(g, 0))
+
+
+def _second_sweep(g: Graph, dist: list[int]) -> int:
+    """Tree diameter from the BFS distances of one vertex: the eccentricity
+    of the vertex farthest from it."""
+    return max(bfs_distances(g, dist.index(max(dist))))
 
 
 @dataclass(frozen=True)
@@ -132,6 +142,9 @@ def stem_r(g: Graph, r: int) -> StemResult:
     round); ``r = 0`` is the identity."""
     if r < 0:
         raise ValueError("stemming rounds must be nonnegative")
+    if r == 0:
+        ids = tuple(range(g.n))
+        return StemResult(ids, g, ids, ())
     rounds = peel_degree_le1(g, rounds=r)
     removed = {v for batch in rounds for v in batch}
     survivors = tuple(v for v in range(g.n) if v not in removed)
@@ -246,10 +259,11 @@ def exact_tree_md(g: Graph, k: int) -> TreeMDReport:
     """
     if k < 0:
         raise ValueError("relaxation parameter k must be nonnegative")
-    if not is_tree(g):
+    dist = _tree_bfs(g)  # the tree check is the diameter's first sweep
+    if dist is None:
         raise ValueError("exact_tree_md requires a connected acyclic input")
     r = k // 2
-    diameter = tree_diameter(g)
+    diameter = _second_sweep(g, dist)
     if k >= diameter:
         return TreeMDReport(k, r, 0, 0, False, 0, ())
     st = stem_r(g, r)

@@ -16,6 +16,15 @@ def cycle_graph(n: int) -> Graph:
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
 
 
+def ladder_graph(rungs: int) -> Graph:
+    """Two paths of ``rungs`` vertices (0..rungs-1 and rungs..2*rungs-1)
+    joined rung by rung."""
+    edges = [(i, i + rungs) for i in range(rungs)]
+    edges += [(i, i + 1) for i in range(rungs - 1)]
+    edges += [(i + rungs, i + rungs + 1) for i in range(rungs - 1)]
+    return Graph.from_edges(2 * rungs, edges)
+
+
 def star_graph(leaves: int) -> Graph:
     """Center 0 with the given number of leaves."""
     return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])

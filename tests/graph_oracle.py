@@ -1,8 +1,10 @@
-"""Slow references for peeling, down-stemming and identification-vector
-grouping: the straightforward versions the library replaced.
+"""Slow references for all-pairs distances, peeling, down-stemming and
+identification-vector grouping: the straightforward versions the library
+replaced.
 
-Each peeling round rescans every vertex, so peeling a path of n vertices
-costs Theta(n^2); vertices are grouped through a dict keyed by distance-row
+All-pairs distances are one breadth-first search per source. Each peeling
+round rescans every vertex, so peeling a path of n vertices costs
+Theta(n^2); vertices are grouped through a dict keyed by distance-row
 tuples; the resolving check and the brute-force search run on that grouping.
 """
 
@@ -13,6 +15,12 @@ from itertools import combinations
 import numpy as np
 
 from relaxmdim import Graph, RootedTree
+from relaxmdim.graph import bfs_distances
+
+
+def bfs_distance_matrix(g: Graph) -> np.ndarray:
+    """All-pairs distances as one :func:`bfs_distances` row per source."""
+    return np.array([bfs_distances(g, s) for s in range(g.n)], dtype=np.int32).reshape(g.n, g.n)
 
 
 def round_scan_peel(g: Graph, rounds: int | None = None) -> list[list[int]]:

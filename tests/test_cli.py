@@ -218,3 +218,11 @@ def test_console_script_help():
     )
     assert proc.returncode == 0
     assert "two-step" in proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is only needed by the all-pairs Dijkstra fallback, imported there
+    code = "import sys, relaxmdim.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

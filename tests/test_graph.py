@@ -6,7 +6,7 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from relaxmdim import (
@@ -19,18 +19,20 @@ from relaxmdim import (
     largest_connected_component,
     load_edge_list,
 )
+from relaxmdim import graph
 from relaxmdim.graph import UNREACHABLE, bfs_distances, peel_degree_le1
 
 from conftest import (
     connected_graphs,
     cycle_graph,
+    ladder_graph,
     path_graph,
     random_connected_graph,
     random_trees,
     sparse_graphs,
     star_graph,
 )
-from graph_oracle import dict_blocks, dict_is_k_resolved, round_scan_peel
+from graph_oracle import bfs_distance_matrix, dict_blocks, dict_is_k_resolved, round_scan_peel
 
 # trees, unicyclic and sparse connected graphs, and disconnected sparse
 # graphs with isolated vertices
@@ -147,6 +149,101 @@ class TestDistances:
         mat = all_pairs_distances(g).matrix
         for src in range(0, g.n, 5):
             assert bfs_distances(g, src) == mat[src].tolist()
+
+
+def _with_edges(g: Graph, n: int, extra: list[tuple[int, int]]) -> Graph:
+    """``g`` on ``n >= g.n`` vertices with the ``extra`` edges added."""
+    return Graph.from_edges(n, [*g.edges(), *extra])
+
+
+def _cycle_with_pendant_trees() -> Graph:
+    """A 6-cycle 0..5 with a path, a star and a branching tree hanging off
+    three of its vertices, ids interleaved so no tree is a contiguous range."""
+    pendant = [(0, 6), (6, 9), (9, 12), (2, 7), (2, 10), (2, 13), (4, 8), (8, 11), (8, 14), (14, 15)]
+    return _with_edges(cycle_graph(6), 16, pendant)
+
+
+class TestAllPairsDistances:
+    """The peel, the bit-parallel BFS or Dijkstra on the 2-core and the row
+    recurrence, against one BFS per source."""
+
+    @staticmethod
+    def check(g: Graph, oracle: np.ndarray | None = None) -> None:
+        mat = all_pairs_distances(g).matrix
+        assert mat.dtype == np.int32
+        assert not mat.flags.writeable
+        assert np.array_equal(mat, bfs_distance_matrix(g) if oracle is None else oracle)
+
+    # no explain phase: its line tracer makes a failing example's shrink,
+    # with a 200-source BFS oracle per run, take minutes instead of seconds
+    @settings(
+        derandomize=True,
+        deadline=None,
+        max_examples=150,
+        phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink],
+    )
+    @given(st.one_of(random_trees(200), connected_graphs(200), sparse_graphs(200)))
+    def test_matches_bfs_oracle(self, g):
+        oracle = bfs_distance_matrix(g)
+        # every 2-core to the bit-parallel BFS, then every one to Dijkstra
+        for max_levels in (g.n, -1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(graph, "BIT_BFS_MAX_LEVELS", max_levels)
+                self.check(g, oracle)
+
+    @pytest.mark.parametrize("n,extra", [(63, 40), (64, 64), (65, 30), (130, 90), (200, 400)])
+    def test_multi_word_bitsets(self, n, extra):
+        # one word, one full word, one bit over, and partial last words
+        self.check(random_connected_graph(n, extra, seed=n))
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_smallest_graphs(self, n):
+        self.check(path_graph(n))
+
+    def test_pendant_trees_on_a_cycle(self):
+        self.check(_cycle_with_pendant_trees())
+        self.check(_with_edges(cycle_graph(5), 6, [(2, 5)]))  # one pendant leaf
+
+    def test_isolated_vertices_and_mixed_components(self):
+        # isolated 0, 3 and 9; a pendant-tree-on-cycle component; a tree
+        g = Graph.from_edges(
+            14, [(1, 4), (4, 7), (7, 1), (7, 10), (10, 13), (2, 5), (5, 8), (5, 11), (11, 6), (6, 12)]
+        )
+        self.check(g)
+        self.check(Graph.from_edges(5, []))
+
+    @pytest.mark.parametrize(
+        "g",
+        [cycle_graph(600), ladder_graph(300), _with_edges(cycle_graph(600), 603, [(5, 600), (600, 601), (600, 602)])],
+        ids=["cycle600", "ladder300", "cycle600-pendant"],
+    )
+    def test_wide_cores_take_dijkstra(self, g, monkeypatch):
+        def refuse(core):
+            raise AssertionError("bit-parallel BFS run on a wide core")
+
+        monkeypatch.setattr(graph, "_bit_bfs_rows", refuse)
+        self.check(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [cycle_graph(40), ladder_graph(100), _cycle_with_pendant_trees()],
+        ids=["cycle40", "ladder100", "cycle-pendant"],
+    )
+    def test_narrow_cores_take_bit_bfs(self, g, monkeypatch):
+        def refuse(core):
+            raise AssertionError("Dijkstra run on a narrow core")
+
+        monkeypatch.setattr(graph, "_dijkstra_rows", refuse)
+        self.check(g)
+
+    def test_does_not_call_public_peel(self, monkeypatch):
+        # benchmark tracing counts the public peel's rounds
+        def refuse(*args, **kwargs):
+            raise AssertionError("public peel_degree_le1 called")
+
+        monkeypatch.setattr(graph, "peel_degree_le1", refuse)
+        self.check(_cycle_with_pendant_trees())
+        self.check(path_graph(7))
 
 
 class TestIdentificationVectors:

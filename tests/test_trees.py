@@ -26,7 +26,8 @@ from relaxmdim import (
     tree_diameter,
     uniform_tree,
 )
-from relaxmdim.graph import induced_subgraph
+from relaxmdim import trees
+from relaxmdim.graph import bfs_distances, induced_subgraph
 
 from conftest import (
     connected_graphs,
@@ -86,8 +87,9 @@ class TestStem:
     def test_r0_is_identity(self):
         g = spider_graph([3, 1, 2])
         res = stem_r(g, 0)
-        assert res.survivors == tuple(range(g.n))
-        assert res.subgraph.m == g.m
+        assert res.subgraph is g
+        assert res.to_original == res.survivors == tuple(range(g.n))
+        assert res.removed_per_round == ()
 
     def test_full_binary_one_round(self):
         res = stem_r(full_m_ary_tree(2, 3), 1)
@@ -210,6 +212,19 @@ class TestCountSigmaEx:
 
 
 class TestExactTreeMD:
+    @pytest.mark.parametrize("k", [0, 2, 5, 40])
+    def test_two_bfs_per_solve(self, k, monkeypatch):
+        # the tree check's BFS is also the diameter's first sweep
+        calls = []
+
+        def counting_bfs(g, source):
+            calls.append(source)
+            return bfs_distances(g, source)
+
+        monkeypatch.setattr(trees, "bfs_distances", counting_bfs)
+        exact_tree_md(spider_graph([3, 1, 4, 2]), k)
+        assert len(calls) == 2
+
     def test_full_binary_h3_k0(self):
         rep = exact_tree_md(full_m_ary_tree(2, 3), 0)
         assert (rep.sigma_r, rep.ex_r, rep.md) == (8, 4, 4)
