@@ -34,6 +34,7 @@ from .generators import (
 )
 from .localization import SweepRecord, TwoStepResult, qstar_curve, sweep_metrics, two_step_qstar
 from .trees import (
+    IncompatibleMethodError,
     RootedTree,
     StemResult,
     TooLargeError,
@@ -70,6 +71,7 @@ __all__ = [
     "StemResult",
     "TreeMDReport",
     "TooLargeError",
+    "IncompatibleMethodError",
     "stem",
     "stem_r",
     "down_stem_r",

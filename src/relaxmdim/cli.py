@@ -29,17 +29,13 @@ from .graph import (
 from .greedy import greedy_k_resolving_set
 from .gw import OffspringDistribution, gw_sequence
 from .localization import SWEEP_CSV_HEADER, qstar_curve, sweep_metrics
-from .trees import TooLargeError, brute_force_md, exact_tree_md, is_tree
+from .trees import IncompatibleMethodError, TooLargeError, brute_force_md, exact_tree_md
 from . import generators
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INCOMPATIBLE = 3
 EXIT_RESOURCE = 4
-
-
-class IncompatibleMethodError(ValueError):
-    """Requested method cannot be applied to the given input."""
 
 
 def _read_graph(path: str) -> Graph:
@@ -102,10 +98,6 @@ def cmd_mdim(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     g = _read_graph(args.input)
     if args.method == "exact-tree":
-        if not is_tree(g):
-            raise IncompatibleMethodError(
-                "method exact-tree requires a connected acyclic input"
-            )
         report = exact_tree_md(g, args.k)
         dm = all_pairs_distances(g)
         verified = is_k_relaxed_resolving(dm, report.witness, args.k)
@@ -128,9 +120,9 @@ def cmd_mdim(args: argparse.Namespace) -> int:
             "verified": verified,
             "trace": trace.rows(),
         }
-    else:  # brute
+    else:  # brute: the size limit is checked before any distance is computed
+        md, witness = brute_force_md(g, args.k)
         dm = all_pairs_distances(g)
-        md, witness = brute_force_md(g, args.k, dm)
         verified = is_k_relaxed_resolving(dm, witness, args.k)
         payload = {
             "schema": "relaxmdim/mdim/1",
@@ -151,10 +143,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     g = _read_graph(args.input)
     if args.k_max < 0:
         raise ValueError(f"--k-max {args.k_max} is negative")
-    if args.method == "exact-tree" and not is_tree(g):
-        raise IncompatibleMethodError(
-            "method exact-tree requires a connected acyclic input"
-        )
     records = sweep_metrics(g, range(args.k_max + 1), resolver=args.method)
     lines = [SWEEP_CSV_HEADER] + [rec.csv_row() for rec in records]
     _emit("\n".join(lines) + "\n", args.out, "sweep", vars(args), [args.input], started)
@@ -194,8 +182,11 @@ def _parse_offspring(spec: str) -> OffspringDistribution:
     if kind == "geometric":
         return OffspringDistribution.geometric(float(value))
     if kind == "pmf":
-        with open(value, "r", encoding="utf-8") as handle:
-            values = [float(tok) for tok in handle.read().split()]
+        try:
+            with open(value, "r", encoding="utf-8") as handle:
+                values = [float(tok) for tok in handle.read().split()]
+        except OSError as exc:
+            raise ValueError(f"cannot read {value}: {exc}") from exc
         return OffspringDistribution.from_pmf(values)
     raise ValueError(
         f"unknown offspring spec {spec!r}; expected poisson:LAM, geometric:P or pmf:FILE"

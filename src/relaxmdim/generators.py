@@ -136,16 +136,20 @@ def _critical_tilt(pmf: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
-def gw_tree_conditioned(
-    n: int, xi: OffspringDistribution, seed: int, max_attempts: int | None = None
-) -> RootedTree:
+def gw_tree_conditioned(n: int, xi: OffspringDistribution, seed: int) -> RootedTree:
     """Exact sample of a branching-process tree conditioned on n vertices.
 
-    Offspring counts are drawn iid and rejected until they sum to n-1, then
-    rotated at the first minimum of the associated lattice walk (the unique
-    rotation that is a valid depth-first encoding) and decoded into a tree.
-    Non-unit-mean distributions are tilted to the critical equivalent first;
-    the conditioned law is unchanged and rejection stays feasible.
+    Each attempt draws one row of n iid offspring counts by inverse cdf,
+    ``cdf.searchsorted(rng.random(n), side="right")`` (the arithmetic and the
+    stream of ``rng.choice(pmf.size, size=n, p=pmf)``), and the first row
+    that sums to n-1 is kept. It is rotated at the first minimum of the
+    associated lattice walk (the unique rotation that is a valid depth-first
+    encoding) and decoded into a tree. Non-unit-mean distributions are
+    tilted to the critical equivalent first; the conditioned law is
+    unchanged and rejection stays feasible. After exactly
+    ``200 + int(100 * sigma * sqrt(2 * pi * n))`` rejected rows, about 100
+    times the expected count, the size is taken as unreachable and a
+    RuntimeError is raised.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
@@ -156,39 +160,31 @@ def gw_tree_conditioned(
         return RootedTree.from_parents([-1])
     pmf = _critical_tilt(pmf)
     sigma = math.sqrt(max(float((np.arange(pmf.size) ** 2) @ pmf) - 1.0, 1e-6))
-    if max_attempts is None:
-        max_attempts = 200 + int(100 * sigma * math.sqrt(2 * math.pi * n))
-    batch = max(1, min(256, 4_000_000 // n))
-    attempts = 0
-    counts = None
-    while attempts < max_attempts:
-        block = rng.choice(pmf.size, size=(batch, n), p=pmf)
-        sums = block.sum(axis=1)
-        hits = np.flatnonzero(sums == n - 1)
-        if hits.size:
-            used = int(hits[0]) + 1
-            attempts += used
-            counts = block[hits[0]]
+    max_attempts = 200 + int(100 * sigma * math.sqrt(2 * math.pi * n))
+    cdf = np.cumsum(pmf)
+    cdf /= cdf[-1]
+    for _ in range(max_attempts):
+        counts = cdf.searchsorted(rng.random(n), side="right")
+        if int(counts.sum()) == n - 1:
             break
-        attempts += batch
-    if counts is None:
+    else:
         raise RuntimeError(
-            f"conditioning rejected {attempts} draws without hitting total "
+            f"conditioning rejected {max_attempts} draws without hitting total "
             f"progeny {n}; offspring support may make this size unreachable"
         )
     # rotate so every strict prefix of the depth-first walk stays nonnegative
     walk = np.cumsum(counts) - np.arange(1, n + 1)
     pivot = int(np.argmin(walk))
-    rotated = np.concatenate([counts[pivot + 1 :], counts[: pivot + 1]])
+    left = np.concatenate([counts[pivot + 1 :], counts[: pivot + 1]]).tolist()
     parents = [-1] * n
-    stack = [(0, int(rotated[0]))]  # (vertex, children still to attach)
+    stack = [0]  # vertices that may still get children; left[v] slots remain
     for child in range(1, n):
-        while stack and stack[-1][1] == 0:
+        while left[stack[-1]] == 0:
             stack.pop()
-        vertex, left = stack[-1]
+        vertex = stack[-1]
         parents[child] = vertex
-        stack[-1] = (vertex, left - 1)
-        stack.append((child, int(rotated[child])))
+        left[vertex] -= 1
+        stack.append(child)
     return RootedTree.from_parents(parents)
 
 

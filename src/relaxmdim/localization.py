@@ -18,7 +18,7 @@ from .graph import (
     equivalence_partition,
 )
 from .greedy import greedy_k_resolving_set, greedy_resolve_within
-from .trees import exact_tree_md, is_tree
+from .trees import IncompatibleMethodError, exact_tree_md, is_tree
 
 Resolver = Literal["exact-tree", "greedy"]
 
@@ -56,16 +56,19 @@ def sweep_metrics(
 ) -> list[SweepRecord]:
     """Compute a resolving set per k and the induced ambiguity metrics.
 
-    ``resolver="exact-tree"`` uses the constructive tree witness and fails on
-    cyclic inputs; ``"greedy"`` works on any connected graph.
+    ``resolver="exact-tree"`` uses the constructive tree witness and raises
+    :class:`IncompatibleMethodError` on other inputs before any distance is
+    computed; ``"greedy"`` works on any connected graph.
     """
+    n = g.n
+    if n == 0:
+        raise ValueError("sweep of the empty graph is undefined")
+    if resolver == "exact-tree" and not is_tree(g):
+        raise IncompatibleMethodError("exact-tree resolver requires a connected acyclic input")
     if dm is None:
         dm = all_pairs_distances(g)
     if not dm.connected:
         raise ValueError("sweep requires a connected graph")
-    if resolver == "exact-tree" and not is_tree(g):
-        raise ValueError("exact-tree resolver requires an acyclic input")
-    n = g.n
     records = []
     for k in k_values:
         if resolver == "exact-tree":

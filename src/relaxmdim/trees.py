@@ -27,6 +27,10 @@ class TooLargeError(RuntimeError):
     """Raised when an exhaustive search is refused on resource grounds."""
 
 
+class IncompatibleMethodError(ValueError):
+    """Requested method cannot be applied to the given input."""
+
+
 def _tree_bfs(g: Graph) -> list[int] | None:
     """The BFS distances from vertex 0 if ``g`` is a tree, else None."""
     if g.n == 0 or g.m != g.n - 1:
@@ -261,7 +265,7 @@ def exact_tree_md(g: Graph, k: int) -> TreeMDReport:
         raise ValueError("relaxation parameter k must be nonnegative")
     dist = _tree_bfs(g)  # the tree check is the diameter's first sweep
     if dist is None:
-        raise ValueError("exact_tree_md requires a connected acyclic input")
+        raise IncompatibleMethodError("exact_tree_md requires a connected acyclic input")
     r = k // 2
     diameter = _second_sweep(g, dist)
     if k >= diameter:

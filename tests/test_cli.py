@@ -17,6 +17,18 @@ STAR5 = "\n".join(f"c l{i}" for i in range(5)) + "\n"
 
 
 @pytest.fixture
+def no_distances(monkeypatch):
+    """Make every binding of ``all_pairs_distances`` in the package raise."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("all_pairs_distances was called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "relaxmdim" and hasattr(module, "all_pairs_distances"):
+            monkeypatch.setattr(module, "all_pairs_distances", refuse)
+
+
+@pytest.fixture
 def path_file(tmp_path):
     p = tmp_path / "path9.txt"
     p.write_text(PATH9)
@@ -88,10 +100,12 @@ class TestMdim:
     def test_exact_on_cycle_is_incompatible(self, cycle_file, capsys):
         assert main(["mdim", cycle_file, "--k", "0", "--method", "exact-tree"]) == 3
 
-    def test_brute_refuses_large(self, tmp_path, capsys):
+    def test_brute_refuses_large(self, tmp_path, capsys, no_distances):
+        # refused before any distance is computed
         p = tmp_path / "big.txt"
         p.write_text("\n".join(f"{i} {i + 1}" for i in range(19)) + "\n")
         assert main(["mdim", str(p), "--k", "0", "--method", "brute"]) == 4
+        assert "refused" in capsys.readouterr().err
 
 
 class TestSweep:
@@ -109,6 +123,20 @@ class TestSweep:
         out = tmp_path / "sweep.csv"
         assert main(["sweep", path_file, "--k-max", "3", "--method", "exact-tree", "--out", str(out)]) == 0
         assert len(out.read_text().strip().splitlines()) == 5
+
+    def test_exact_on_cycle_refused_before_distances(self, cycle_file, tmp_path, capsys, no_distances):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", cycle_file, "--k-max", "2", "--method", "exact-tree", "--out", str(out)]
+        assert main(argv) == 3
+        assert "acyclic" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_empty_edge_list_rejected(self, tmp_path, capsys):
+        p = tmp_path / "empty.txt"
+        p.write_text("# no edges\n")
+        for method in ("greedy", "exact-tree"):
+            assert main(["sweep", str(p), "--k-max", "1", "--method", method]) == 2
+            assert "empty graph" in capsys.readouterr().err
 
     def test_negative_kmax_rejected(self, path_file, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
@@ -191,6 +219,15 @@ class TestGWConstants:
 
     def test_bad_offspring_spec(self, capsys):
         assert main(["gw-constants", "--offspring", "zipf:2", "--r-max", "1"]) == 2
+
+    def test_missing_pmf_file(self, tmp_path, capsys):
+        spec = f"pmf:{tmp_path / 'missing.txt'}"
+        for argv in (
+            ["gw-constants", "--offspring", spec, "--r-max", "1"],
+            ["generate", "--model", "gw-tree", "--n", "5", "--seed", "0", "--offspring", spec],
+        ):
+            assert main(argv) == 2
+            assert "cannot read" in capsys.readouterr().err
 
 
 def test_threads_option_is_gone(path_file, capsys):

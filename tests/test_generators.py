@@ -26,6 +26,18 @@ from relaxmdim import GeneratorConfig, RootedTree
 from relaxmdim.generators import _critical_tilt, _zipf_sampler
 from relaxmdim.graph import bfs_distances
 
+from generators_oracle import batched_gw_tree_conditioned
+
+# offspring laws of the differential tests; all but the first are tilted
+LAWS = {
+    "poisson1": OffspringDistribution.poisson(1.0),
+    "geometric0.6": OffspringDistribution.geometric(0.6),
+    "poisson3": OffspringDistribution.poisson(3.0),
+    "pmf": OffspringDistribution.from_pmf([0.3, 0.4, 0.2, 0.1]),
+}
+# tree size -> seeds 0..count-1 compared against the batched oracle
+ORACLE_SEEDS = {1: 5, 2: 150, 3: 150, 4: 150, 60: 60, 137: 40, 1000: 12}
+
 
 class TestBATree:
     def test_minimal(self):
@@ -98,11 +110,55 @@ class TestConditionedGWTree:
         t = gw_tree_conditioned(150, OffspringDistribution.geometric(0.6), seed=4)
         assert t.n == 150
 
-    def test_unreachable_size_reports_attempts(self):
-        # support {0, 2} can only produce odd total progeny
+    def test_unreachable_size_reports_attempts(self, monkeypatch):
+        # support {0, 2} can only produce odd total progeny; sigma = 1, so the
+        # bound is 200 + int(100 * sqrt(2 * pi * 4)) = 701 rows
+        rows = []
+        default_rng = np.random.default_rng
+
+        class CountingRng:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def random(self, size):
+                rows.append(size)
+                return self.rng.random(size)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingRng)
         xi = OffspringDistribution.from_pmf([0.5, 0.0, 0.5])
-        with pytest.raises(RuntimeError, match="rejected"):
-            gw_tree_conditioned(4, xi, seed=0, max_attempts=500)
+        with pytest.raises(RuntimeError, match="rejected 701 draws"):
+            gw_tree_conditioned(4, xi, seed=0)
+        assert rows == [4] * 701
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    @pytest.mark.parametrize("n", sorted(ORACLE_SEEDS))
+    def test_same_trees_as_batched_oracle(self, n, law):
+        xi = LAWS[law]
+        for seed in range(ORACLE_SEEDS[n]):
+            got = gw_tree_conditioned(n, xi, seed).parent
+            assert got == batched_gw_tree_conditioned(n, xi, seed).parent, seed
+
+    @pytest.mark.parametrize(
+        "law, seed", [("poisson1", 0), ("geometric0.6", 0), ("poisson3", 6)]
+    )
+    def test_same_tree_as_oracle_past_its_first_block(self, law, seed):
+        # each of these n = 2000 trees is accepted after more than the
+        # oracle's 256-row first block (288, 390 and 293 rows)
+        xi = LAWS[law]
+        got = gw_tree_conditioned(2000, xi, seed).parent
+        assert got == batched_gw_tree_conditioned(2000, xi, seed).parent
+
+    @pytest.mark.parametrize("law", sorted(LAWS))
+    def test_one_row_draw_is_the_choice_stream(self, law):
+        pmf = np.asarray(LAWS[law].pmf, dtype=float)
+        pmf = _critical_tilt(pmf / pmf.sum())
+        cdf = np.cumsum(pmf)
+        cdf /= cdf[-1]
+        rows, n = 37, 53
+        block = np.random.default_rng(5).choice(pmf.size, size=(rows, n), p=pmf)
+        rng = np.random.default_rng(5)
+        for row in block:
+            assert np.array_equal(cdf.searchsorted(rng.random(n), side="right"), row)
 
     def test_deterministic(self):
         xi = OffspringDistribution.poisson(1.0)

@@ -7,6 +7,10 @@ trace); the random geometric graph also goes through ``stats --lcc``, whose
 1-shell size comes from the degree-<=1 peel. A seeded n = 200 uniform tree
 goes through ``stats``, ``mdim --method exact-tree`` and ``sweep --method
 exact-tree`` (stemming, leaf/exterior-major counts, witness and partition).
+``generate --out`` writes one seeded sample of every generator model, and of
+the conditioned branching tree under four offspring laws (three of them
+tilted to unit mean, one read from a pmf file); under three of the laws the
+n = 2000 tree is accepted only after more than 256 rejected draws.
 Any change to a sensor sequence, a tie-break, a trace row or a number's
 formatting changes a digest. Regenerate the table only for an
 intended change of results: ``python tests/test_golden.py`` prints it.
@@ -43,6 +47,21 @@ TREE_COMMANDS = (
     ("sweep-exact.csv", ("sweep", "--method", "exact-tree", "--k-max", "6", "--out", "{out}")),
 )
 
+# generate result file -> CLI arguments after "generate"; "{pmf}" is PMF_TEXT's file
+GENERATE_COMMANDS = {
+    "ba-tree.txt": ("--model", "ba-tree", "--n", "300", "--seed", "5"),
+    "config-model.txt": ("--model", "config-model", "--n", "300", "--seed", "6"),
+    "rgg.txt": ("--model", "rgg", "--n", "300", "--seed", "7"),
+    "uniform-tree.txt": ("--model", "uniform-tree", "--n", "300", "--seed", "8"),
+    "gw-tree-poisson1.txt": ("--model", "gw-tree", "--n", "2000", "--seed", "0", "--offspring", "poisson:1"),
+    "gw-tree-geometric0.6.txt": (
+        "--model", "gw-tree", "--n", "2000", "--seed", "0", "--offspring", "geometric:0.6",
+    ),
+    "gw-tree-poisson3.txt": ("--model", "gw-tree", "--n", "2000", "--seed", "6", "--offspring", "poisson:3"),
+    "gw-tree-pmf.txt": ("--model", "gw-tree", "--n", "2000", "--seed", "3", "--offspring", "pmf:{pmf}"),
+}
+PMF_TEXT = "0.3 0.4 0.2 0.1\n"
+
 # input name -> (graph builder, commands run on its edge list)
 INPUTS = {
     "ba": (lambda: ba_tree(200, seed=1), GREEDY_COMMANDS),
@@ -77,6 +96,15 @@ GOLDEN = {
     "tree/mdim-exact-k3.json": "e097278a747ff932047c4ded4d6538c3f2ffa854eec4e28a0d21820fcb9e98d8",
     "tree/stats.json": "c01f337db7156a5043584ff1a495fd15a9c5e939c397a090e734d18358c78623",
     "tree/sweep-exact.csv": "896a055ca04241e38220c8c2941c48de4510175a07a76a335e6516b2e16eac07",
+    # recorded from the 256-row batched conditioned sampler
+    "generate/ba-tree.txt": "c5433fb309263ba2aca18f2056d738127d70e1b54fe05c85ea2f14cbf9477553",
+    "generate/config-model.txt": "a8f2a40a4e085efa66611172644b068376b6f7d05b02818a27e011f9a04987b6",
+    "generate/gw-tree-geometric0.6.txt": "b5127c8596b60070c29bf4db33e103a4568ce1121a0b1a0623dd98e32587c65b",
+    "generate/gw-tree-pmf.txt": "d08e442912cd2d05c4bea99130e0ccf5ef9f8ca9877804a80c114904f678c451",
+    "generate/gw-tree-poisson1.txt": "2241d1ae850256e046d23c9886f28eff901120c4563b7b3028e66aed874001ee",
+    "generate/gw-tree-poisson3.txt": "9b2fc4ec92c98cea919082f5dcaee8a34b7f9607b7baa331fcc0c60008ac45c8",
+    "generate/rgg.txt": "f13fe0511750b51a9db3eac6663c04a19c49f35f4d3349b991829926b17215d2",
+    "generate/uniform-tree.txt": "c551ab6840d89591b7cf42413e0d70fa613db770f8e6d2e668b1a5556967748b",
 }
 
 
@@ -94,6 +122,12 @@ def result_digests(workdir: Path) -> dict[str, str]:
                 args = [a.format(out=out, base=base) for a in argv]
                 assert main([args[0], str(edge_list), *args[1:]]) == 0
             digests[f"{name}/{result}"] = hashlib.sha256(out.read_bytes()).hexdigest()
+    pmf = workdir / "pmf.txt"
+    pmf.write_text(PMF_TEXT)
+    for result, argv in GENERATE_COMMANDS.items():
+        out = workdir / f"generate-{result}"
+        assert main(["generate", *(a.format(pmf=pmf) for a in argv), "--out", str(out)]) == 0
+        digests[f"generate/{result}"] = hashlib.sha256(out.read_bytes()).hexdigest()
     return digests
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaxmdim import (
+    IncompatibleMethodError,
     Graph,
     RootedTree,
     TooLargeError,
@@ -247,7 +248,7 @@ class TestExactTreeMD:
         assert rep.witness == ()
 
     def test_cycle_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(IncompatibleMethodError, match="acyclic"):
             exact_tree_md(cycle_graph(5), 0)
 
     def test_witness_verifies_with_matching_cardinality(self):
