@@ -14,6 +14,7 @@ from .graph import (
     Graph,
     GraphStats,
     LoadResult,
+    TooLargeError,
     all_pairs_distances,
     equivalence_partition,
     graph_stats,
@@ -37,7 +38,6 @@ from .trees import (
     IncompatibleMethodError,
     RootedTree,
     StemResult,
-    TooLargeError,
     TreeMDReport,
     brute_force_md,
     count_sigma_ex,

@@ -20,6 +20,7 @@ import time
 from . import __version__
 from .graph import (
     Graph,
+    TooLargeError,
     all_pairs_distances,
     graph_stats,
     is_k_relaxed_resolving,
@@ -29,7 +30,7 @@ from .graph import (
 from .greedy import greedy_k_resolving_set
 from .gw import OffspringDistribution, gw_sequence
 from .localization import SWEEP_CSV_HEADER, qstar_curve, sweep_metrics
-from .trees import IncompatibleMethodError, TooLargeError, brute_force_md, exact_tree_md
+from .trees import IncompatibleMethodError, brute_force_md, exact_tree_md
 from . import generators
 
 EXIT_OK = 0

@@ -9,14 +9,20 @@ All-pairs distances split each component into its 2-core and the trees
 hanging off it. The core's distances come from a bit-parallel multi-source
 BFS (64 sources per machine word), or from scipy's Dijkstra when the core's
 diameter is too large for it; every other row follows from a parent row in
-one vectorized step. scipy is imported only by that fallback.
+one vectorized step. scipy is imported only by that fallback. The matrix is
+stored in the narrowest signed integer dtype that holds an upper bound on
+every component's diameter, and a matrix larger than physical memory is
+refused before it is allocated.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -35,6 +41,12 @@ _ROW_BLOCK = 1024
 
 #: An ordered sequence of distinct vertex ids acting as sensors.
 SensorSet = Sequence[int]
+
+
+class TooLargeError(RuntimeError):
+    """Raised when a computation is refused on resource grounds: an
+    exhaustive search over too many vertices, or a distance matrix larger
+    than physical memory."""
 
 
 @dataclass(frozen=True)
@@ -170,34 +182,48 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
 def connected_components(g: Graph) -> list[list[int]]:
     """Vertex lists of the connected components, each sorted ascending,
     ordered by smallest contained vertex."""
-    seen = [False] * g.n
+    return [comp for comp, _ in _components(g)]
+
+
+def _components(g: Graph) -> list[tuple[list[int], int]]:
+    """Each component's ascending vertex list with the eccentricity of its
+    smallest vertex, ordered by smallest vertex."""
+    dist = [UNREACHABLE] * g.n
+    adjacency = g.adjacency
     components = []
     for start in range(g.n):
-        if seen[start]:
+        if dist[start] != UNREACHABLE:
             continue
-        seen[start] = True
+        dist[start] = 0
         comp = [start]
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in g.adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
+        for u in comp:  # the list is the BFS queue
+            du = dist[u] + 1
+            for w in adjacency[u]:
+                if dist[w] == UNREACHABLE:
+                    dist[w] = du
                     comp.append(w)
-                    queue.append(w)
-        components.append(sorted(comp))
+        # BFS order, so the last vertex reached is a farthest one
+        components.append((sorted(comp), dist[comp[-1]]))
     return components
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, tuple[int, ...]]:
     """Subgraph induced by ``vertices``, relabeled to 0..len-1 in ascending
     original-id order. Returns (subgraph, new-id -> original-id map)."""
-    keep = sorted(set(vertices))
-    index = {v: i for i, v in enumerate(keep)}
-    adjacency = tuple(
-        tuple(index[w] for w in g.adjacency[v] if w in index) for v in keep
-    )
-    return Graph(adjacency), tuple(keep)
+    index = np.full(g.n, -1, dtype=np.intp)
+    index[np.fromiter(vertices, dtype=np.intp)] = 0
+    keep = np.flatnonzero(index == 0)
+    index[keep] = np.arange(keep.size)
+    rows = [g.adjacency[v] for v in keep.tolist()]
+    bounds = np.zeros(len(rows) + 1, dtype=np.intp)
+    np.cumsum(np.fromiter(map(len, rows), dtype=np.intp, count=len(rows)), out=bounds[1:])
+    nbrs = index[np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=int(bounds[-1]))]
+    inside = nbrs >= 0
+    # index is increasing on keep, so every relabeled row stays sorted
+    cuts = np.concatenate(([0], np.cumsum(inside)))[bounds].tolist()
+    flat = nbrs[inside].tolist()
+    adjacency = tuple(tuple(flat[a:b]) for a, b in zip(cuts, cuts[1:]))
+    return Graph(adjacency), tuple(keep.tolist())
 
 
 def largest_connected_component(g: Graph) -> tuple[Graph, tuple[int, ...]]:
@@ -228,7 +254,8 @@ class DistanceMatrix:
 
     @cached_property
     def connected(self) -> bool:
-        return not bool(np.any(self.matrix == UNREACHABLE))
+        # UNREACHABLE is the only negative entry
+        return self.n == 0 or int(self.matrix.min()) >= 0
 
     @cached_property
     def diameter(self) -> int:
@@ -239,8 +266,13 @@ class DistanceMatrix:
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """Hop counts between all vertex pairs as a read-only int32 matrix,
+    """Hop counts between all vertex pairs as a read-only matrix,
     UNREACHABLE between components.
+
+    The dtype is the narrowest signed integer one holding twice the
+    eccentricity of each component's smallest vertex, a bound on every
+    diameter (see :func:`distance_dtype`). A matrix larger than physical
+    memory raises :class:`TooLargeError` before it is allocated.
 
     Per component, peeling the vertices of degree <= 1 leaves the 2-core.
     The core's own distances come from a bit-parallel multi-source BFS, or
@@ -253,23 +285,41 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     size of the output.
     """
     n = g.n
-    components = connected_components(g)
+    components = _components(g)
+    dtype = distance_dtype(2 * max((ecc for _, ecc in components), default=0))
+    limit = _physical_memory()
+    if n * n * dtype.itemsize > limit:
+        raise TooLargeError(
+            f"all-pairs distances of {n} vertices need {n * n * dtype.itemsize / 1e9:.1f} GB "
+            f"as {dtype}, more than the {limit / 1e9:.1f} GB of physical memory"
+        )
     if len(components) <= 1:
-        out = np.empty((n, n), dtype=np.int32)
+        out = np.empty((n, n), dtype=dtype)
         if n:
             _component_distances(g, out)
         return DistanceMatrix(out)
-    out = np.full((n, n), UNREACHABLE, dtype=np.int32)
-    for comp in components:
+    out = np.full((n, n), UNREACHABLE, dtype=dtype)
+    for comp, _ in components:
         sub, _ = induced_subgraph(g, comp)
-        block = np.empty((sub.n, sub.n), dtype=np.int32)
+        block = np.empty((sub.n, sub.n), dtype=dtype)
         _component_distances(sub, block)
         out[np.ix_(comp, comp)] = block
     return DistanceMatrix(out)
 
 
+def distance_dtype(bound: int) -> np.dtype:
+    """The narrowest signed integer dtype holding 0..``bound`` and UNREACHABLE."""
+    return np.min_scalar_type(-bound - 1)
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory: the largest distance matrix allocated."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
 def _component_distances(g: Graph, out: np.ndarray) -> None:
-    """Write the distances of a connected graph with n >= 1 into ``out``."""
+    """Write the distances of a connected graph with n >= 1 into ``out``,
+    whose dtype holds its diameter."""
     n = g.n
     adjacency = g.adjacency
     alive = [True] * n
@@ -301,10 +351,11 @@ def _component_distances(g: Graph, out: np.ndarray) -> None:
         where = np.empty(n, dtype=np.intp)
         where[core_ids] = np.arange(len(core))
         anchor_col = where[anchor]
-        depth_col = np.array(depth, dtype=np.int32)
-        for rows, block in _core_rows(induced_subgraph(g, core)[0]):
+        depth_col = np.array(depth, dtype=out.dtype)
+        for rows, block in _core_rows(induced_subgraph(g, core)[0], out.dtype):
             if len(core) < n:  # core columns are anchor columns plus depth
-                block = block[:, anchor_col] + depth_col
+                block = block[:, anchor_col]
+                block += depth_col
             out[core_ids[rows]] = block
     else:
         out[0] = depth
@@ -314,13 +365,15 @@ def _component_distances(g: Graph, out: np.ndarray) -> None:
         if p < 0:
             continue
         row = out[v]
+        # at most the diameter plus one: the bound is even and the dtype's
+        # maximum odd, so this fits
         np.add(out[p], 1, out=row)
         row[pre[i : i + size[v]]] -= 2
 
 
-def _core_rows(core: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _core_rows(core: Graph, dtype: np.dtype) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Distances of a connected graph of minimum degree >= 2, as blocks of
-    (row ids, int32 rows).
+    (row ids, rows in ``dtype``).
 
     The bit-parallel BFS runs L levels, L the largest eccentricity. A double
     sweep (the eccentricity of the vertex farthest from vertex 0) gives a
@@ -330,8 +383,8 @@ def _core_rows(core: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     dist = bfs_distances(core, 0)
     sweep = max(bfs_distances(core, dist.index(max(dist))))
     if sweep > BIT_BFS_MAX_LEVELS:
-        return _dijkstra_rows(core)
-    return _bit_bfs_rows(core)
+        return _dijkstra_rows(core, dtype)
+    return _bit_bfs_rows(core, dtype)
 
 
 def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -345,7 +398,7 @@ def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return degree, indptr, indices
 
 
-def _bit_bfs_rows(core: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _bit_bfs_rows(core: Graph, dtype: np.dtype) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Multi-source BFS from every vertex at once (Then et al., VLDB 2014).
 
     Row i belongs to vertex ``order[i]`` and holds two bitsets over the
@@ -355,7 +408,7 @@ def _bit_bfs_rows(core: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     unvisited``. With rows sorted by degree, neighbour slot s is one ``take``
     and one in-place OR on the prefix of rows of degree > s. Distances are
     kept as bit-planes (plane b holds bit b of every distance), unpacked once
-    at the end. Cost:
+    at the end, byte by byte, into blocks of rows in ``dtype``. Cost:
     O(L * (n + m) * n / 64) word operations for L levels.
     """
     n = core.n
@@ -396,17 +449,23 @@ def _bit_bfs_rows(core: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
             break
         np.bitwise_xor(unvisited, nxt, out=unvisited)
         frontier, nxt = nxt, frontier
+    del frontier, unvisited, nxt, scratch
+    width = dtype.itemsize
     for start in range(0, n, _ROW_BLOCK):
         stop = min(n, start + _ROW_BLOCK)
-        block = np.zeros((stop - start, n), dtype=np.int32)
+        block = np.zeros((stop - start, n), dtype=dtype)
+        # byte j of every entry: plane b is bit b % 8 of byte b // 8
+        entry_bytes = block.view(np.uint8).reshape(stop - start, n, width)
         for b, plane in enumerate(planes):
             bytes_ = plane[start:stop].astype("<u8", copy=False).view(np.uint8)
             bits = np.unpackbits(bytes_, axis=1, count=n, bitorder="little")
-            block |= np.left_shift(bits, b, dtype=np.int32)
+            np.left_shift(bits, b % 8, out=bits)
+            j = b // 8 if sys.byteorder == "little" else width - 1 - b // 8
+            np.bitwise_or(entry_bytes[:, :, j], bits, out=entry_bytes[:, :, j])
         yield order[start:stop], block
 
 
-def _dijkstra_rows(core: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _dijkstra_rows(core: Graph, dtype: np.dtype) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """scipy's unweighted Dijkstra over blocks of sources (imported lazily)."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import shortest_path
@@ -418,7 +477,7 @@ def _dijkstra_rows(core: Graph) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         rows = np.arange(start, min(n, start + _ROW_BLOCK))
         # the adjacency is symmetric, so the directed search is the undirected one
         dist = shortest_path(adj, method="D", directed=True, unweighted=True, indices=rows)
-        yield rows, dist.astype(np.int32)
+        yield rows, dist.astype(dtype)
 
 
 def _check_sensors(n: int, sensors: SensorSet) -> list[int]:
@@ -583,7 +642,7 @@ def graph_stats(g: Graph, dm: DistanceMatrix | None = None) -> GraphStats:
     if n == 1:
         avg_spl = 0.0
     else:
-        avg_spl = float(dm.matrix.sum()) / (n * (n - 1))
+        avg_spl = float(dm.matrix.sum(dtype=np.int64)) / (n * (n - 1))
     shell1 = sum(len(batch) for batch in peel_degree_le1(g))
     return GraphStats(
         n=n,

@@ -15,16 +15,13 @@ from .graph import (
     UNREACHABLE,
     DistanceMatrix,
     Graph,
+    TooLargeError,
     all_pairs_distances,
     bfs_distances,
     induced_subgraph,
     is_k_relaxed_resolving,
     peel_degree_le1,
 )
-
-
-class TooLargeError(RuntimeError):
-    """Raised when an exhaustive search is refused on resource grounds."""
 
 
 class IncompatibleMethodError(ValueError):

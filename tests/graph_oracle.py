@@ -2,7 +2,8 @@
 identification-vector grouping: the straightforward versions the library
 replaced.
 
-All-pairs distances are one breadth-first search per source. Each peeling
+All-pairs distances are one breadth-first search per source. Induced
+subgraphs relabel through a dict. Each peeling
 round rescans every vertex, so peeling a path of n vertices costs
 Theta(n^2); vertices are grouped through a dict keyed by distance-row
 tuples; the resolving check and the brute-force search run on that grouping.
@@ -21,6 +22,17 @@ from relaxmdim.graph import bfs_distances
 def bfs_distance_matrix(g: Graph) -> np.ndarray:
     """All-pairs distances as one :func:`bfs_distances` row per source."""
     return np.array([bfs_distances(g, s) for s in range(g.n)], dtype=np.int32).reshape(g.n, g.n)
+
+
+def dict_induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
+    """Subgraph induced by ``vertices``, relabeled in ascending id order
+    through a dict. Returns (subgraph, new-id -> original-id map)."""
+    keep = sorted(set(vertices))
+    index = {v: i for i, v in enumerate(keep)}
+    adjacency = tuple(
+        tuple(index[w] for w in g.adjacency[v] if w in index) for v in keep
+    )
+    return Graph(adjacency), tuple(keep)
 
 
 def round_scan_peel(g: Graph, rounds: int | None = None) -> list[list[int]]:

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+from relaxmdim import graph
 from relaxmdim.cli import build_parser, main
-from relaxmdim.generators import MODELS
+from relaxmdim.generators import MODELS, rgg
 
 PATH9 = "\n".join(f"{i} {i + 1}" for i in range(8)) + "\n"
 CYCLE4 = "0 1\n1 2\n2 3\n3 0\n"
@@ -68,6 +70,12 @@ class TestStats:
         assert main(["stats", path_file]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["m"] == 8
+
+    def test_matrix_above_physical_memory_exits_4(self, path_file, monkeypatch, capsys):
+        # 9-vertex path: bound 16, an 81-byte int8 matrix
+        monkeypatch.setattr(graph, "_physical_memory", lambda: 80)
+        assert main(["stats", path_file]) == 4
+        assert "physical memory" in capsys.readouterr().err
 
     def test_missing_file(self, capsys):
         assert main(["stats", "/nonexistent/file.txt"]) == 2
@@ -263,3 +271,37 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# Runs ``python ARGV`` and prints its exit code and ru_maxrss. A child's
+# ru_maxrss starts at its parent's resident set at the fork, so the child is
+# started from this bare interpreter rather than from the test process.
+_MEASURE_CHILD = """
+import os, subprocess, sys
+child = subprocess.Popen([sys.executable, *sys.argv[1:]], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+child.returncode = os.waitstatus_to_exitcode(status)
+print(child.returncode, usage.ru_maxrss)
+"""
+
+
+def _peak_rss_mb(argv: list[str]) -> float:
+    """Peak resident set of ``python argv``, read through ``os.wait4``."""
+    proc = subprocess.run([sys.executable, "-c", _MEASURE_CHILD, *argv], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, kilobytes = map(int, proc.stdout.split())
+    assert code == 0, argv
+    return kilobytes / 1024  # ru_maxrss is in kilobytes on Linux
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux only")
+def test_stats_peak_memory_per_vertex_pair(tmp_path):
+    # An int32 matrix with int32 row blocks, plus a boolean connectivity
+    # mask, peaked about 10 bytes per vertex pair above the bare import here;
+    # the narrow matrix and its blocks take about 4.
+    n = 3000
+    path = tmp_path / "rgg.txt"
+    path.write_text("".join(f"{u} {v}\n" for u, v in rgg(n, 1.5, seed=1).edges()))
+    base = _peak_rss_mb(["-c", "import relaxmdim.cli"])
+    peak = _peak_rss_mb(["-m", "relaxmdim.cli", "stats", str(path), "--lcc"])
+    assert peak - base < 6 * n * n / 2**20, (peak, base)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from relaxmdim import (
     Graph,
+    TooLargeError,
     all_pairs_distances,
     equivalence_partition,
     graph_stats,
@@ -20,7 +21,7 @@ from relaxmdim import (
     load_edge_list,
 )
 from relaxmdim import graph
-from relaxmdim.graph import UNREACHABLE, bfs_distances, peel_degree_le1
+from relaxmdim.graph import UNREACHABLE, bfs_distances, induced_subgraph, peel_degree_le1
 
 from conftest import (
     connected_graphs,
@@ -32,7 +33,13 @@ from conftest import (
     sparse_graphs,
     star_graph,
 )
-from graph_oracle import bfs_distance_matrix, dict_blocks, dict_is_k_resolved, round_scan_peel
+from graph_oracle import (
+    bfs_distance_matrix,
+    dict_blocks,
+    dict_induced_subgraph,
+    dict_is_k_resolved,
+    round_scan_peel,
+)
 
 # trees, unicyclic and sparse connected graphs, and disconnected sparse
 # graphs with isolated vertices
@@ -105,6 +112,32 @@ class TestLargestComponent:
             largest_connected_component(Graph.from_edges(0, []))
 
 
+@st.composite
+def graph_and_vertex_list(draw):
+    """A tree, sparse connected or disconnected graph and an unsorted vertex
+    list with duplicates (maybe empty)."""
+    g = draw(ANY_GRAPH)
+    return g, draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n))
+
+
+class TestInducedSubgraph:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(graph_and_vertex_list())
+    def test_matches_dict_relabel(self, case):
+        g, vertices = case
+        sub, mapping = induced_subgraph(g, vertices)
+        ref_sub, ref_mapping = dict_induced_subgraph(g, vertices)
+        assert sub.adjacency == ref_sub.adjacency
+        assert mapping == ref_mapping
+        assert all(type(v) is int for v in mapping)
+        assert all(type(w) is int for nbrs in sub.adjacency for w in nbrs)
+
+    def test_whole_graph_and_empty_list(self):
+        g = random_connected_graph(30, 10, seed=4)
+        assert induced_subgraph(g, range(g.n)) == (g, tuple(range(g.n)))
+        assert induced_subgraph(g, []) == (Graph(()), ())
+
+
 class TestDistances:
     def test_path_endpoints(self):
         dm = all_pairs_distances(path_graph(4))
@@ -163,16 +196,31 @@ def _cycle_with_pendant_trees() -> Graph:
     return _with_edges(cycle_graph(6), 16, pendant)
 
 
+def _long_cycle_with_pendant() -> Graph:
+    """A 600-cycle with a three-vertex star hanging off vertex 5."""
+    return _with_edges(cycle_graph(600), 603, [(5, 600), (600, 601), (600, 602)])
+
+
 class TestAllPairsDistances:
     """The peel, the bit-parallel BFS or Dijkstra on the 2-core and the row
     recurrence, against one BFS per source."""
 
     @staticmethod
-    def check(g: Graph, oracle: np.ndarray | None = None) -> None:
+    def contract_dtype(oracle: np.ndarray) -> np.dtype:
+        """The narrowest signed dtype holding twice the eccentricity of each
+        component's smallest vertex (and UNREACHABLE)."""
+        firsts = [v for v in range(oracle.shape[0]) if not (oracle[v, :v] >= 0).any()]
+        bound = 2 * max((int(oracle[v].max()) for v in firsts), default=0)
+        return np.min_scalar_type(-bound - 1)
+
+    @classmethod
+    def check(cls, g: Graph, oracle: np.ndarray | None = None) -> np.dtype:
         mat = all_pairs_distances(g).matrix
-        assert mat.dtype == np.int32
+        oracle = bfs_distance_matrix(g) if oracle is None else oracle
+        assert mat.dtype == cls.contract_dtype(oracle)
         assert not mat.flags.writeable
-        assert np.array_equal(mat, bfs_distance_matrix(g) if oracle is None else oracle)
+        assert np.array_equal(mat, oracle)
+        return mat.dtype
 
     # no explain phase: its line tracer makes a failing example's shrink,
     # with a 200-source BFS oracle per run, take minutes instead of seconds
@@ -212,29 +260,95 @@ class TestAllPairsDistances:
         self.check(g)
         self.check(Graph.from_edges(5, []))
 
+    @staticmethod
+    def block_dtypes(monkeypatch, engine: str, refused: str) -> set:
+        """Record the dtype of every block the ``engine`` yields, and make the
+        ``refused`` engine raise."""
+        seen = set()
+        inner = getattr(graph, engine)
+
+        def spy(core, dtype):
+            for rows, block in inner(core, dtype):
+                seen.add(block.dtype)
+                yield rows, block
+
+        def refuse(core, dtype):
+            raise AssertionError(f"{refused} run")
+
+        monkeypatch.setattr(graph, engine, spy)
+        monkeypatch.setattr(graph, refused, refuse)
+        return seen
+
     @pytest.mark.parametrize(
         "g",
-        [cycle_graph(600), ladder_graph(300), _with_edges(cycle_graph(600), 603, [(5, 600), (600, 601), (600, 602)])],
+        [cycle_graph(600), ladder_graph(300), _long_cycle_with_pendant()],
         ids=["cycle600", "ladder300", "cycle600-pendant"],
     )
     def test_wide_cores_take_dijkstra(self, g, monkeypatch):
-        def refuse(core):
-            raise AssertionError("bit-parallel BFS run on a wide core")
+        seen = self.block_dtypes(monkeypatch, "_dijkstra_rows", "_bit_bfs_rows")
+        assert self.check(g) == np.int16
+        assert seen == {np.dtype(np.int16)}
 
-        monkeypatch.setattr(graph, "_bit_bfs_rows", refuse)
-        self.check(g)
+    @pytest.mark.parametrize(
+        "g,dtype",
+        [(cycle_graph(40), np.int8), (ladder_graph(100), np.int16), (_cycle_with_pendant_trees(), np.int8)],
+        ids=["cycle40", "ladder100", "cycle-pendant"],
+    )
+    def test_narrow_cores_take_bit_bfs(self, g, dtype, monkeypatch):
+        seen = self.block_dtypes(monkeypatch, "_bit_bfs_rows", "_dijkstra_rows")
+        assert self.check(g) == dtype
+        assert seen == {np.dtype(dtype)}
 
     @pytest.mark.parametrize(
         "g",
-        [cycle_graph(40), ladder_graph(100), _cycle_with_pendant_trees()],
-        ids=["cycle40", "ladder100", "cycle-pendant"],
+        [cycle_graph(600), _long_cycle_with_pendant()],
+        ids=["cycle600", "cycle600-pendant"],
     )
-    def test_narrow_cores_take_bit_bfs(self, g, monkeypatch):
-        def refuse(core):
-            raise AssertionError("Dijkstra run on a narrow core")
+    def test_bit_bfs_past_one_byte(self, g, monkeypatch):
+        # 300 levels: bit-plane 8 lands in the high byte of each int16
+        monkeypatch.setattr(graph, "BIT_BFS_MAX_LEVELS", g.n)
+        seen = self.block_dtypes(monkeypatch, "_bit_bfs_rows", "_dijkstra_rows")
+        assert self.check(g) == np.int16
+        assert seen == {np.dtype(np.int16)}
 
-        monkeypatch.setattr(graph, "_dijkstra_rows", refuse)
-        self.check(g)
+    @pytest.mark.parametrize("n,dtype", [(64, np.int8), (65, np.int16)])
+    def test_path_at_the_int8_edge(self, n, dtype):
+        # vertex 0 is an end: bound 2 * (n - 1), 126 fits int8 and 128 does not
+        assert self.check(path_graph(n)) == dtype
+
+    @pytest.mark.parametrize(
+        "bound,dtype",
+        [(0, np.int8), (126, np.int8), (127, np.int8), (128, np.int16), (32767, np.int16), (32768, np.int32), (2**31 - 1, np.int32)],
+    )
+    def test_bound_to_dtype(self, bound, dtype):
+        assert graph.distance_dtype(bound) == dtype
+
+    def test_disconnected_int8(self):
+        # a 4-path, a triangle and an isolated vertex
+        g = Graph.from_edges(8, [(0, 2), (2, 4), (4, 6), (1, 3), (3, 5), (5, 1)])
+        dm = all_pairs_distances(g)
+        assert self.check(g) == np.int8
+        assert dm.d(0, 1) == UNREACHABLE and dm.d(6, 7) == UNREACHABLE
+        assert dm.d(0, 6) == 3 and dm.d(1, 5) == 1 and dm.d(7, 7) == 0
+        assert (dm.matrix == UNREACHABLE).sum() == 64 - (16 + 9 + 1)
+        assert not dm.connected
+        assert dm.diameter == 3
+        assert all_pairs_distances(path_graph(5)).connected
+        assert all_pairs_distances(path_graph(0)).connected
+
+    def test_refused_above_physical_memory(self, monkeypatch):
+        g = path_graph(65)  # int16: 65 * 65 * 2 bytes
+        monkeypatch.setattr(graph, "_physical_memory", lambda: 65 * 65 * 2)
+        assert all_pairs_distances(g).matrix.nbytes == 65 * 65 * 2
+        monkeypatch.setattr(graph, "_physical_memory", lambda: 65 * 65 * 2 - 1)
+
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("matrix allocated")
+
+        monkeypatch.setattr(graph.np, "empty", no_allocation)
+        monkeypatch.setattr(graph.np, "full", no_allocation)
+        with pytest.raises(TooLargeError, match="physical memory"):
+            all_pairs_distances(g)
 
     def test_does_not_call_public_peel(self, monkeypatch):
         # benchmark tracing counts the public peel's rounds
@@ -406,6 +520,19 @@ class TestGraphStats:
     def test_disconnected_directs_to_lcc(self):
         with pytest.raises(ValueError, match="largest_connected_component"):
             graph_stats(Graph.from_edges(3, [(0, 1)]))
+
+    @pytest.mark.parametrize(
+        "g",
+        [path_graph(30), path_graph(100), Graph.from_edges(60, [(0, v) for v in range(1, 60)])],
+        ids=["path30-int8", "path100-int16", "star60-int8"],
+    )
+    def test_distance_sum_past_the_matrix_dtype(self, g):
+        oracle = bfs_distance_matrix(g)
+        dm = all_pairs_distances(g)
+        assert int(oracle.sum()) > np.iinfo(dm.matrix.dtype).max
+        stats = graph_stats(g, dm)
+        assert stats.avg_spl == float(oracle.sum(dtype=np.int64)) / (g.n * (g.n - 1))
+        assert stats.diameter == int(oracle.max())
 
     def test_as_dict_keys(self):
         d = graph_stats(path_graph(4)).as_dict()
