@@ -154,8 +154,6 @@ def cmd_two_step(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     g = _read_graph(args.input)
     dm = all_pairs_distances(g)
-    if not dm.connected:
-        raise ValueError("two-step localization requires a connected graph")
     k_max = dm.diameter if args.k_max is None else args.k_max
     curve = qstar_curve(g, k_max)
     for result in curve:

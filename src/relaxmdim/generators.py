@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, largest_connected_component
+from .graph import Graph, TooLargeError, largest_connected_component
 from .gw import OffspringDistribution
 from .trees import RootedTree
 
@@ -148,8 +148,8 @@ def gw_tree_conditioned(n: int, xi: OffspringDistribution, seed: int) -> RootedT
     tilted to the critical equivalent first; the conditioned law is
     unchanged and rejection stays feasible. After exactly
     ``200 + int(100 * sigma * sqrt(2 * pi * n))`` rejected rows, about 100
-    times the expected count, the size is taken as unreachable and a
-    RuntimeError is raised.
+    times the expected count, the size is taken as unreachable and
+    :class:`TooLargeError` is raised.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
@@ -168,7 +168,7 @@ def gw_tree_conditioned(n: int, xi: OffspringDistribution, seed: int) -> RootedT
         if int(counts.sum()) == n - 1:
             break
     else:
-        raise RuntimeError(
+        raise TooLargeError(
             f"conditioning rejected {max_attempts} draws without hitting total "
             f"progeny {n}; offspring support may make this size unreachable"
         )

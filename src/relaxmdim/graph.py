@@ -11,8 +11,10 @@ BFS (64 sources per machine word), or from scipy's Dijkstra when the core's
 diameter is too large for it; every other row follows from a parent row in
 one vectorized step. scipy is imported only by that fallback. The matrix is
 stored in the narrowest signed integer dtype that holds an upper bound on
-every component's diameter, and a matrix larger than physical memory is
-refused before it is allocated.
+the diameter. Distances are defined on connected graphs only: a
+disconnected graph, or a matrix larger than physical memory, is refused
+before the matrix is allocated, so every :class:`DistanceMatrix` holds
+finite, nonnegative hop counts.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
-#: Sentinel distance for unreachable vertex pairs.
+#: The entry of a :func:`bfs_distances` row for a vertex the BFS never
+#: reaches. No :class:`DistanceMatrix` holds it.
 UNREACHABLE = -1
 
 #: Largest double-sweep eccentricity of a 2-core for which all-pairs distances
@@ -45,8 +48,9 @@ SensorSet = Sequence[int]
 
 class TooLargeError(RuntimeError):
     """Raised when a computation is refused on resource grounds: an
-    exhaustive search over too many vertices, or a distance matrix larger
-    than physical memory."""
+    exhaustive search over too many vertices, a distance matrix larger than
+    physical memory, or a conditioned tree size that rejection sampling
+    does not reach."""
 
 
 @dataclass(frozen=True)
@@ -182,28 +186,20 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
 def connected_components(g: Graph) -> list[list[int]]:
     """Vertex lists of the connected components, each sorted ascending,
     ordered by smallest contained vertex."""
-    return [comp for comp, _ in _components(g)]
-
-
-def _components(g: Graph) -> list[tuple[list[int], int]]:
-    """Each component's ascending vertex list with the eccentricity of its
-    smallest vertex, ordered by smallest vertex."""
-    dist = [UNREACHABLE] * g.n
+    seen = [False] * g.n
     adjacency = g.adjacency
     components = []
     for start in range(g.n):
-        if dist[start] != UNREACHABLE:
+        if seen[start]:
             continue
-        dist[start] = 0
+        seen[start] = True
         comp = [start]
         for u in comp:  # the list is the BFS queue
-            du = dist[u] + 1
             for w in adjacency[u]:
-                if dist[w] == UNREACHABLE:
-                    dist[w] = du
+                if not seen[w]:
+                    seen[w] = True
                     comp.append(w)
-        # BFS order, so the last vertex reached is a farthest one
-        components.append((sorted(comp), dist[comp[-1]]))
+        components.append(sorted(comp))
     return components
 
 
@@ -238,11 +234,20 @@ def largest_connected_component(g: Graph) -> tuple[Graph, tuple[int, ...]]:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """All-pairs shortest-path hop counts; UNREACHABLE marks disconnected pairs."""
+    """All-pairs shortest-path hop counts of a connected graph.
+
+    Every entry is a finite, nonnegative distance: a matrix with a negative
+    entry, such as UNREACHABLE, raises ValueError.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.matrix.size and int(self.matrix.min()) < 0:
+            raise ValueError(
+                "a distance matrix holds the nonnegative distances of a connected "
+                "graph; apply largest_connected_component first"
+            )
         self.matrix.setflags(write=False)
 
     @property
@@ -253,62 +258,60 @@ class DistanceMatrix:
         return int(self.matrix[u, v])
 
     @cached_property
-    def connected(self) -> bool:
-        # UNREACHABLE is the only negative entry
-        return self.n == 0 or int(self.matrix.min()) >= 0
-
-    @cached_property
     def diameter(self) -> int:
-        """Largest finite distance (0 for the empty/one-vertex graph)."""
+        """Largest distance (0 for the empty/one-vertex graph)."""
         if self.n == 0:
             return 0
         return int(self.matrix.max())
 
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
-    """Hop counts between all vertex pairs as a read-only matrix,
-    UNREACHABLE between components.
+    """Hop counts between all vertex pairs of a connected graph, as a
+    read-only matrix.
 
-    The dtype is the narrowest signed integer one holding twice the
-    eccentricity of each component's smallest vertex, a bound on every
-    diameter (see :func:`distance_dtype`). A matrix larger than physical
-    memory raises :class:`TooLargeError` before it is allocated.
+    One BFS from vertex 0 comes first. If it misses a vertex, the graph is
+    disconnected and ValueError is raised, naming largest_connected_component
+    (``stats --lcc`` on the command line). Otherwise twice its eccentricity
+    bounds the diameter, and the dtype is the narrowest signed integer one
+    holding that bound (see :func:`distance_dtype`). A matrix larger than
+    physical memory raises :class:`TooLargeError`. Both refusals come before
+    the n x n allocation.
 
-    Per component, peeling the vertices of degree <= 1 leaves the 2-core.
-    The core's own distances come from a bit-parallel multi-source BFS, or
-    from scipy's Dijkstra when the core's diameter exceeds
-    BIT_BFS_MAX_LEVELS. A peeled vertex x hangs from one core vertex a(x) at
-    depth h(x), so a core row u reads d(u, x) = d(u, a(x)) + h(x). In DFS
-    preorder, each peeled vertex then takes its parent's row plus one, minus
-    two on its own subtree. A tree component starts from its smallest
-    vertex, whose row is the depth. Trees and paths thus cost O(n^2), the
-    size of the output.
+    Peeling the vertices of degree <= 1 leaves the 2-core. The core's own
+    distances come from a bit-parallel multi-source BFS, or from scipy's
+    Dijkstra when the core's diameter exceeds BIT_BFS_MAX_LEVELS. A peeled
+    vertex x hangs from one core vertex a(x) at depth h(x), so a core row u
+    reads d(u, x) = d(u, a(x)) + h(x). In DFS preorder, each peeled vertex
+    then takes its parent's row plus one, minus two on its own subtree. A
+    tree starts from vertex 0, whose row is the depth. Trees and paths thus
+    cost O(n^2), the size of the output.
     """
     n = g.n
-    components = _components(g)
-    dtype = distance_dtype(2 * max((ecc for _, ecc in components), default=0))
+    ecc = 0
+    if n:
+        dist = bfs_distances(g, 0)
+        if UNREACHABLE in dist:
+            raise ValueError(
+                "graph is not connected; distances are defined on connected graphs "
+                "only: apply largest_connected_component first (stats --lcc)"
+            )
+        ecc = max(dist)
+    dtype = distance_dtype(2 * ecc)
     limit = _physical_memory()
     if n * n * dtype.itemsize > limit:
         raise TooLargeError(
             f"all-pairs distances of {n} vertices need {n * n * dtype.itemsize / 1e9:.1f} GB "
             f"as {dtype}, more than the {limit / 1e9:.1f} GB of physical memory"
         )
-    if len(components) <= 1:
-        out = np.empty((n, n), dtype=dtype)
-        if n:
-            _component_distances(g, out)
-        return DistanceMatrix(out)
-    out = np.full((n, n), UNREACHABLE, dtype=dtype)
-    for comp, _ in components:
-        sub, _ = induced_subgraph(g, comp)
-        block = np.empty((sub.n, sub.n), dtype=dtype)
-        _component_distances(sub, block)
-        out[np.ix_(comp, comp)] = block
+    out = np.empty((n, n), dtype=dtype)
+    if n:
+        _component_distances(g, out)
     return DistanceMatrix(out)
 
 
 def distance_dtype(bound: int) -> np.dtype:
-    """The narrowest signed integer dtype holding 0..``bound`` and UNREACHABLE."""
+    """The narrowest signed integer dtype holding 0..``bound``. No distance
+    is negative; the dtype stays signed, as readers of the matrix expect."""
     return np.min_scalar_type(-bound - 1)
 
 
@@ -550,14 +553,9 @@ def equivalence_partition(dm: DistanceMatrix, sensors: SensorSet) -> Equivalence
 
 def is_k_relaxed_resolving(dm: DistanceMatrix, sensors: SensorSet, k: int) -> bool:
     """True iff any two vertices sharing an identification vector are within
-    graph distance ``k``. Requires a connected graph (fails fast otherwise)."""
+    graph distance ``k``; ``dm`` is connected by construction."""
     if k < 0:
         raise ValueError("relaxation parameter k must be nonnegative")
-    if not dm.connected:
-        raise ValueError(
-            "k-relaxed resolving sets are defined on connected graphs; "
-            "extract the largest connected component first"
-        )
     for block in _profile_blocks(dm, _check_sensors(dm.n, sensors)):
         if len(block) > 1 and int(dm.matrix[np.ix_(block, block)].max()) > k:
             return False
@@ -634,10 +632,6 @@ def graph_stats(g: Graph, dm: DistanceMatrix | None = None) -> GraphStats:
         raise ValueError("statistics of the empty graph are undefined")
     if dm is None:
         dm = all_pairs_distances(g)
-    if not dm.connected:
-        raise ValueError(
-            "graph is disconnected; apply largest_connected_component first"
-        )
     n = g.n
     if n == 1:
         avg_spl = 0.0

@@ -48,7 +48,7 @@ class GreedyTrace:
 
 def _dense_ranks(block: np.ndarray) -> tuple[np.ndarray, int]:
     """Keys in [0, width): BFS distances (< n) as they are, others by rank."""
-    if block.size and 0 <= block.min() and block.max() < block.shape[0]:
+    if block.size and block.max() < block.shape[0]:
         keys, width = block, int(block.max()) + 1
     else:
         values, keys = np.unique(block, return_inverse=True)
@@ -69,8 +69,6 @@ def _pairs_left_together(keys: np.ndarray, bins: int) -> np.ndarray:
 
 def _greedy(dm: DistanceMatrix, active: np.ndarray | None, k: int) -> GreedyTrace:
     """Cover the pairs of ``active`` vertices (None: all) more than k apart."""
-    if not dm.connected:
-        raise ValueError("greedy resolving sets require a connected graph")
     block = dm.matrix if active is None else dm.matrix[:, active]  # candidate rows
     local = block if active is None else block[active]
     n, m = block.shape

@@ -67,8 +67,6 @@ def sweep_metrics(
         raise IncompatibleMethodError("exact-tree resolver requires a connected acyclic input")
     if dm is None:
         dm = all_pairs_distances(g)
-    if not dm.connected:
-        raise ValueError("sweep requires a connected graph")
     records = []
     for k in k_values:
         if resolver == "exact-tree":
@@ -154,8 +152,6 @@ def two_step_qstar(
 def qstar_curve(g: Graph, k_max: int) -> list[TwoStepResult]:
     """Two-step prices for k = 0..k_max (0 <= k_max <= the diameter)."""
     dm = all_pairs_distances(g)
-    if not dm.connected:
-        raise ValueError("two-step localization requires a connected graph")
     if k_max < 0:
         raise ValueError(f"k_max {k_max} is negative")
     if k_max > dm.diameter:

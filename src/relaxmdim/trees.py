@@ -28,17 +28,9 @@ class IncompatibleMethodError(ValueError):
     """Requested method cannot be applied to the given input."""
 
 
-def _tree_bfs(g: Graph) -> list[int] | None:
-    """The BFS distances from vertex 0 if ``g`` is a tree, else None."""
-    if g.n == 0 or g.m != g.n - 1:
-        return None
-    dist = bfs_distances(g, 0)
-    return None if UNREACHABLE in dist else dist
-
-
 def is_tree(g: Graph) -> bool:
     """Connected and acyclic (a single vertex counts)."""
-    return _tree_bfs(g) is not None
+    return g.n > 0 and g.m == g.n - 1 and UNREACHABLE not in bfs_distances(g, 0)
 
 
 def is_path_graph(g: Graph) -> bool:
@@ -50,12 +42,7 @@ def tree_diameter(g: Graph) -> int:
     """Diameter of a tree via double BFS (undefined on non-trees)."""
     if g.n == 0:
         raise ValueError("empty graph")
-    return _second_sweep(g, bfs_distances(g, 0))
-
-
-def _second_sweep(g: Graph, dist: list[int]) -> int:
-    """Tree diameter from the BFS distances of one vertex: the eccentricity
-    of the vertex farthest from it."""
+    dist = bfs_distances(g, 0)
     return max(bfs_distances(g, dist.index(max(dist))))
 
 
@@ -257,26 +244,25 @@ def exact_tree_md(g: Graph, k: int) -> TreeMDReport:
     vertex of the r-stem, all but the smallest-id leaf of its leaf paths; for
     a path stem (the only trees without an exterior major vertex) it is the
     smaller-id endpoint. One walk of the stem's leaf paths gives all of it.
+
+    The r-stem of a tree of diameter D has diameter D - 2r, or is empty, so
+    k >= D (and md = 0) exactly when the stem has at most 1 + k % 2
+    vertices; the tree check is the only BFS. The tree is gone after n
+    rounds, so the stem is taken at min(r, n) of them.
     """
     if k < 0:
         raise ValueError("relaxation parameter k must be nonnegative")
-    dist = _tree_bfs(g)  # the tree check is the diameter's first sweep
-    if dist is None:
+    if not is_tree(g):
         raise IncompatibleMethodError("exact_tree_md requires a connected acyclic input")
     r = k // 2
-    diameter = _second_sweep(g, dist)
-    if k >= diameter:
+    st = stem_r(g, min(r, g.n))
+    if len(st.survivors) <= 1 + k % 2:
         return TreeMDReport(k, r, 0, 0, False, 0, ())
-    st = stem_r(g, r)
-    sub = st.subgraph
-    if sub.n == 0:
-        # unreachable for trees with k < diameter; kept total for safety
-        raise ValueError("stem vanished although k < diameter")
-    leaves, groups = _leaf_groups(sub)
+    leaves, groups = _leaf_groups(st.subgraph)
     sigma, ex = len(leaves), len(groups)
     if ex == 0:
         # to_original ascends, so the smallest endpoint maps to the smallest id
-        w = st.to_original[leaves[0] if leaves else 0]
+        w = st.to_original[leaves[0]]
         return TreeMDReport(k, r, sigma, ex, True, 1, (w,))
     witness: list[int] = []
     for group in groups.values():
@@ -344,8 +330,6 @@ def brute_force_md(
         raise ValueError("empty graph")
     if dm is None:
         dm = all_pairs_distances(g)
-    if not dm.connected:
-        raise ValueError("brute_force_md requires a connected graph")
     for size in range(g.n + 1):
         for comb in combinations(range(g.n), size):
             if is_k_relaxed_resolving(dm, comb, k):

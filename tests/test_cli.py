@@ -16,6 +16,7 @@ from relaxmdim.generators import MODELS, rgg
 PATH9 = "\n".join(f"{i} {i + 1}" for i in range(8)) + "\n"
 CYCLE4 = "0 1\n1 2\n2 3\n3 0\n"
 STAR5 = "\n".join(f"c l{i}" for i in range(5)) + "\n"
+TWO_PATHS = "0 1\n1 2\n3 4\n4 5\n5 6\n"
 
 
 @pytest.fixture
@@ -41,6 +42,13 @@ def path_file(tmp_path):
 def cycle_file(tmp_path):
     p = tmp_path / "cycle4.txt"
     p.write_text(CYCLE4)
+    return str(p)
+
+
+@pytest.fixture
+def two_paths_file(tmp_path):
+    p = tmp_path / "two-paths.txt"
+    p.write_text(TWO_PATHS)
     return str(p)
 
 
@@ -194,6 +202,16 @@ class TestGenerate:
         assert main(args) == 0
         assert "# root 0" in out.read_text()
 
+    def test_unreachable_conditioned_size_exits_4(self, tmp_path):
+        # offspring 0 or 2 only: the total progeny is odd, so n = 4 never comes
+        pmf = tmp_path / "pmf.txt"
+        pmf.write_text("0.5 0 0.5\n")
+        argv = ["generate", "--model", "gw-tree", "--n", "4", "--seed", "0", "--offspring", f"pmf:{pmf}"]
+        proc = subprocess.run([sys.executable, "-m", "relaxmdim.cli", *argv], capture_output=True, text=True)
+        assert proc.returncode == 4
+        assert proc.stderr.startswith("error: conditioning rejected 701 draws")
+        assert "Traceback" not in proc.stderr
+
     def test_generated_file_loads_back(self, tmp_path, capsys):
         out = tmp_path / "rgg.txt"
         args = ["generate", "--model", "rgg", "--n", "120", "--seed", "5", "--out", str(out)]
@@ -207,6 +225,23 @@ class TestGenerate:
         assert manifest["command"] == "generate"
         assert manifest["schema"] == "relaxmdim/manifest/1"
         assert manifest["parameters"]["seed"] == 3
+
+
+class TestDisconnectedInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [["stats"], ["sweep", "--k-max", "1"], ["two-step"], ["mdim", "--k", "0", "--method", "greedy"]],
+        ids=["stats", "sweep", "two-step", "mdim-greedy"],
+    )
+    def test_refused_before_distances(self, argv, two_paths_file, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("distances computed")
+
+        monkeypatch.setattr(graph, "_component_distances", refuse)
+        assert main([argv[0], two_paths_file, *argv[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: graph is not connected")
+        assert "largest_connected_component" in err and "stats --lcc" in err
 
 
 class TestGWConstants:
@@ -285,12 +320,13 @@ print(child.returncode, usage.ru_maxrss)
 """
 
 
-def _peak_rss_mb(argv: list[str]) -> float:
-    """Peak resident set of ``python argv``, read through ``os.wait4``."""
+def _peak_rss_mb(argv: list[str], exit_code: int = 0) -> float:
+    """Peak resident set of ``python argv``, which must exit with
+    ``exit_code``, read through ``os.wait4``."""
     proc = subprocess.run([sys.executable, "-c", _MEASURE_CHILD, *argv], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     code, kilobytes = map(int, proc.stdout.split())
-    assert code == 0, argv
+    assert code == exit_code, (argv, proc.stderr)
     return kilobytes / 1024  # ru_maxrss is in kilobytes on Linux
 
 
@@ -305,3 +341,15 @@ def test_stats_peak_memory_per_vertex_pair(tmp_path):
     base = _peak_rss_mb(["-c", "import relaxmdim.cli"])
     peak = _peak_rss_mb(["-m", "relaxmdim.cli", "stats", str(path), "--lcc"])
     assert peak - base < 6 * n * n / 2**20, (peak, base)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux only")
+def test_disconnected_refused_before_the_matrix(tmp_path):
+    # two disjoint 3000-vertex paths: the int16 matrix alone would take 2
+    # bytes per vertex pair
+    n = 6000
+    path = tmp_path / "two-paths.txt"
+    path.write_text("".join(f"{v} {v + 1}\n" for v in range(n - 1) if v != n // 2 - 1))
+    base = _peak_rss_mb(["-c", "import relaxmdim.cli"])
+    peak = _peak_rss_mb(["-m", "relaxmdim.cli", "two-step", str(path)], exit_code=2)
+    assert peak - base < n * n / 2**20, (peak, base)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import io
+from contextlib import contextmanager
+from typing import Iterator
 
 import numpy as np
 import pytest
@@ -21,7 +23,14 @@ from relaxmdim import (
     load_edge_list,
 )
 from relaxmdim import graph
-from relaxmdim.graph import UNREACHABLE, bfs_distances, induced_subgraph, peel_degree_le1
+from relaxmdim.graph import (
+    UNREACHABLE,
+    DistanceMatrix,
+    bfs_distances,
+    connected_components,
+    induced_subgraph,
+    peel_degree_le1,
+)
 
 from conftest import (
     connected_graphs,
@@ -44,6 +53,30 @@ from graph_oracle import (
 # trees, unicyclic and sparse connected graphs, and disconnected sparse
 # graphs with isolated vertices
 ANY_GRAPH = st.one_of(random_trees(), connected_graphs(), sparse_graphs())
+CONNECTED_GRAPH = st.one_of(random_trees(), connected_graphs())
+
+# the refusal of a disconnected graph names the way out
+DISCONNECTED = r"not connected.*largest_connected_component.*stats --lcc"
+
+
+@contextmanager
+def no_matrix_allocation() -> Iterator[None]:
+    """Make ``np.empty`` and ``np.full`` raise inside the block."""
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("matrix allocated")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph.np, "empty", no_allocation)
+        mp.setattr(graph.np, "full", no_allocation)
+        yield
+
+
+def assert_refused_unallocated(g: Graph) -> None:
+    """``all_pairs_distances(g)`` refuses ``g`` as disconnected before it
+    allocates any array."""
+    with no_matrix_allocation(), pytest.raises(ValueError, match=DISCONNECTED):
+        all_pairs_distances(g)
 
 
 @st.composite
@@ -153,9 +186,17 @@ class TestDistances:
         assert dm.d(0, 1) == 1
 
     def test_disconnected_sentinel(self):
-        dm = all_pairs_distances(Graph.from_edges(3, [(0, 1)]))
-        assert dm.d(0, 2) == UNREACHABLE
-        assert not dm.connected
+        # the sentinel marks BFS rows; a matrix with it is never built
+        g = Graph.from_edges(3, [(0, 1)])
+        assert bfs_distances(g, 0) == [0, 1, UNREACHABLE]
+        assert_refused_unallocated(g)
+
+    def test_hand_built_negative_entry_refused(self):
+        with pytest.raises(ValueError, match="largest_connected_component"):
+            DistanceMatrix(np.array([[0, 1, -1], [1, 0, -1], [-1, -1, 0]], dtype=np.int8))
+        dm = DistanceMatrix(np.array([[0, 1], [1, 0]], dtype=np.int8))
+        assert dm.diameter == 1 and not dm.matrix.flags.writeable
+        assert DistanceMatrix(np.empty((0, 0), dtype=np.int8)).diameter == 0
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6))
@@ -207,10 +248,9 @@ class TestAllPairsDistances:
 
     @staticmethod
     def contract_dtype(oracle: np.ndarray) -> np.dtype:
-        """The narrowest signed dtype holding twice the eccentricity of each
-        component's smallest vertex (and UNREACHABLE)."""
-        firsts = [v for v in range(oracle.shape[0]) if not (oracle[v, :v] >= 0).any()]
-        bound = 2 * max((int(oracle[v].max()) for v in firsts), default=0)
+        """The narrowest signed dtype holding twice the eccentricity of
+        vertex 0."""
+        bound = 2 * int(oracle[0].max()) if oracle.size else 0
         return np.min_scalar_type(-bound - 1)
 
     @classmethod
@@ -233,6 +273,9 @@ class TestAllPairsDistances:
     @given(st.one_of(random_trees(200), connected_graphs(200), sparse_graphs(200)))
     def test_matches_bfs_oracle(self, g):
         oracle = bfs_distance_matrix(g)
+        if (oracle == UNREACHABLE).any():
+            assert_refused_unallocated(g)
+            return
         # every 2-core to the bit-parallel BFS, then every one to Dijkstra
         for max_levels in (g.n, -1):
             with pytest.MonkeyPatch.context() as mp:
@@ -257,8 +300,10 @@ class TestAllPairsDistances:
         g = Graph.from_edges(
             14, [(1, 4), (4, 7), (7, 1), (7, 10), (10, 13), (2, 5), (5, 8), (5, 11), (11, 6), (6, 12)]
         )
-        self.check(g)
-        self.check(Graph.from_edges(5, []))
+        assert_refused_unallocated(g)
+        assert_refused_unallocated(Graph.from_edges(5, []))
+        for comp in connected_components(g):
+            self.check(induced_subgraph(g, comp)[0])
 
     @staticmethod
     def block_dtypes(monkeypatch, engine: str, refused: str) -> set:
@@ -324,30 +369,22 @@ class TestAllPairsDistances:
         assert graph.distance_dtype(bound) == dtype
 
     def test_disconnected_int8(self):
-        # a 4-path, a triangle and an isolated vertex
+        # a 4-path, a triangle and an isolated vertex: refused; the path alone is int8
         g = Graph.from_edges(8, [(0, 2), (2, 4), (4, 6), (1, 3), (3, 5), (5, 1)])
-        dm = all_pairs_distances(g)
-        assert self.check(g) == np.int8
-        assert dm.d(0, 1) == UNREACHABLE and dm.d(6, 7) == UNREACHABLE
-        assert dm.d(0, 6) == 3 and dm.d(1, 5) == 1 and dm.d(7, 7) == 0
-        assert (dm.matrix == UNREACHABLE).sum() == 64 - (16 + 9 + 1)
-        assert not dm.connected
-        assert dm.diameter == 3
-        assert all_pairs_distances(path_graph(5)).connected
-        assert all_pairs_distances(path_graph(0)).connected
+        assert_refused_unallocated(g)
+        lcc, mapping = largest_connected_component(g)
+        assert mapping == (0, 2, 4, 6)
+        assert self.check(lcc) == np.int8
+        assert all_pairs_distances(lcc).diameter == 3
+        empty = all_pairs_distances(path_graph(0)).matrix
+        assert empty.shape == (0, 0) and empty.dtype == np.int8
 
     def test_refused_above_physical_memory(self, monkeypatch):
         g = path_graph(65)  # int16: 65 * 65 * 2 bytes
         monkeypatch.setattr(graph, "_physical_memory", lambda: 65 * 65 * 2)
         assert all_pairs_distances(g).matrix.nbytes == 65 * 65 * 2
         monkeypatch.setattr(graph, "_physical_memory", lambda: 65 * 65 * 2 - 1)
-
-        def no_allocation(*args, **kwargs):
-            raise AssertionError("matrix allocated")
-
-        monkeypatch.setattr(graph.np, "empty", no_allocation)
-        monkeypatch.setattr(graph.np, "full", no_allocation)
-        with pytest.raises(TooLargeError, match="physical memory"):
+        with no_matrix_allocation(), pytest.raises(TooLargeError, match="physical memory"):
             all_pairs_distances(g)
 
     def test_does_not_call_public_peel(self, monkeypatch):
@@ -444,7 +481,7 @@ class TestEquivalencePartition:
         assert part.histogram() == {2: 1}
 
     @settings(derandomize=True, deadline=None, max_examples=150)
-    @given(graph_and_sensors())
+    @given(graph_and_sensors(CONNECTED_GRAPH))
     def test_blocks_match_dict_grouping(self, case):
         g, sensors = case
         dm = all_pairs_distances(g)
@@ -489,12 +526,15 @@ class TestIsKRelaxedResolving:
         assert all(b or not a for a, b in zip(flags, flags[1:]))
 
     def test_disconnected_fails_fast(self):
-        dm = all_pairs_distances(Graph.from_edges(3, [(0, 1)]))
+        # no distance matrix of a disconnected graph exists to check against
+        g = Graph.from_edges(3, [(0, 1)])
+        with pytest.raises(ValueError, match=DISCONNECTED):
+            is_k_relaxed_resolving(all_pairs_distances(g), (0,), 1)
         with pytest.raises(ValueError, match="connected"):
-            is_k_relaxed_resolving(dm, (0,), 1)
+            is_k_relaxed_resolving(DistanceMatrix(bfs_distance_matrix(g)), (0,), 1)
 
     @settings(derandomize=True, deadline=None, max_examples=150)
-    @given(graph_and_sensors(st.one_of(random_trees(), connected_graphs())))
+    @given(graph_and_sensors(CONNECTED_GRAPH))
     def test_matches_dict_check_at_every_k(self, case):
         g, sensors = case
         dm = all_pairs_distances(g)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -28,7 +29,7 @@ from relaxmdim import (
     uniform_tree,
 )
 from relaxmdim import trees
-from relaxmdim.graph import bfs_distances, induced_subgraph
+from relaxmdim.graph import bfs_distances, induced_subgraph, peel_degree_le1
 
 from conftest import (
     connected_graphs,
@@ -215,7 +216,7 @@ class TestCountSigmaEx:
 class TestExactTreeMD:
     @pytest.mark.parametrize("k", [0, 2, 5, 40])
     def test_two_bfs_per_solve(self, k, monkeypatch):
-        # the tree check's BFS is also the diameter's first sweep
+        # one BFS, the tree check: the stem's size tells whether k >= diameter
         calls = []
 
         def counting_bfs(g, source):
@@ -224,7 +225,35 @@ class TestExactTreeMD:
 
         monkeypatch.setattr(trees, "bfs_distances", counting_bfs)
         exact_tree_md(spider_graph([3, 1, 4, 2]), k)
-        assert len(calls) == 2
+        assert len(calls) == 1
+
+    def test_huge_k_peels_at_most_n_rounds(self, monkeypatch):
+        asked = []
+
+        def bounded_peel(g, rounds=None):
+            asked.append(rounds)
+            assert rounds <= g.n, f"{rounds} peel rounds asked of {g.n} vertices"
+            return peel_degree_le1(g, rounds)
+
+        monkeypatch.setattr(trees, "peel_degree_le1", bounded_peel)
+        rep = exact_tree_md(uniform_tree(1000, seed=3), 10**9)
+        assert (rep.r, rep.md, rep.witness) == (5 * 10**8, 0, ())
+        assert asked == [1000]
+
+    def test_stem_size_rule_on_every_small_tree(self):
+        # k >= diameter iff the min(k // 2, n)-stem has at most 1 + k % 2
+        # vertices, on every non-isomorphic tree with n <= 10 and k <= D + 3
+        cases = 0
+        for n in range(1, 11):
+            for t in nx.nonisomorphic_trees(n):
+                g = Graph.from_edges(n, list(t.edges()))
+                diameter = tree_diameter(g)
+                for k in range(diameter + 4):
+                    small = len(stem_r(g, min(k // 2, n)).survivors) <= 1 + k % 2
+                    assert small == (k >= diameter), (sorted(t.edges()), k)
+                    assert (exact_tree_md(g, k).md == 0) == (k >= diameter)
+                    cases += 1
+        assert cases == 1792
 
     def test_full_binary_h3_k0(self):
         rep = exact_tree_md(full_m_ary_tree(2, 3), 0)
