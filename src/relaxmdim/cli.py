@@ -38,6 +38,8 @@ EXIT_VALIDATION = 2
 EXIT_INCOMPATIBLE = 3
 EXIT_RESOURCE = 4
 
+LCC_HELP = "restrict to the largest component"
+
 
 def _read_graph(path: str) -> Graph:
     try:
@@ -45,6 +47,15 @@ def _read_graph(path: str) -> Graph:
             return load_edge_list(handle).graph
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
+
+
+def _input_graph(args: argparse.Namespace) -> Graph:
+    """The command's input graph, restricted to its largest component when
+    ``--lcc`` is given."""
+    g = _read_graph(args.input)
+    if args.lcc:
+        g, _ = largest_connected_component(g)
+    return g
 
 
 def _sha256(path: str) -> str:
@@ -86,10 +97,7 @@ def _json_text(payload: dict) -> str:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    g = _read_graph(args.input)
-    if args.lcc:
-        g, _ = largest_connected_component(g)
-    stats = graph_stats(g)
+    stats = graph_stats(_input_graph(args))
     payload = {"schema": "relaxmdim/stats/1", **stats.as_dict()}
     _emit(_json_text(payload), args.out, "stats", vars(args), [args.input], started)
     return EXIT_OK
@@ -97,7 +105,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_mdim(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    g = _read_graph(args.input)
+    g = _input_graph(args)
     if args.method == "exact-tree":
         report = exact_tree_md(g, args.k)
         dm = all_pairs_distances(g)
@@ -141,7 +149,7 @@ def cmd_mdim(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    g = _read_graph(args.input)
+    g = _input_graph(args)
     if args.k_max < 0:
         raise ValueError(f"--k-max {args.k_max} is negative")
     records = sweep_metrics(g, range(args.k_max + 1), resolver=args.method)
@@ -152,7 +160,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_two_step(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    g = _read_graph(args.input)
+    g = _input_graph(args)
     dm = all_pairs_distances(g)
     k_max = dm.diameter if args.k_max is None else args.k_max
     curve = qstar_curve(g, k_max)
@@ -236,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stats", help="structural statistics of an edge list")
     p.add_argument("input")
-    p.add_argument("--lcc", action="store_true", help="restrict to the largest component")
+    p.add_argument("--lcc", action="store_true", help=LCC_HELP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_stats)
 
@@ -244,6 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--method", choices=("exact-tree", "greedy", "brute"), required=True)
+    p.add_argument("--lcc", action="store_true", help=LCC_HELP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_mdim)
 
@@ -251,12 +260,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input")
     p.add_argument("--k-max", type=int, required=True)
     p.add_argument("--method", choices=("exact-tree", "greedy"), default="greedy")
+    p.add_argument("--lcc", action="store_true", help=LCC_HELP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("two-step", help="two-step worst-case budget curve (CSV+JSON)")
     p.add_argument("input")
     p.add_argument("--k-max", type=int, default=None, help="default: the diameter")
+    p.add_argument("--lcc", action="store_true", help=LCC_HELP)
     p.add_argument("--out", help="basename; writes <out>.csv and <out>.json")
     p.set_defaults(func=cmd_two_step)
 

@@ -8,16 +8,16 @@ is portable across platforms; replicate-level sub-streams are derived as
 
 from __future__ import annotations
 
-import heapq
 import logging
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .graph import Graph, TooLargeError, largest_connected_component
 from .gw import OffspringDistribution
-from .trees import RootedTree
+from .trees import RootedTree, _children, _tree_graph
 
 log = logging.getLogger(__name__)
 
@@ -70,30 +70,35 @@ def ba_tree(n: int, seed: int) -> Graph:
 
 
 def uniform_tree(n: int, seed: int) -> Graph:
-    """Uniform sample over the n^(n-2) labeled trees via a random sequence
-    of attachment codes (Pruefer decoding)."""
+    """Uniform sample over the n^(n-2) labeled trees: n - 2 uniform codes
+    decoded as a Pruefer sequence.
+
+    The decode is the linear-time one. A pointer sweeps the ids upward for
+    the next leaf, and a code that becomes a leaf below the pointer is used
+    at once, so each step joins the smallest current leaf to its code, as a
+    min-heap decode does. Vertex n - 1 is never the smallest leaf, so the
+    joins form a parent array rooted at it, which the tree constructor
+    turns into the graph.
+    """
     if n < 2:
         raise ValueError("need at least two vertices")
     rng = np.random.default_rng(seed)
-    if n == 2:
-        return Graph.from_edges(2, [(0, 1)])
     seq = rng.integers(0, n, size=n - 2)
-    degree = np.ones(n, dtype=np.int64)
-    for x in seq:
-        degree[x] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
-    edges = []
-    for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, int(x)))
+    degree = (np.bincount(seq, minlength=n) + 1).tolist()
+    parent = [-1] * n
+    ptr = leaf = degree.index(1)
+    for x in seq.tolist():
+        parent[leaf] = x
         degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, int(x))
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((u, v))
-    return Graph.from_edges(n, edges)
+        if degree[x] == 1 and x < ptr:
+            leaf = x
+        else:
+            ptr += 1
+            while degree[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    parent[leaf] = n - 1
+    return _tree_graph(parent, _children(parent))
 
 
 def _critical_tilt(pmf: np.ndarray) -> np.ndarray:
@@ -136,56 +141,116 @@ def _critical_tilt(pmf: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
+@lru_cache(maxsize=64)
+def _tilted_cdf(pmf: tuple[float, ...]) -> tuple[np.ndarray, float]:
+    """The inverse-cdf table of a law's critical tilt, and the tilted law's
+    standard deviation, cached per offspring pmf: the tilt's bisection costs
+    about a millisecond, far more than drawing a small tree. The table is
+    read-only because every caller shares it."""
+    tilted = np.asarray(pmf, dtype=float)
+    tilted = _critical_tilt(tilted / tilted.sum())
+    sigma = math.sqrt(max(float((np.arange(tilted.size) ** 2) @ tilted) - 1.0, 1e-6))
+    cdf = np.cumsum(tilted)
+    cdf /= cdf[-1]
+    cdf.setflags(write=False)
+    return cdf, sigma
+
+
+# A row of at least _MIN_COUNTED_DRAWS draws whose largest draw reaches at
+# most _MAX_COUNTED_THRESHOLDS cdf thresholds is summed by one (thresholds x
+# n) boolean comparison: about 0.45 ns per threshold and draw, against about
+# 23 ns per draw for the binary search. Other rows go through searchsorted:
+# long-support laws reach too many thresholds, and on short rows the
+# comparison's fixed cost (the maximum and a scalar search, about 2.5 us)
+# outweighs what it saves.
+_MIN_COUNTED_DRAWS = 128
+_MAX_COUNTED_THRESHOLDS = 32
+
+
+def _row_sum(cdf: np.ndarray, u: np.ndarray) -> int:
+    """``cdf.searchsorted(u, side="right").sum()`` without the per-draw
+    binary search. A draw counts one for every threshold ``cdf[j] <= u_i``,
+    so the total is the number of (threshold, draw) pairs with
+    ``cdf[j] <= u_i``, taken over the thresholds at most ``max(u)``; the
+    integer is the same."""
+    if u.size >= _MIN_COUNTED_DRAWS:
+        reached = int(cdf.searchsorted(u.max(), side="right"))
+        if reached <= _MAX_COUNTED_THRESHOLDS:
+            return int(np.count_nonzero(cdf[:reached, None] <= u))
+    return int(cdf.searchsorted(u, side="right").sum())
+
+
+def _depth_first_parents(counts: np.ndarray) -> np.ndarray:
+    """Parent array of the plane tree whose offspring counts, in depth-first
+    order, are ``counts`` (a Lukasiewicz word: each strict prefix sums to at
+    least its length). Vertex ids are depth-first ranks, so every parent id
+    is below its child's.
+
+    With the walk W_j = sum over t < j of (c_t - 1), vertex j opens its c_j
+    child slots at the levels W_j .. W_j + c_j - 1, and vertex i >= 1 fills
+    the slot at level W_i opened last before it (its parent is the last
+    j < i with W_j <= W_i). The walk steps down by at most one, so at every
+    level openings and fillings alternate in time, and the k-th vertex at a
+    level is the child of the k-th slot's owner there. Two stable sorts by
+    level pair them; the levels lie in 0..n-1, so for n below 2^16 they are
+    radix sorts.
+    """
+    n = counts.size
+    owner = np.repeat(np.arange(n), counts)  # owner of slot s = 0..n-2
+    levels = np.min_scalar_type(n)
+    # slot s of owner j sits at level W_j + s - (slots opened before j) = s - j
+    slot_level = (np.arange(n - 1) - owner).astype(levels)
+    vertex_level = (np.cumsum(counts[:-1]) - np.arange(1, n)).astype(levels)  # W_1 .. W_{n-1}
+    parents = np.empty(n, dtype=np.intp)
+    parents[0] = -1
+    parents[np.argsort(vertex_level, kind="stable") + 1] = owner[
+        np.argsort(slot_level, kind="stable")
+    ]
+    return parents
+
+
 def gw_tree_conditioned(n: int, xi: OffspringDistribution, seed: int) -> RootedTree:
     """Exact sample of a branching-process tree conditioned on n vertices.
 
-    Each attempt draws one row of n iid offspring counts by inverse cdf,
-    ``cdf.searchsorted(rng.random(n), side="right")`` (the arithmetic and the
-    stream of ``rng.choice(pmf.size, size=n, p=pmf)``), and the first row
-    that sums to n-1 is kept. It is rotated at the first minimum of the
-    associated lattice walk (the unique rotation that is a valid depth-first
-    encoding) and decoded into a tree. Non-unit-mean distributions are
-    tilted to the critical equivalent first; the conditioned law is
-    unchanged and rejection stays feasible. After exactly
-    ``200 + int(100 * sigma * sqrt(2 * pi * n))`` rejected rows, about 100
-    times the expected count, the size is taken as unreachable and
-    :class:`TooLargeError` is raised.
+    Each attempt draws one row of n uniforms, ``rng.random(n)``, whose
+    inverse-cdf offspring counts ``cdf.searchsorted(u, side="right")`` are
+    the arithmetic and the stream of ``rng.choice(pmf.size, size=n,
+    p=pmf)``, and the first row whose counts sum to n-1 is kept (Devroye,
+    SIAM J. Comput. 2012). The test needs only the sum, which for a long
+    row comes from comparing it with the cdf thresholds up to its largest
+    draw; only the kept row is searched. The row is rotated at the first minimum of
+    its lattice walk, the unique rotation that is a depth-first encoding
+    (the cycle lemma, Dwass 1969), and decoded by two stable sorts of the
+    walk's levels; vertex ids are depth-first ranks, so the parent array
+    proves itself a tree in one vectorized check.
+
+    Non-unit-mean distributions are tilted to the critical equivalent
+    first, once per law; the conditioned law is unchanged and rejection
+    stays feasible. After exactly ``200 + int(100 * sigma * sqrt(2 * pi *
+    n))`` rejected rows, about 100 times the expected count, the size is
+    taken as unreachable and :class:`TooLargeError` is raised.
     """
     if n < 1:
         raise ValueError("need at least one vertex")
-    pmf = np.asarray(xi.pmf, dtype=float)
-    pmf = pmf / pmf.sum()
     rng = np.random.default_rng(seed)
     if n == 1:
         return RootedTree.from_parents([-1])
-    pmf = _critical_tilt(pmf)
-    sigma = math.sqrt(max(float((np.arange(pmf.size) ** 2) @ pmf) - 1.0, 1e-6))
+    cdf, sigma = _tilted_cdf(tuple(xi.pmf))
     max_attempts = 200 + int(100 * sigma * math.sqrt(2 * math.pi * n))
-    cdf = np.cumsum(pmf)
-    cdf /= cdf[-1]
     for _ in range(max_attempts):
-        counts = cdf.searchsorted(rng.random(n), side="right")
-        if int(counts.sum()) == n - 1:
+        u = rng.random(n)
+        if _row_sum(cdf, u) == n - 1:
             break
     else:
         raise TooLargeError(
             f"conditioning rejected {max_attempts} draws without hitting total "
             f"progeny {n}; offspring support may make this size unreachable"
         )
-    # rotate so every strict prefix of the depth-first walk stays nonnegative
+    counts = cdf.searchsorted(u, side="right")
     walk = np.cumsum(counts) - np.arange(1, n + 1)
     pivot = int(np.argmin(walk))
-    left = np.concatenate([counts[pivot + 1 :], counts[: pivot + 1]]).tolist()
-    parents = [-1] * n
-    stack = [0]  # vertices that may still get children; left[v] slots remain
-    for child in range(1, n):
-        while left[stack[-1]] == 0:
-            stack.pop()
-        vertex = stack[-1]
-        parents[child] = vertex
-        left[vertex] -= 1
-        stack.append(child)
-    return RootedTree.from_parents(parents)
+    rotated = np.concatenate((counts[pivot + 1 :], counts[: pivot + 1]))
+    return RootedTree.from_parents(_depth_first_parents(rotated))
 
 
 def _zipf_sampler(n: int):

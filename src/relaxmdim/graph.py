@@ -69,13 +69,13 @@ class Graph:
 
     @cached_property
     def m(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
+        return sum(map(len, self.adjacency)) // 2
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
     def degrees(self) -> list[int]:
-        return [len(nbrs) for nbrs in self.adjacency]
+        return list(map(len, self.adjacency))
 
     def edges(self) -> Iterable[tuple[int, int]]:
         """Yield each undirected edge once, as (u, v) with u < v."""
@@ -271,7 +271,7 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
 
     One BFS from vertex 0 comes first. If it misses a vertex, the graph is
     disconnected and ValueError is raised, naming largest_connected_component
-    (``stats --lcc`` on the command line). Otherwise twice its eccentricity
+    (``--lcc`` on the command line). Otherwise twice its eccentricity
     bounds the diameter, and the dtype is the narrowest signed integer one
     holding that bound (see :func:`distance_dtype`). A matrix larger than
     physical memory raises :class:`TooLargeError`. Both refusals come before
@@ -293,7 +293,7 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
         if UNREACHABLE in dist:
             raise ValueError(
                 "graph is not connected; distances are defined on connected graphs "
-                "only: apply largest_connected_component first (stats --lcc)"
+                "only: apply largest_connected_component first (--lcc on the command line)"
             )
         ecc = max(dist)
     dtype = distance_dtype(2 * ecc)

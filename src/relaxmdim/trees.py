@@ -9,7 +9,10 @@ counters, and an exhaustive brute-force oracle for small graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
+from typing import Sequence
+
+import numpy as np
 
 from .graph import (
     UNREACHABLE,
@@ -24,13 +27,25 @@ from .graph import (
 )
 
 
+# where is_tree keeps its answer in a Graph's instance dict
+_IS_TREE = "_is_tree"
+
+
 class IncompatibleMethodError(ValueError):
     """Requested method cannot be applied to the given input."""
 
 
 def is_tree(g: Graph) -> bool:
-    """Connected and acyclic (a single vertex counts)."""
-    return g.n > 0 and g.m == g.n - 1 and UNREACHABLE not in bfs_distances(g, 0)
+    """Connected and acyclic (a single vertex counts).
+
+    The answer is kept on the immutable graph, beside its cached edge count,
+    so a graph pays for at most one BFS, and a graph built from a parent
+    array for none."""
+    known = g.__dict__.get(_IS_TREE)
+    if known is None:
+        known = g.n > 0 and g.m == g.n - 1 and UNREACHABLE not in bfs_distances(g, 0)
+        g.__dict__[_IS_TREE] = known
+    return known
 
 
 def is_path_graph(g: Graph) -> bool:
@@ -86,16 +101,40 @@ class RootedTree:
         return cls(g, root, tuple(parent), tuple(tuple(sorted(c)) for c in children), to_original)
 
     @classmethod
-    def from_parents(cls, parents: list[int], root: int = 0) -> "RootedTree":
-        """Build from a parent array (``parents[root] == -1``)."""
-        n = len(parents)
-        edges = [(parents[v], v) for v in range(n) if v != root]
-        g = Graph.from_edges(n, edges)
-        children: list[list[int]] = [[] for _ in range(n)]
-        for v in range(n):
-            if v != root:
-                children[parents[v]].append(v)
-        return cls(g, root, tuple(parents), tuple(tuple(sorted(c)) for c in children))
+    def from_parents(cls, parents: Sequence[int], root: int = 0) -> "RootedTree":
+        """Build from a parent array: ``parents[root] == -1`` and every other
+        entry is a vertex id. A list or an integer array; the tree holds
+        Python ints either way.
+
+        Raises ValueError unless the array is a tree on all its vertices, in
+        O(n). With root 0, ``parents[v] < v`` for every other v is proof
+        enough (the conditioned sampler's decode gives such labels);
+        otherwise a walk of the children from the root must reach every
+        vertex. Each vertex's adjacency is its children with its parent
+        merged in; no edge set is built.
+        """
+        parent = np.asarray(parents, dtype=np.intp)
+        n = parent.size
+        if not 0 <= root < n:
+            raise ValueError(f"root {root} out of range for n={n}")
+        if parent[root] != -1:
+            raise ValueError(f"parents[{root}] is {parent[root]}, but the root's parent must be -1")
+        outside = np.flatnonzero((parent < 0) | (parent >= n))
+        if outside.size > 1:
+            v = int(outside[outside != root][0])
+            raise ValueError(f"parent {parent[v]} of vertex {v} is not a vertex id for n={n}")
+        plist = parent.tolist()
+        children = _children(plist)
+        if not (root == 0 and bool((parent[1:] < np.arange(1, n)).all())):
+            reached = [root]
+            for u in reached:
+                reached.extend(children[u])
+            if len(reached) < n:
+                raise ValueError(
+                    f"parent array is not a tree: {n - len(reached)} of {n} vertices "
+                    f"lie on cycles that never reach root {root}"
+                )
+        return cls(_tree_graph(plist, children), root, tuple(plist), children)
 
     def topo_order(self) -> list[int]:
         """Vertices with every parent before its children (BFS from root)."""
@@ -103,6 +142,32 @@ class RootedTree:
         for u in order:
             order.extend(self.children[u])
         return order
+
+
+def _children(parent: list[int]) -> tuple[tuple[int, ...], ...]:
+    """Every vertex's children, ascending, from a parent list whose root
+    holds -1 and every other entry a vertex id."""
+    kids: list[list[int]] = [[] for _ in parent]
+    for v, p in enumerate(parent):
+        if p >= 0:
+            kids[p].append(v)
+    return tuple(map(tuple, kids))
+
+
+def _tree_graph(parent: list[int], children: tuple[tuple[int, ...], ...]) -> Graph:
+    """The graph of a tree given by a valid parent list and its sorted
+    children: each adjacency row is the children with the parent merged in."""
+    rows = []
+    for p, kids in zip(parent, children):
+        if p < 0:
+            rows.append(kids)
+        elif not kids or p < kids[0]:
+            rows.append((p, *kids))
+        else:
+            rows.append(tuple(sorted((p, *kids))))
+    g = Graph(tuple(rows))
+    g.__dict__[_IS_TREE] = True
+    return g
 
 
 @dataclass(frozen=True)
@@ -134,10 +199,10 @@ def stem_r(g: Graph, r: int) -> StemResult:
         ids = tuple(range(g.n))
         return StemResult(ids, g, ids, ())
     rounds = peel_degree_le1(g, rounds=r)
-    removed = {v for batch in rounds for v in batch}
-    survivors = tuple(v for v in range(g.n) if v not in removed)
-    subgraph, to_original = induced_subgraph(g, survivors)
-    return StemResult(survivors, subgraph, to_original, tuple(tuple(b) for b in rounds))
+    alive = np.ones(g.n, dtype=bool)
+    alive[np.fromiter(chain.from_iterable(rounds), dtype=np.intp)] = False
+    subgraph, to_original = induced_subgraph(g, np.flatnonzero(alive).tolist())
+    return StemResult(to_original, subgraph, to_original, tuple(tuple(b) for b in rounds))
 
 
 def stem(g: Graph) -> StemResult:
@@ -181,17 +246,16 @@ def _leaf_groups(g: Graph) -> tuple[list[int], dict[int, list[int]]]:
     vertex (degree >= 3), i.e. by the exterior major vertex owning their leaf
     path. Leaves on path components have no major vertex and are in no
     group."""
-    leaves = [v for v in range(g.n) if g.degree(v) == 1]
+    adjacency = g.adjacency
+    degree = g.degrees()
+    leaves = [v for v, d in enumerate(degree) if d == 1]
     groups: dict[int, list[int]] = {}
     for leaf in leaves:
-        prev, cur = -1, leaf
-        while g.degree(cur) <= 2:
-            nxt = [w for w in g.adjacency[cur] if w != prev]
-            if not nxt:
-                cur = -1  # ran off the far end: component is a path
-                break
-            prev, cur = cur, nxt[0]
-        if cur >= 0:
+        prev, cur = leaf, adjacency[leaf][0]
+        while degree[cur] == 2:
+            a, b = adjacency[cur]
+            prev, cur = cur, (b if a == prev else a)
+        if degree[cur] > 2:  # degree 1: the far end of a path component
             groups.setdefault(cur, []).append(leaf)
     return leaves, groups
 
@@ -247,8 +311,8 @@ def exact_tree_md(g: Graph, k: int) -> TreeMDReport:
 
     The r-stem of a tree of diameter D has diameter D - 2r, or is empty, so
     k >= D (and md = 0) exactly when the stem has at most 1 + k % 2
-    vertices; the tree check is the only BFS. The tree is gone after n
-    rounds, so the stem is taken at min(r, n) of them.
+    vertices; the tree check, kept on the graph, is the only BFS. The tree
+    is gone after n rounds, so the stem is taken at min(r, n) of them.
     """
     if k < 0:
         raise ValueError("relaxation parameter k must be nonnegative")
@@ -264,11 +328,10 @@ def exact_tree_md(g: Graph, k: int) -> TreeMDReport:
         # to_original ascends, so the smallest endpoint maps to the smallest id
         w = st.to_original[leaves[0]]
         return TreeMDReport(k, r, sigma, ex, True, 1, (w,))
-    witness: list[int] = []
-    for group in groups.values():
-        originals = sorted(st.to_original[leaf] for leaf in group)
-        witness.extend(originals[1:])
-    witness.sort()
+    # groups list their leaves ascending and to_original ascends, so each
+    # group's first leaf is the one with the smallest original id
+    to_original = st.to_original
+    witness = sorted(to_original[leaf] for group in groups.values() for leaf in group[1:])
     md = sigma - ex
     assert md == len(witness)
     return TreeMDReport(k, r, sigma, ex, False, md, tuple(witness))

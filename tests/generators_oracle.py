@@ -1,19 +1,21 @@
-"""Batched conditioned branching-tree sampler: the reference the one-row
-sampler is tested against.
+"""Slow references for the generators: the batched conditioned branching-tree
+sampler, the stack decode of a depth-first offspring sequence and the
+min-heap Pruefer decode of the uniform tree.
 
-It draws 256-row blocks of offspring counts through ``Generator.choice``
-and accepts the first row in the first block whose counts sum to n - 1; the
-refusal point is rounded up to whole blocks. The rotation and the decode are
-the ones the library had when it used this draw.
+The batched sampler draws 256-row blocks of offspring counts through
+``Generator.choice`` and accepts the first row in the first block whose
+counts sum to n - 1; the refusal point is rounded up to whole blocks. The
+rotation and the decode are the ones the library had when it used this draw.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
 
-from relaxmdim import OffspringDistribution, RootedTree
+from relaxmdim import Graph, OffspringDistribution, RootedTree
 from relaxmdim.generators import _critical_tilt
 
 
@@ -65,3 +67,47 @@ def batched_gw_tree_conditioned(
         stack[-1] = (vertex, left - 1)
         stack.append((child, int(rotated[child])))
     return RootedTree.from_parents(parents)
+
+
+def stack_depth_first_parents(counts) -> list[int]:
+    """Parent list of the plane tree with depth-first offspring ``counts``:
+    each vertex becomes a child of the deepest open vertex with a child
+    slot left, found on a stack of vertex ids."""
+    left = list(counts)
+    parents = [-1] * len(left)
+    stack = [0]  # vertices that may still get children; left[v] slots remain
+    for child in range(1, len(left)):
+        while left[stack[-1]] == 0:
+            stack.pop()
+        vertex = stack[-1]
+        parents[child] = vertex
+        left[vertex] -= 1
+        stack.append(child)
+    return parents
+
+
+def heap_uniform_tree(n: int, seed: int) -> Graph:
+    """Uniform labeled tree: the same Pruefer codes, decoded by popping the
+    smallest leaf from a heap, built through ``Graph.from_edges``."""
+    if n < 2:
+        raise ValueError("need at least two vertices")
+    rng = np.random.default_rng(seed)
+    if n == 2:
+        return Graph.from_edges(2, [(0, 1)])
+    seq = rng.integers(0, n, size=n - 2)
+    degree = np.ones(n, dtype=np.int64)
+    for x in seq:
+        degree[x] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, int(x)))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, int(x))
+    u = heapq.heappop(leaves)
+    v = heapq.heappop(leaves)
+    edges.append((u, v))
+    return Graph.from_edges(n, edges)

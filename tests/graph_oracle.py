@@ -1,12 +1,14 @@
-"""Slow references for all-pairs distances, peeling, down-stemming and
-identification-vector grouping: the straightforward versions the library
-replaced.
+"""Slow references for all-pairs distances, peeling, down-stemming,
+identification-vector grouping, rooted trees from parent arrays and leaf-path
+walks: the straightforward versions the library replaced.
 
 All-pairs distances are one breadth-first search per source. Induced
 subgraphs relabel through a dict. Each peeling
 round rescans every vertex, so peeling a path of n vertices costs
 Theta(n^2); vertices are grouped through a dict keyed by distance-row
 tuples; the resolving check and the brute-force search run on that grouping.
+A parent array becomes a rooted tree through ``Graph.from_edges`` and its set
+checks, and leaf paths are walked through ``Graph.degree`` calls.
 """
 
 from __future__ import annotations
@@ -108,3 +110,34 @@ def dict_brute_force_md(matrix: np.ndarray, k: int) -> tuple[int, tuple[int, ...
             if dict_is_k_resolved(matrix, comb, k):
                 return size, comb
     raise AssertionError("full vertex set always resolves")
+
+
+def edge_list_rooted_tree(parents, root: int = 0) -> RootedTree:
+    """A rooted tree from a parent array that is known to be one, built
+    through ``Graph.from_edges``; children lists are sorted."""
+    n = len(parents)
+    g = Graph.from_edges(n, [(parents[v], v) for v in range(n) if v != root])
+    children: list[list[int]] = [[] for _ in range(n)]
+    for v in range(n):
+        if v != root:
+            children[parents[v]].append(v)
+    return RootedTree(g, root, tuple(parents), tuple(tuple(sorted(c)) for c in children))
+
+
+def degree_call_leaf_groups(g: Graph) -> tuple[list[int], dict[int, list[int]]]:
+    """The leaves (ascending), and the leaves grouped by the first vertex of
+    degree >= 3 on their leaf path; leaves of path components are in no
+    group."""
+    leaves = [v for v in range(g.n) if g.degree(v) == 1]
+    groups: dict[int, list[int]] = {}
+    for leaf in leaves:
+        prev, cur = -1, leaf
+        while g.degree(cur) <= 2:
+            nxt = [w for w in g.adjacency[cur] if w != prev]
+            if not nxt:
+                cur = -1  # ran off the far end: component is a path
+                break
+            prev, cur = cur, nxt[0]
+        if cur >= 0:
+            groups.setdefault(cur, []).append(leaf)
+    return leaves, groups

@@ -241,7 +241,21 @@ class TestDisconnectedInput:
         assert main([argv[0], two_paths_file, *argv[1:]]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: graph is not connected")
-        assert "largest_connected_component" in err and "stats --lcc" in err
+        assert "largest_connected_component" in err and "--lcc on the command line" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["sweep", "--k-max", "2"], ["two-step"], ["mdim", "--k", "1", "--method", "greedy"]],
+        ids=["sweep", "two-step", "mdim"],
+    )
+    def test_lcc_flag_equals_the_component_written_out(self, argv, two_paths_file, tmp_path, capsys):
+        # the larger path 3-4-5-6 keeps its ids' order when written out alone
+        component = tmp_path / "component.txt"
+        component.write_text("3 4\n4 5\n5 6\n")
+        assert main([argv[0], str(component), *argv[1:]]) == 0
+        alone = capsys.readouterr().out
+        assert main([argv[0], two_paths_file, *argv[1:], "--lcc"]) == 0
+        assert capsys.readouterr().out == alone
 
 
 class TestGWConstants:

@@ -21,11 +21,22 @@ from relaxmdim import (
     rgg,
     uniform_tree,
 )
-from relaxmdim import GeneratorConfig, RootedTree
-from relaxmdim.generators import _critical_tilt, _zipf_sampler
+from relaxmdim import GeneratorConfig, RootedTree, generators
+from relaxmdim.generators import (
+    _MAX_COUNTED_THRESHOLDS,
+    _critical_tilt,
+    _depth_first_parents,
+    _row_sum,
+    _tilted_cdf,
+    _zipf_sampler,
+)
 from relaxmdim.graph import bfs_distances
 
-from generators_oracle import batched_gw_tree_conditioned
+from generators_oracle import (
+    batched_gw_tree_conditioned,
+    heap_uniform_tree,
+    stack_depth_first_parents,
+)
 
 # offspring laws of the differential tests; all but the first are tilted
 LAWS = {
@@ -34,6 +45,9 @@ LAWS = {
     "poisson3": OffspringDistribution.poisson(3.0),
     "pmf": OffspringDistribution.from_pmf([0.3, 0.4, 0.2, 0.1]),
 }
+# half the mass on 0, the rest spread over 1..199: after the tilt, rows
+# reaching the far thresholds take the searchsorted path
+LONG_SUPPORT = OffspringDistribution.from_pmf([0.5] + [0.5 / 199] * 199)
 # tree size -> seeds 0..count-1 compared against the batched oracle
 ORACLE_SEEDS = {1: 5, 2: 150, 3: 150, 4: 150, 60: 60, 137: 40, 1000: 12}
 
@@ -85,6 +99,12 @@ class TestUniformTree:
 
     def test_deterministic(self):
         assert uniform_tree(50, 7).adjacency == uniform_tree(50, 7).adjacency
+
+    def test_same_graph_as_heap_decode(self):
+        for n in range(2, 201):
+            for seed in range(4):
+                assert uniform_tree(n, seed).adjacency == heap_uniform_tree(n, seed).adjacency, (n, seed)
+        assert uniform_tree(100_000, 11).adjacency == heap_uniform_tree(100_000, 11).adjacency
 
 
 class TestConditionedGWTree:
@@ -158,6 +178,60 @@ class TestConditionedGWTree:
         rng = np.random.default_rng(5)
         for row in block:
             assert np.array_equal(cdf.searchsorted(rng.random(n), side="right"), row)
+
+    @pytest.mark.parametrize("law", sorted(LAWS) + ["long-support"])
+    def test_row_sum_is_the_searchsorted_sum(self, law):
+        # rows whose largest draw sits on, just below or just above each
+        # threshold, filled with exact cdf values and their neighbours
+        xi = LAWS.get(law, LONG_SUPPORT)
+        cdf, _ = _tilted_cdf(xi.pmf)
+        edges = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0)])
+        rng = np.random.default_rng(3)
+        paths = set()
+        for top in (*cdf, *np.nextafter(cdf, 0.0), *np.nextafter(cdf, 1.0)):
+            pool = edges[edges <= top]
+            row = np.concatenate([rng.choice(pool, size=100), rng.random(100) * top, [top]])
+            assert _row_sum(cdf, row) == int(cdf.searchsorted(row, side="right").sum())
+            paths.add(int(cdf.searchsorted(top, side="right")) > _MAX_COUNTED_THRESHOLDS)
+        assert paths == ({False, True} if law == "long-support" else {False})
+
+    def test_depth_first_decode_matches_stack_decode(self):
+        # every depth-first offspring sequence with up to 6 vertices
+        for n in range(2, 7):
+            for counts in itertools.product(range(n), repeat=n):
+                if sum(counts) == n - 1 and all(
+                    sum(counts[: i + 1]) >= i + 1 for i in range(n - 1)
+                ):
+                    got = _depth_first_parents(np.array(counts)).tolist()
+                    assert got == stack_depth_first_parents(counts), counts
+        # random ones, rotated by the cycle lemma; 70 000 levels need 32 bits
+        rng = np.random.default_rng(0)
+        for n in (50, 1000, 70_000):
+            counts = np.bincount(rng.integers(0, n, size=n - 1), minlength=n)
+            pivot = int(np.argmin(np.cumsum(counts) - np.arange(1, n + 1)))
+            counts = np.roll(counts, -(pivot + 1))
+            assert _depth_first_parents(counts).tolist() == stack_depth_first_parents(counts.tolist())
+
+    def test_tilt_runs_once_per_law(self, monkeypatch):
+        tilts = []
+        real = generators._critical_tilt
+
+        def counting_tilt(pmf):
+            tilts.append(pmf.size)
+            return real(pmf)
+
+        monkeypatch.setattr(generators, "_critical_tilt", counting_tilt)
+        _tilted_cdf.cache_clear()
+        xi = LAWS["geometric0.6"]
+        for seed in range(5):
+            gw_tree_conditioned(8, xi, seed)
+        assert len(tilts) == 1
+        cdf, _ = _tilted_cdf(xi.pmf)
+        pmf = np.asarray(xi.pmf, dtype=float)
+        expected = np.cumsum(real(pmf / pmf.sum()))
+        expected /= expected[-1]
+        assert cdf.tobytes() == expected.tobytes()
+        assert not cdf.flags.writeable
 
     def test_deterministic(self):
         xi = OffspringDistribution.poisson(1.0)

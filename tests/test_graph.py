@@ -56,7 +56,7 @@ ANY_GRAPH = st.one_of(random_trees(), connected_graphs(), sparse_graphs())
 CONNECTED_GRAPH = st.one_of(random_trees(), connected_graphs())
 
 # the refusal of a disconnected graph names the way out
-DISCONNECTED = r"not connected.*largest_connected_component.*stats --lcc"
+DISCONNECTED = r"not connected.*largest_connected_component.*--lcc on the command line"
 
 
 @contextmanager

@@ -37,11 +37,29 @@ from conftest import (
     full_m_ary_tree,
     path_graph,
     random_trees,
+    sparse_graphs,
     spider_graph,
     star_graph,
     unicyclic_graph,
 )
-from graph_oracle import dict_brute_force_md, round_scan_down_stem
+from graph_oracle import (
+    degree_call_leaf_groups,
+    dict_brute_force_md,
+    edge_list_rooted_tree,
+    round_scan_down_stem,
+)
+
+
+@st.composite
+def parent_arrays(draw, max_n: int = 60):
+    """A random tree as (parent array, root). Half the time the ids are
+    shuffled, so a parent's id need not be below its child's."""
+    n = draw(st.integers(1, max_n))
+    ids = draw(st.permutations(range(n))) if draw(st.booleans()) else list(range(n))
+    parent = [-1] * n
+    for v in range(1, n):
+        parent[ids[v]] = ids[draw(st.integers(0, v - 1))]
+    return parent, ids[0]
 
 
 # ---------------------------------------------------------------- predicates
@@ -67,6 +85,51 @@ def test_tree_diameter():
     assert tree_diameter(star_graph(4)) == 2
     assert tree_diameter(spider_graph([2, 2, 2])) == 4
     assert tree_diameter(Graph.from_edges(1, [])) == 0
+
+
+class TestFromParents:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(parent_arrays())
+    def test_same_tree_as_edge_list_build(self, case):
+        parent, root = case
+        for given_as in (parent, np.array(parent)):
+            t = RootedTree.from_parents(given_as, root)
+            assert t == edge_list_rooted_tree(parent, root)
+            assert all(type(v) is int for v in t.parent + t.graph.adjacency[root])
+            assert is_tree(t.graph)
+
+    @pytest.mark.parametrize(
+        "parents, root, message",
+        [
+            ([-1, 2, 3, 1], 0, "not a tree: 3 of 4 vertices"),
+            ([-1, 1], 0, "not a tree: 1 of 2"),
+            ([-1, -1, 0], 0, "parent -1 of vertex 1"),
+            ([-1, 5], 0, "parent 5 of vertex 1"),
+            ([1, -1], 0, "the root's parent must be -1"),
+            ([-1], 1, "root 1 out of range"),
+        ],
+    )
+    def test_rejects_non_trees(self, parents, root, message):
+        with pytest.raises(ValueError, match=message):
+            RootedTree.from_parents(parents, root)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.lists(st.integers(-1, 7), min_size=1, max_size=8), st.data())
+    def test_accepts_exactly_the_trees(self, values, data):
+        n = len(values)
+        root = data.draw(st.integers(0, n - 1))
+        parent = [min(v, n - 1) for v in values]
+        parent[root] = -1
+        try:
+            edges = [(parent[v], v) for v in range(n) if v != root]
+            expected = all(p >= 0 for p, _ in edges) and is_tree(Graph.from_edges(n, edges))
+        except ValueError:  # self-loop or an edge given twice
+            expected = False
+        if expected:
+            assert RootedTree.from_parents(parent, root) == edge_list_rooted_tree(parent, root)
+        else:
+            with pytest.raises(ValueError):
+                RootedTree.from_parents(parent, root)
 
 
 # ------------------------------------------------------------------ stemming
@@ -227,6 +290,24 @@ class TestExactTreeMD:
         exact_tree_md(spider_graph([3, 1, 4, 2]), k)
         assert len(calls) == 1
 
+    def test_repeated_solves_share_one_bfs(self, monkeypatch):
+        # the tree check is kept on the graph; a graph built from a parent
+        # array is known to be a tree without one
+        calls = []
+
+        def counting_bfs(g, source):
+            calls.append(source)
+            return bfs_distances(g, source)
+
+        monkeypatch.setattr(trees, "bfs_distances", counting_bfs)
+        g = spider_graph([3, 1, 4, 2])
+        for k in range(9):
+            exact_tree_md(g, k)
+        assert len(calls) == 1
+        exact_tree_md(RootedTree.from_parents([-1, 0, 0, 1]).graph, 0)
+        exact_tree_md(uniform_tree(30, seed=2), 2)
+        assert len(calls) == 1
+
     def test_huge_k_peels_at_most_n_rounds(self, monkeypatch):
         asked = []
 
@@ -318,6 +399,11 @@ class TestExactTreeMD:
             if rep.is_line:
                 ends = [v for v in range(sub.n) if sub.degree(v) <= 1]
                 assert rep.witness == (min(res.to_original[v] for v in ends),)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.one_of(random_trees(), connected_graphs(), sparse_graphs()))
+    def test_leaf_walk_matches_degree_calls(self, g):
+        assert trees._leaf_groups(g) == degree_call_leaf_groups(g)
 
     def test_report_json_schema(self):
         d = exact_tree_md(path_graph(4), 0).as_dict()
