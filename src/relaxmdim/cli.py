@@ -16,6 +16,7 @@ import hashlib
 import json
 import sys
 import time
+from typing import Sequence
 
 from . import __version__
 from .graph import (
@@ -38,7 +39,7 @@ EXIT_VALIDATION = 2
 EXIT_INCOMPATIBLE = 3
 EXIT_RESOURCE = 4
 
-LCC_HELP = "restrict to the largest component"
+LCC_HELP = "restrict to the largest component; output vertex ids stay the input's"
 
 
 def _read_graph(path: str) -> Graph:
@@ -49,13 +50,14 @@ def _read_graph(path: str) -> Graph:
         raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
-def _input_graph(args: argparse.Namespace) -> Graph:
-    """The command's input graph, restricted to its largest component when
-    ``--lcc`` is given."""
+def _input_graph(args: argparse.Namespace) -> tuple[Graph, Sequence[int]]:
+    """The command's input graph and the input id of each of its vertices.
+    With ``--lcc`` the graph is the largest component, renumbered 0..k-1,
+    and the ids map its vertices back to the input's."""
     g = _read_graph(args.input)
     if args.lcc:
-        g, _ = largest_connected_component(g)
-    return g
+        return largest_connected_component(g)
+    return g, range(g.n)
 
 
 def _sha256(path: str) -> str:
@@ -97,7 +99,8 @@ def _json_text(payload: dict) -> str:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    stats = graph_stats(_input_graph(args))
+    g, _ = _input_graph(args)
+    stats = graph_stats(g)
     payload = {"schema": "relaxmdim/stats/1", **stats.as_dict()}
     _emit(_json_text(payload), args.out, "stats", vars(args), [args.input], started)
     return EXIT_OK
@@ -105,7 +108,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_mdim(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    g = _input_graph(args)
+    g, ids = _input_graph(args)
     if args.method == "exact-tree":
         report = exact_tree_md(g, args.k)
         dm = all_pairs_distances(g)
@@ -143,13 +146,16 @@ def cmd_mdim(args: argparse.Namespace) -> int:
         }
     if not payload["verified"]:  # pragma: no cover - internal consistency
         raise AssertionError("computed witness failed verification")
+    payload["witness"] = [ids[v] for v in payload["witness"]]
+    for row in payload.get("trace", ()):
+        row["sensor"] = ids[row["sensor"]]
     _emit(_json_text(payload), args.out, "mdim", vars(args), [args.input], started)
     return EXIT_OK
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    g = _input_graph(args)
+    g, _ = _input_graph(args)
     if args.k_max < 0:
         raise ValueError(f"--k-max {args.k_max} is negative")
     records = sweep_metrics(g, range(args.k_max + 1), resolver=args.method)
@@ -160,7 +166,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_two_step(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    g = _input_graph(args)
+    g, ids = _input_graph(args)
     dm = all_pairs_distances(g)
     k_max = dm.diameter if args.k_max is None else args.k_max
     curve = qstar_curve(g, k_max)
@@ -170,9 +176,11 @@ def cmd_two_step(args: argparse.Namespace) -> int:
     csv_lines = ["k,phase1_size,max_s2,qstar"] + [
         f"{r.k},{len(r.phase1)},{r.max_s2},{r.qstar}" for r in curve
     ]
-    json_text = _json_text(
-        {"schema": "relaxmdim/two-step/1", "results": [r.as_dict() for r in curve]}
-    )
+    results = [r.as_dict() for r in curve]
+    for result in results:
+        result["phase1"] = [ids[v] for v in result["phase1"]]
+        result["worst_class"] = [ids[v] for v in result["worst_class"]]
+    json_text = _json_text({"schema": "relaxmdim/two-step/1", "results": results})
     params, inputs = vars(args), [args.input]
     if args.out is None:
         _emit(json_text, None, "two-step", params, inputs, started)

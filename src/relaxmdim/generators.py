@@ -17,7 +17,7 @@ import numpy as np
 
 from .graph import Graph, TooLargeError, largest_connected_component
 from .gw import OffspringDistribution
-from .trees import RootedTree, _children, _tree_graph
+from .trees import RootedTree
 
 log = logging.getLogger(__name__)
 
@@ -77,8 +77,8 @@ def uniform_tree(n: int, seed: int) -> Graph:
     the next leaf, and a code that becomes a leaf below the pointer is used
     at once, so each step joins the smallest current leaf to its code, as a
     min-heap decode does. Vertex n - 1 is never the smallest leaf, so the
-    joins form a parent array rooted at it, which the tree constructor
-    turns into the graph.
+    joins form a parent array rooted at it, which
+    :meth:`RootedTree.from_parents` checks and turns into the graph.
     """
     if n < 2:
         raise ValueError("need at least two vertices")
@@ -98,7 +98,7 @@ def uniform_tree(n: int, seed: int) -> Graph:
                 ptr += 1
             leaf = ptr
     parent[leaf] = n - 1
-    return _tree_graph(parent, _children(parent))
+    return RootedTree.from_parents(parent, n - 1).graph
 
 
 def _critical_tilt(pmf: np.ndarray) -> np.ndarray:
@@ -156,14 +156,11 @@ def _tilted_cdf(pmf: tuple[float, ...]) -> tuple[np.ndarray, float]:
     return cdf, sigma
 
 
-# A row of at least _MIN_COUNTED_DRAWS draws whose largest draw reaches at
-# most _MAX_COUNTED_THRESHOLDS cdf thresholds is summed by one (thresholds x
-# n) boolean comparison: about 0.45 ns per threshold and draw, against about
-# 23 ns per draw for the binary search. Other rows go through searchsorted:
-# long-support laws reach too many thresholds, and on short rows the
-# comparison's fixed cost (the maximum and a scalar search, about 2.5 us)
-# outweighs what it saves.
-_MIN_COUNTED_DRAWS = 128
+# A row whose largest draw reaches at most _MAX_COUNTED_THRESHOLDS cdf
+# thresholds is summed by one (thresholds x n) boolean comparison: about
+# 0.45 ns per threshold and draw, against about 23 ns per draw for the binary
+# search. Rows of long-support laws reach too many thresholds and go through
+# searchsorted.
 _MAX_COUNTED_THRESHOLDS = 32
 
 
@@ -173,10 +170,9 @@ def _row_sum(cdf: np.ndarray, u: np.ndarray) -> int:
     so the total is the number of (threshold, draw) pairs with
     ``cdf[j] <= u_i``, taken over the thresholds at most ``max(u)``; the
     integer is the same."""
-    if u.size >= _MIN_COUNTED_DRAWS:
-        reached = int(cdf.searchsorted(u.max(), side="right"))
-        if reached <= _MAX_COUNTED_THRESHOLDS:
-            return int(np.count_nonzero(cdf[:reached, None] <= u))
+    reached = int(cdf.searchsorted(u.max(), side="right"))
+    if reached <= _MAX_COUNTED_THRESHOLDS:
+        return int(np.count_nonzero(cdf[:reached, None] <= u))
     return int(cdf.searchsorted(u, side="right").sum())
 
 
@@ -216,10 +212,10 @@ def gw_tree_conditioned(n: int, xi: OffspringDistribution, seed: int) -> RootedT
     inverse-cdf offspring counts ``cdf.searchsorted(u, side="right")`` are
     the arithmetic and the stream of ``rng.choice(pmf.size, size=n,
     p=pmf)``, and the first row whose counts sum to n-1 is kept (Devroye,
-    SIAM J. Comput. 2012). The test needs only the sum, which for a long
-    row comes from comparing it with the cdf thresholds up to its largest
-    draw; only the kept row is searched. The row is rotated at the first minimum of
-    its lattice walk, the unique rotation that is a depth-first encoding
+    SIAM J. Comput. 2012). The test needs only the sum, which comes from
+    comparing the row with the cdf thresholds up to its largest draw; only
+    the kept row is searched. The row is rotated at the first minimum of its
+    lattice walk, the unique rotation that is a depth-first encoding
     (the cycle lemma, Dwass 1969), and decoded by two stable sorts of the
     walk's levels; vertex ids are depth-first ranks, so the parent array
     proves itself a tree in one vectorized check.

@@ -245,17 +245,41 @@ class TestDisconnectedInput:
 
     @pytest.mark.parametrize(
         "argv",
-        [["sweep", "--k-max", "2"], ["two-step"], ["mdim", "--k", "1", "--method", "greedy"]],
-        ids=["sweep", "two-step", "mdim"],
+        [
+            ["sweep", "--k-max", "2"],
+            ["two-step"],
+            ["mdim", "--k", "1", "--method", "greedy"],
+            ["mdim", "--k", "0", "--method", "exact-tree"],
+        ],
+        ids=["sweep", "two-step", "mdim-greedy", "mdim-exact-tree"],
     )
-    def test_lcc_flag_equals_the_component_written_out(self, argv, two_paths_file, tmp_path, capsys):
-        # the larger path 3-4-5-6 keeps its ids' order when written out alone
+    def test_lcc_flag_reports_input_ids(self, argv, tmp_path, capsys):
+        # The larger component, 9-8-7-6 with 5 hanging on 8, takes input ids
+        # 2, 3, 5, 6, 7 (first appearance, interleaved with the path 0-1-2);
+        # written out alone it is numbered 0..4 in the same order. The --lcc
+        # result is the component's result with its vertices named by their
+        # input ids.
+        full = tmp_path / "full.txt"
+        full.write_text("0 1\n9 8\n1 2\n8 7\n7 6\n8 5\n")
         component = tmp_path / "component.txt"
-        component.write_text("3 4\n4 5\n5 6\n")
+        component.write_text("9 8\n8 7\n7 6\n8 5\n")
+        to_input = [2, 3, 5, 6, 7]
         assert main([argv[0], str(component), *argv[1:]]) == 0
         alone = capsys.readouterr().out
-        assert main([argv[0], two_paths_file, *argv[1:], "--lcc"]) == 0
-        assert capsys.readouterr().out == alone
+        assert main([argv[0], str(full), *argv[1:], "--lcc"]) == 0
+        lcc = capsys.readouterr().out
+        if argv[0] == "sweep":
+            assert lcc == alone
+            return
+        expected = json.loads(alone)
+        for result in expected.get("results", [expected]):
+            for key in ("witness", "phase1", "worst_class"):
+                if key in result:
+                    result[key] = [to_input[v] for v in result[key]]
+            for row in result.get("trace", ()):
+                row["sensor"] = to_input[row["sensor"]]
+        assert json.loads(lcc) == expected
+        assert lcc != alone
 
 
 class TestGWConstants:
