@@ -39,6 +39,7 @@ from .trees import (
     RootedTree,
     StemResult,
     TreeMDReport,
+    TreeMetric,
     brute_force_md,
     count_sigma_ex,
     down_stem_r,
@@ -70,6 +71,7 @@ __all__ = [
     "RootedTree",
     "StemResult",
     "TreeMDReport",
+    "TreeMetric",
     "TooLargeError",
     "IncompatibleMethodError",
     "stem",

@@ -31,7 +31,13 @@ from .graph import (
 from .greedy import greedy_k_resolving_set
 from .gw import OffspringDistribution, gw_sequence
 from .localization import SWEEP_CSV_HEADER, qstar_curve, sweep_metrics
-from .trees import IncompatibleMethodError, brute_force_md, exact_tree_md
+from .trees import (
+    BRUTE_FORCE_MAX_N,
+    IncompatibleMethodError,
+    TreeMetric,
+    brute_force_md,
+    exact_tree_md,
+)
 from . import generators
 
 EXIT_OK = 0
@@ -111,8 +117,7 @@ def cmd_mdim(args: argparse.Namespace) -> int:
     g, ids = _input_graph(args)
     if args.method == "exact-tree":
         report = exact_tree_md(g, args.k)
-        dm = all_pairs_distances(g)
-        verified = is_k_relaxed_resolving(dm, report.witness, args.k)
+        verified = is_k_relaxed_resolving(TreeMetric(g), report.witness, args.k)
         payload = {
             "schema": "relaxmdim/mdim/1",
             "method": "exact-tree",
@@ -132,9 +137,9 @@ def cmd_mdim(args: argparse.Namespace) -> int:
             "verified": verified,
             "trace": trace.rows(),
         }
-    else:  # brute: the size limit is checked before any distance is computed
-        md, witness = brute_force_md(g, args.k)
-        dm = all_pairs_distances(g)
+    else:  # brute: refused above BRUTE_FORCE_MAX_N vertices before any distance is computed
+        dm = all_pairs_distances(g) if g.n <= BRUTE_FORCE_MAX_N else None
+        md, witness = brute_force_md(g, args.k, dm)
         verified = is_k_relaxed_resolving(dm, witness, args.k)
         payload = {
             "schema": "relaxmdim/mdim/1",
@@ -169,7 +174,7 @@ def cmd_two_step(args: argparse.Namespace) -> int:
     g, ids = _input_graph(args)
     dm = all_pairs_distances(g)
     k_max = dm.diameter if args.k_max is None else args.k_max
-    curve = qstar_curve(g, k_max)
+    curve = qstar_curve(g, k_max, dm)
     for result in curve:
         if not is_k_relaxed_resolving(dm, result.phase1, result.k):  # pragma: no cover
             raise AssertionError("phase-1 set failed verification")

@@ -55,18 +55,22 @@ class GeneratorConfig:
 
 def ba_tree(n: int, seed: int) -> Graph:
     """Preferential-attachment tree: vertex t >= 2 picks its anchor with
-    probability proportional to current degree, starting from the edge 0-1."""
+    probability proportional to current degree, starting from the edge 0-1.
+
+    Each vertex's anchor is its parent, with a smaller id, so the parent
+    array rooted at 0 is a tree that :meth:`RootedTree.from_parents` turns
+    into the graph without an edge set."""
     if n < 2:
         raise ValueError("need at least two vertices")
     rng = np.random.default_rng(seed)
-    edges = [(0, 1)]
+    parent = [-1, 0]
     stubs = [0, 1]  # one entry per unit of degree
     for t in range(2, n):
         anchor = stubs[int(rng.integers(len(stubs)))]
-        edges.append((anchor, t))
+        parent.append(anchor)
         stubs.append(anchor)
         stubs.append(t)
-    return Graph.from_edges(n, edges)
+    return RootedTree.from_parents(parent).graph
 
 
 def uniform_tree(n: int, seed: int) -> Graph:

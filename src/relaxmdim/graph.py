@@ -15,6 +15,13 @@ the diameter. Distances are defined on connected graphs only: a
 disconnected graph, or a matrix larger than physical memory, is refused
 before the matrix is allocated, so every :class:`DistanceMatrix` holds
 finite, nonnegative hop counts.
+
+Statistics need only the sum and the maximum of the distances, so
+:func:`graph_stats` reduces the same core search level by level, or block
+by block, and adds the pendant trees in closed form; it stores no matrix.
+Partitions and the resolving check read a :class:`Metric`: the distance
+columns of the sensors and the diameter of each block, which a tree metric
+(``trees.TreeMetric``) answers without a matrix too.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Protocol, Sequence, TextIO
 
 import numpy as np
 
@@ -41,6 +48,11 @@ BIT_BFS_MAX_LEVELS = 256
 
 # Rows per block when core distances are unpacked, computed and expanded.
 _ROW_BLOCK = 1024
+
+# Largest number of entries in a block of Dijkstra rows (scipy returns them
+# as float64), and in one chunk of sensor columns read for labelling.
+_BLOCK_ENTRIES = 1 << 22
+_LABEL_CHUNK_ENTRIES = 1 << 23
 
 #: An ordered sequence of distinct vertex ids acting as sensors.
 SensorSet = Sequence[int]
@@ -264,6 +276,31 @@ class DistanceMatrix:
             return 0
         return int(self.matrix.max())
 
+    def columns(self, sensors: Sequence[int]) -> np.ndarray:
+        """Distances from every vertex to each sensor, one column per sensor."""
+        return self.matrix[:, sensors]
+
+    def block_diameters(self, blocks: Sequence[Sequence[int]]) -> Iterator[int]:
+        """The largest distance within each block, lazily, in block order."""
+        for block in blocks:
+            yield int(self.matrix[np.ix_(block, block)].max())
+
+
+class Metric(Protocol):
+    """What the labelling helper and the resolving check read of a graph's
+    distances: :class:`DistanceMatrix` and ``trees.TreeMetric``."""
+
+    @property
+    def n(self) -> int: ...
+
+    def columns(self, sensors: Sequence[int]) -> np.ndarray:
+        """An (n, len(sensors)) array of distances to the sensors."""
+        ...
+
+    def block_diameters(self, blocks: Sequence[Sequence[int]]) -> Iterable[int]:
+        """The largest distance within each block, in block order."""
+        ...
+
 
 def all_pairs_distances(g: Graph) -> DistanceMatrix:
     """Hop counts between all vertex pairs of a connected graph, as a
@@ -287,16 +324,7 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     cost O(n^2), the size of the output.
     """
     n = g.n
-    ecc = 0
-    if n:
-        dist = bfs_distances(g, 0)
-        if UNREACHABLE in dist:
-            raise ValueError(
-                "graph is not connected; distances are defined on connected graphs "
-                "only: apply largest_connected_component first (--lcc on the command line)"
-            )
-        ecc = max(dist)
-    dtype = distance_dtype(2 * ecc)
+    dtype = distance_dtype(2 * _eccentricity_of_0(g) if n else 0)
     limit = _physical_memory()
     if n * n * dtype.itemsize > limit:
         raise TooLargeError(
@@ -320,17 +348,47 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
-def _component_distances(g: Graph, out: np.ndarray) -> None:
-    """Write the distances of a connected graph with n >= 1 into ``out``,
-    whose dtype holds its diameter."""
+def _eccentricity_of_0(g: Graph) -> int:
+    """The eccentricity of vertex 0 of a nonempty graph. A disconnected graph
+    raises ValueError naming the way out."""
+    dist = bfs_distances(g, 0)
+    if UNREACHABLE in dist:
+        raise ValueError(
+            "graph is not connected; distances are defined on connected graphs "
+            "only: apply largest_connected_component first (--lcc on the command line)"
+        )
+    return max(dist)
+
+
+@dataclass(frozen=True)
+class _PendantForest:
+    """A connected graph split into its 2-core and the trees hanging off it.
+
+    ``core`` lists the core vertices ascending (empty for a tree). Every
+    other vertex x has a parent one step closer to the core, a depth h(x)
+    and an anchor a(x), the core vertex its tree hangs from; core vertices
+    are their own anchors at depth 0. A tree without a core hangs from
+    vertex 0. ``preorder`` lists the non-core vertices in DFS preorder, so
+    each subtree is a contiguous run of ``size`` vertices.
+    """
+
+    core: list[int]
+    parent: list[int]
+    depth: list[int]
+    anchor: list[int]
+    preorder: list[int]
+    size: list[int]
+
+
+def _pendant_forest(g: Graph, rounds: list[list[int]]) -> _PendantForest:
+    """The forest of the vertices a full peel removed, in ``rounds``."""
     n = g.n
     adjacency = g.adjacency
     alive = [True] * n
-    for batch in _peel(g, None):
+    for batch in rounds:
         for v in batch:
             alive[v] = False
     core = [v for v in range(n) if alive[v]]
-    # the peeled forest in DFS preorder, so every subtree is a contiguous run
     parent = [-1] * n
     depth = [0] * n
     anchor = list(range(n))
@@ -348,20 +406,29 @@ def _component_distances(g: Graph, out: np.ndarray) -> None:
     for v in reversed(preorder):
         if parent[v] >= 0 and not alive[parent[v]]:
             size[parent[v]] += size[v]
+    return _PendantForest(core, parent, depth, anchor, preorder, size)
 
+
+def _component_distances(g: Graph, out: np.ndarray) -> None:
+    """Write the distances of a connected graph with n >= 1 into ``out``,
+    whose dtype holds its diameter."""
+    n = g.n
+    forest = _pendant_forest(g, _peel(g, None))
+    core = forest.core
     if core:
         core_ids = np.array(core)
         where = np.empty(n, dtype=np.intp)
         where[core_ids] = np.arange(len(core))
-        anchor_col = where[anchor]
-        depth_col = np.array(depth, dtype=out.dtype)
+        anchor_col = where[forest.anchor]
+        depth_col = np.array(forest.depth, dtype=out.dtype)
         for rows, block in _core_rows(induced_subgraph(g, core)[0], out.dtype):
             if len(core) < n:  # core columns are anchor columns plus depth
                 block = block[:, anchor_col]
                 block += depth_col
             out[core_ids[rows]] = block
     else:
-        out[0] = depth
+        out[0] = forest.depth
+    preorder, parent, size = forest.preorder, forest.parent, forest.size
     pre = np.array(preorder, dtype=np.intp)
     for i, v in enumerate(preorder):
         p = parent[v]
@@ -374,18 +441,23 @@ def _component_distances(g: Graph, out: np.ndarray) -> None:
         row[pre[i : i + size[v]]] -= 2
 
 
-def _core_rows(core: Graph, dtype: np.dtype) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Distances of a connected graph of minimum degree >= 2, as blocks of
-    (row ids, rows in ``dtype``).
+def _needs_dijkstra(core: Graph) -> bool:
+    """Whether the bit-parallel BFS on a connected graph of minimum degree
+    >= 2 would run too many levels.
 
-    The bit-parallel BFS runs L levels, L the largest eccentricity. A double
-    sweep (the eccentricity of the vertex farthest from vertex 0) gives a
-    lower bound e with e <= L <= 2e that is usually exact. The BFS runs when
-    e is at most BIT_BFS_MAX_LEVELS, and scipy's Dijkstra otherwise.
+    It runs L levels, L the largest eccentricity. A double sweep (the
+    eccentricity of the vertex farthest from vertex 0) gives a lower bound e
+    with e <= L <= 2e that is usually exact; above BIT_BFS_MAX_LEVELS the
+    core goes to scipy's Dijkstra.
     """
     dist = bfs_distances(core, 0)
-    sweep = max(bfs_distances(core, dist.index(max(dist))))
-    if sweep > BIT_BFS_MAX_LEVELS:
+    return max(bfs_distances(core, dist.index(max(dist)))) > BIT_BFS_MAX_LEVELS
+
+
+def _core_rows(core: Graph, dtype: np.dtype) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Distances of a connected graph of minimum degree >= 2, as blocks of
+    (row ids, rows in ``dtype``)."""
+    if _needs_dijkstra(core):
         return _dijkstra_rows(core, dtype)
     return _bit_bfs_rows(core, dtype)
 
@@ -401,21 +473,31 @@ def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return degree, indptr, indices
 
 
-def _bit_bfs_rows(core: Graph, dtype: np.dtype) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _bit_bfs(core: Graph) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
     """Multi-source BFS from every vertex at once (Then et al., VLDB 2014).
 
-    Row i belongs to vertex ``order[i]`` and holds two bitsets over the
-    sources, ceil(n/64) uint64 words each: the sources that reached it at the
-    last level (``frontier``) and those that have not reached it yet
-    (``unvisited``). A level is ``next = OR of the neighbours' frontiers, AND
-    unvisited``. With rows sorted by degree, neighbour slot s is one ``take``
-    and one in-place OR on the prefix of rows of degree > s. Distances are
-    kept as bit-planes (plane b holds bit b of every distance), unpacked once
-    at the end, byte by byte, into blocks of rows in ``dtype``. Cost:
-    O(L * (n + m) * n / 64) word operations for L levels.
+    Returns ``order`` and an iterator over the levels 1, 2, ..., L. Row i
+    belongs to vertex ``order[i]`` and holds two bitsets over the sources,
+    ceil(n/64) uint64 words each (bit s of word s // 64 is source s, and
+    bits past n stay clear): the sources that reached it at the last level
+    (``frontier``) and those that have not reached it yet (``unvisited``).
+    A level is ``next = OR of the neighbours' frontiers, AND unvisited``.
+    With rows sorted by degree, neighbour slot s is one ``take`` and one
+    in-place OR on the prefix of rows of degree > s. Level d yields
+    (``next``, ``unvisited``) before ``next`` leaves ``unvisited``: the
+    sources at distance exactly d, and at distance d or more. Both are
+    overwritten by the next level. Cost: O(L * (n + m) * n / 64) word
+    operations. The four bitset arrays take n * n / 2 bytes; more than
+    physical memory raises :class:`TooLargeError` before they are allocated.
     """
     n = core.n
     words = (n + 63) // 64
+    need = 4 * n * words * 8
+    if need > _physical_memory():
+        raise TooLargeError(
+            f"the bit-parallel BFS of a {n}-vertex 2-core needs {need / 1e9:.1f} GB, "
+            f"more than the {_physical_memory() / 1e9:.1f} GB of physical memory"
+        )
     degree, indptr, indices = _csr(core)
     order = np.argsort(-degree, kind="stable")
     rank = np.empty(n, dtype=np.intp)
@@ -424,15 +506,50 @@ def _bit_bfs_rows(core: Graph, dtype: np.dtype) -> Iterator[tuple[np.ndarray, np
     above = n - np.cumsum(np.bincount(degree))[:-1]  # rows of degree > s, per slot s
     slots = [rank[indices[starts[:k] + s]] for s, k in enumerate(above.tolist())]
 
-    frontier = np.zeros((n, words), dtype=np.uint64)
-    frontier[np.arange(n), order >> 6] = np.left_shift(np.uint64(1), (order & 63).astype(np.uint64))
-    unvisited = ~frontier
-    nxt = np.empty_like(frontier)
-    scratch = np.empty_like(frontier)
+    def levels() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        frontier = np.zeros((n, words), dtype=np.uint64)
+        bit = np.left_shift(np.uint64(1), (order & 63).astype(np.uint64))
+        frontier[np.arange(n), order >> 6] = bit
+        unvisited = ~frontier
+        unvisited[:, -1] &= _source_mask(np.ones(n, dtype=bool))[-1]
+        nxt = np.empty_like(frontier)
+        scratch = np.empty_like(frontier)
+        while True:
+            # mode "clip" writes straight into out; the default "raise" buffers
+            np.take(frontier, slots[0], axis=0, out=nxt, mode="clip")
+            for slot in slots[1:]:
+                k = len(slot)
+                np.take(frontier, slot, axis=0, out=scratch[:k], mode="clip")
+                np.bitwise_or(nxt[:k], scratch[:k], out=nxt[:k])
+            np.bitwise_and(nxt, unvisited, out=nxt)
+            if not nxt.any():
+                return
+            yield nxt, unvisited
+            np.bitwise_xor(unvisited, nxt, out=unvisited)
+            frontier, nxt = nxt, frontier
+
+    return order, levels()
+
+
+def _source_mask(flags: np.ndarray) -> np.ndarray:
+    """The bitset over the sources of :func:`_bit_bfs` holding those flagged."""
+    words = (flags.size + 63) // 64
+    packed = np.zeros(words * 8, dtype=np.uint8)
+    bits = np.packbits(flags, bitorder="little")
+    packed[: bits.size] = bits
+    return packed.view("<u8").astype(np.uint64)
+
+
+def _bit_bfs_rows(core: Graph, dtype: np.dtype) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """All distances of :func:`_bit_bfs` as blocks of rows in ``dtype``.
+
+    Distances are kept as bit-planes (plane b holds bit b of every
+    distance), unpacked once at the end, byte by byte.
+    """
+    n = core.n
+    order, levels = _bit_bfs(core)
     planes: list[np.ndarray] = []
-    level = 0
-    while True:
-        level += 1
+    for level, (_, unvisited) in enumerate(levels, start=1):
         # bit b of a distance d is the parity of the multiples of 2**b in
         # 1..d, and d >= level holds exactly on the bits still unvisited, so
         # plane b flips there at every level that 2**b divides
@@ -441,18 +558,7 @@ def _bit_bfs_rows(core: Graph, dtype: np.dtype) -> Iterator[tuple[np.ndarray, np
                 planes.append(unvisited.copy())
             else:
                 np.bitwise_xor(planes[b], unvisited, out=planes[b])
-        # mode "clip" writes straight into out; the default "raise" buffers
-        np.take(frontier, slots[0], axis=0, out=nxt, mode="clip")
-        for slot in slots[1:]:
-            k = len(slot)
-            np.take(frontier, slot, axis=0, out=scratch[:k], mode="clip")
-            np.bitwise_or(nxt[:k], scratch[:k], out=nxt[:k])
-        np.bitwise_and(nxt, unvisited, out=nxt)
-        if not nxt.any():
-            break
-        np.bitwise_xor(unvisited, nxt, out=unvisited)
-        frontier, nxt = nxt, frontier
-    del frontier, unvisited, nxt, scratch
+    del levels
     width = dtype.itemsize
     for start in range(0, n, _ROW_BLOCK):
         stop = min(n, start + _ROW_BLOCK)
@@ -476,8 +582,9 @@ def _dijkstra_rows(core: Graph, dtype: np.dtype) -> Iterator[tuple[np.ndarray, n
     n = core.n
     _, indptr, indices = _csr(core)
     adj = csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n))
-    for start in range(0, n, _ROW_BLOCK):
-        rows = np.arange(start, min(n, start + _ROW_BLOCK))
+    step = max(1, min(_ROW_BLOCK, _BLOCK_ENTRIES // n))
+    for start in range(0, n, step):
+        rows = np.arange(start, min(n, start + step))
         # the adjacency is symmetric, so the directed search is the undirected one
         dist = shortest_path(adj, method="D", directed=True, unweighted=True, indices=rows)
         yield rows, dist.astype(dtype)
@@ -524,25 +631,44 @@ class EquivalencePartition:
         return hist
 
 
-def _profile_blocks(dm: DistanceMatrix, sensors: list[int]) -> list[tuple[int, ...]]:
+def _profile_blocks(dm: Metric, sensors: list[int]) -> list[tuple[int, ...]]:
     """Vertices grouped by identification vector: each block ascending, blocks
-    ordered by smallest member. Rows are compared as raw bytes in one sort."""
+    ordered by smallest member.
+
+    The sensors' distance columns are read in chunks of at most
+    _LABEL_CHUNK_ENTRIES entries, so the labelling holds O(n * chunk)
+    distances at a time. Each chunk refines the labels of the chunks before
+    it: a vertex's key is its label followed by its row of the chunk, and
+    one stable sort of the keys as raw bytes puts equal keys next to each
+    other, in vertex order.
+    """
     n = dm.n
     if not sensors:
         return [tuple(range(n))] if n else []
-    rows = np.ascontiguousarray(dm.matrix[:, sensors])
-    keys = rows.view(np.dtype((np.void, rows.itemsize * len(sensors)))).ravel()
-    order = np.argsort(keys, kind="stable")  # equal rows stay in vertex order
-    keys = keys[order]
-    cuts = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
+    step = max(1, _LABEL_CHUNK_ENTRIES // n)
+    labels = None
+    for start in range(0, len(sensors), step):
+        rows = np.ascontiguousarray(dm.columns(sensors[start : start + step]))
+        rows = rows.view(np.uint8).reshape(n, -1)
+        if labels is not None:
+            rows = np.concatenate((labels.view(np.uint8).reshape(n, -1), rows), axis=1)
+        keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.ones(n, dtype=bool)  # first of its key in sorted order
+        first[1:] = keys[1:] != keys[:-1]
+        labels = np.empty(n, dtype=np.intp)
+        labels[order] = np.cumsum(first) - 1
+    cuts = np.flatnonzero(first).tolist() + [n]
     order = order.tolist()
-    blocks = [tuple(order[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
+    blocks = [tuple(order[a:b]) for a, b in zip(cuts, cuts[1:])]
     blocks.sort()  # by first, i.e. smallest, member
     return blocks
 
 
-def equivalence_partition(dm: DistanceMatrix, sensors: SensorSet) -> EquivalencePartition:
-    """Group vertices by identification vector with respect to ``sensors``."""
+def equivalence_partition(dm: Metric, sensors: SensorSet) -> EquivalencePartition:
+    """Group vertices by identification vector with respect to ``sensors``.
+    ``dm`` is a :class:`DistanceMatrix` or a ``trees.TreeMetric``."""
     blocks = tuple(_profile_blocks(dm, _check_sensors(dm.n, sensors)))
     if not blocks:
         return EquivalencePartition((), 0, 0)
@@ -551,15 +677,14 @@ def equivalence_partition(dm: DistanceMatrix, sensors: SensorSet) -> Equivalence
     return EquivalencePartition(blocks, alpha, non_resolved)
 
 
-def is_k_relaxed_resolving(dm: DistanceMatrix, sensors: SensorSet, k: int) -> bool:
+def is_k_relaxed_resolving(dm: Metric, sensors: SensorSet, k: int) -> bool:
     """True iff any two vertices sharing an identification vector are within
-    graph distance ``k``; ``dm`` is connected by construction."""
+    graph distance ``k``; ``dm`` (a :class:`DistanceMatrix` or a
+    ``trees.TreeMetric``) is connected by construction."""
     if k < 0:
         raise ValueError("relaxation parameter k must be nonnegative")
-    for block in _profile_blocks(dm, _check_sensors(dm.n, sensors)):
-        if len(block) > 1 and int(dm.matrix[np.ix_(block, block)].max()) > k:
-            return False
-    return True
+    blocks = [b for b in _profile_blocks(dm, _check_sensors(dm.n, sensors)) if len(b) > 1]
+    return all(d <= k for d in dm.block_diameters(blocks))
 
 
 def peel_degree_le1(g: Graph, rounds: int | None = None) -> list[list[int]]:
@@ -626,23 +751,120 @@ class GraphStats:
         }
 
 
-def graph_stats(g: Graph, dm: DistanceMatrix | None = None) -> GraphStats:
-    """Exact statistics from all-pairs BFS; requires a connected graph."""
+def graph_stats(g: Graph) -> GraphStats:
+    """Exact statistics of a connected graph, without a distance matrix.
+
+    A disconnected graph raises ValueError naming largest_connected_component.
+    One full :func:`peel_degree_le1` gives the 1-shell and leaves the 2-core;
+    the shell hangs off the core as trees. For a core vertex a, write w(a)
+    for the number of vertices of its tree (a included), H(a) for the sum
+    of their depths and D(a) for the largest. Over ordered pairs, the
+    distances sum to
+
+    * 2 * sum over the trees' edges of s * (w - s), s the side away from the
+      core (pairs within one tree);
+    * plus 2 * sum over a of H(a) * (n - w(a)) (the depths of pairs in two
+      trees);
+    * plus sum over a, b of w(a) * w(b) * d(a, b) (the core).
+
+    The diameter is the larger of the trees' own diameters and the largest
+    D(a) + d(a, b) + D(b) over core vertices a != b. A tree hangs from vertex
+    0 and keeps only the first term, twice its Wiener index. The core terms
+    are reduced level by level from the bit-parallel BFS, or block by block
+    from Dijkstra's rows. The integer sum equals the matrix sum, so
+    ``avg_spl`` is the same float as the matrix would give.
+    """
     if g.n == 0:
         raise ValueError("statistics of the empty graph are undefined")
-    if dm is None:
-        dm = all_pairs_distances(g)
     n = g.n
-    if n == 1:
-        avg_spl = 0.0
-    else:
-        avg_spl = float(dm.matrix.sum(dtype=np.int64)) / (n * (n - 1))
-    shell1 = sum(len(batch) for batch in peel_degree_le1(g))
+    _eccentricity_of_0(g)
+    rounds = peel_degree_le1(g)
+    total, diameter = _distance_sum_and_diameter(g, _pendant_forest(g, rounds))
     return GraphStats(
         n=n,
         m=g.m,
         avg_degree=2.0 * g.m / n,
-        diameter=dm.diameter,
-        avg_spl=avg_spl,
-        shell1_size=shell1,
+        diameter=diameter,
+        avg_spl=0.0 if n == 1 else float(total) / (n * (n - 1)),
+        shell1_size=sum(map(len, rounds)),
     )
+
+
+def _distance_sum_and_diameter(g: Graph, forest: _PendantForest) -> tuple[int, int]:
+    """The sum over ordered pairs and the largest of the distances of a
+    connected graph (see :func:`graph_stats`)."""
+    n = g.n
+    parent, anchor, size = forest.parent, forest.anchor, forest.size
+    weight = np.bincount(anchor, minlength=n)  # w(a) at each anchor
+    w = weight.tolist()
+    height = [0] * n  # of each vertex's subtree in its tree
+    pairs = 0
+    diameter = 0
+    for v in reversed(forest.preorder):
+        p = parent[v]
+        if p < 0:
+            continue
+        s = size[v]
+        pairs += s * (w[anchor[v]] - s)
+        # the longest path turning at p: its highest child so far, then v
+        h = height[v] + 1
+        diameter = max(diameter, height[p] + h)
+        height[p] = max(height[p], h)
+    total = 2 * pairs
+    if forest.core:
+        ids = np.array(forest.core)
+        wc = weight[ids].astype(np.int64)
+        depth_sum = np.bincount(anchor, weights=forest.depth, minlength=n)[ids].astype(np.int64)
+        total += 2 * int(depth_sum @ (n - wc))
+        core_sum, core_diameter = _core_sum_and_diameter(
+            induced_subgraph(g, forest.core)[0], wc, np.array(height)[ids]
+        )
+        total += core_sum
+        diameter = max(diameter, core_diameter)
+    return total, diameter
+
+
+def _core_sum_and_diameter(core: Graph, w: np.ndarray, far: np.ndarray) -> tuple[int, int]:
+    """For a connected graph of minimum degree >= 2: the sum over ordered
+    pairs a, b of w[a] * w[b] * d(a, b), and the largest far[a] + d(a, b) +
+    far[b] over a != b.
+
+    Dijkstra's row blocks are reduced as they arrive. The bit-parallel BFS
+    is reduced per level d without unpacking a distance: the sources at
+    distance d or more from a row's vertex are its ``unvisited`` bits, so
+    the sum adds, per row, the row's weight times the weight of those bits,
+    which is sum over j of 2**j * popcount(unvisited & B_j), B_j the sources
+    whose weight has bit j set. The sources at distance exactly d are the
+    row's ``next`` bits; per distinct value f of ``far``, the rows meeting
+    the sources of that value give candidates far[row] + d + f. A value
+    that cannot beat the best so far is skipped.
+    """
+    if _needs_dijkstra(core):
+        total = diameter = 0
+        for rows, block in _dijkstra_rows(core, distance_dtype(core.n)):
+            total += int(w[rows] @ (block @ w))
+            reach = block + far
+            reach[np.arange(rows.size), rows] = -1  # a vertex and itself are no pair
+            diameter = max(diameter, int((reach.max(axis=1) + far[rows]).max()))
+        return total, diameter
+    n = core.n
+    order, levels = _bit_bfs(core)
+    row_w, row_far = w[order], far[order]
+    weight_bits = [_source_mask((w >> j) & 1 == 1) for j in range(int(w.max()).bit_length())]
+    values = np.unique(far)[::-1].tolist()
+    far_masks = [(f, _source_mask(far == f)) for f in values]
+    top = values[0]
+    masked = np.empty((n, (n + 63) // 64), dtype=np.uint64)
+    counts = np.empty(masked.shape, dtype=np.uint8)
+    total = diameter = 0
+    for level, (reached, unvisited) in enumerate(levels, start=1):
+        for j, mask in enumerate(weight_bits):
+            np.bitwise_count(np.bitwise_and(unvisited, mask, out=masked), out=counts)
+            total += int(counts.sum(axis=1, dtype=np.int64) @ row_w) << j
+        for f, mask in far_masks:  # descending
+            if top + level + f <= diameter:
+                break
+            hit = np.bitwise_and(reached, mask, out=masked).any(axis=1)
+            if hit.any():
+                diameter = max(diameter, int(row_far[hit].max()) + level + f)
+    return total, diameter

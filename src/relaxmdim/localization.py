@@ -14,11 +14,12 @@ from typing import Literal, Sequence
 from .graph import (
     DistanceMatrix,
     Graph,
+    Metric,
     all_pairs_distances,
     equivalence_partition,
 )
 from .greedy import greedy_k_resolving_set, greedy_resolve_within
-from .trees import IncompatibleMethodError, exact_tree_md, is_tree
+from .trees import IncompatibleMethodError, TreeMetric, exact_tree_md, is_tree
 
 Resolver = Literal["exact-tree", "greedy"]
 
@@ -58,22 +59,28 @@ def sweep_metrics(
 
     ``resolver="exact-tree"`` uses the constructive tree witness and raises
     :class:`IncompatibleMethodError` on other inputs before any distance is
-    computed; ``"greedy"`` works on any connected graph.
+    computed; its partitions read one :class:`TreeMetric`, built once, unless
+    ``dm`` is given. ``"greedy"`` works on any connected graph.
     """
     n = g.n
     if n == 0:
         raise ValueError("sweep of the empty graph is undefined")
     if resolver == "exact-tree" and not is_tree(g):
         raise IncompatibleMethodError("exact-tree resolver requires a connected acyclic input")
-    if dm is None:
-        dm = all_pairs_distances(g)
+    metric: Metric
+    if dm is not None:
+        metric = dm
+    elif resolver == "exact-tree":
+        metric = TreeMetric(g)
+    else:
+        metric = dm = all_pairs_distances(g)
     records = []
     for k in k_values:
         if resolver == "exact-tree":
             sensors = exact_tree_md(g, k).witness
         else:
             sensors, _ = greedy_k_resolving_set(dm, k)
-        part = equivalence_partition(dm, sensors)
+        part = equivalence_partition(metric, sensors)
         records.append(
             SweepRecord(
                 k=k,
@@ -149,9 +156,11 @@ def two_step_qstar(
     )
 
 
-def qstar_curve(g: Graph, k_max: int) -> list[TwoStepResult]:
-    """Two-step prices for k = 0..k_max (0 <= k_max <= the diameter)."""
-    dm = all_pairs_distances(g)
+def qstar_curve(g: Graph, k_max: int, dm: DistanceMatrix | None = None) -> list[TwoStepResult]:
+    """Two-step prices for k = 0..k_max (0 <= k_max <= the diameter), on
+    ``dm`` if the caller has the matrix already."""
+    if dm is None:
+        dm = all_pairs_distances(g)
     if k_max < 0:
         raise ValueError(f"k_max {k_max} is negative")
     if k_max > dm.diameter:

@@ -2,13 +2,16 @@
 
 The machinery: iterated stemming (leaf pruning), root-preserving
 down-stemming, leaf / exterior-major-vertex counting, the closed-form
-dimension of a tree with a constructive witness, per-vertex subtree property
-counters, and an exhaustive brute-force oracle for small graphs.
+dimension of a tree with a constructive witness, a tree metric that
+partitions and verifies sensor sets without the n x n distance matrix,
+per-vertex subtree property counters, and an exhaustive brute-force oracle
+for small graphs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, combinations
 from typing import Sequence
 
@@ -21,6 +24,7 @@ from .graph import (
     TooLargeError,
     all_pairs_distances,
     bfs_distances,
+    distance_dtype,
     induced_subgraph,
     is_k_relaxed_resolving,
     peel_degree_le1,
@@ -29,6 +33,9 @@ from .graph import (
 
 # where is_tree keeps its answer in a Graph's instance dict
 _IS_TREE = "_is_tree"
+
+#: Largest graph :func:`brute_force_md` searches.
+BRUTE_FORCE_MAX_N = 14
 
 
 class IncompatibleMethodError(ValueError):
@@ -59,6 +66,139 @@ def tree_diameter(g: Graph) -> int:
         raise ValueError("empty graph")
     dist = bfs_distances(g, 0)
     return max(bfs_distances(g, dist.index(max(dist))))
+
+
+class TreeMetric:
+    """The hop distances of a tree without the n x n matrix.
+
+    It answers the two reads the labelling helper and the resolving check
+    make of a :class:`~relaxmdim.graph.DistanceMatrix` (see
+    :class:`~relaxmdim.graph.Metric`), with the same values, so
+    ``equivalence_partition`` and ``is_k_relaxed_resolving`` take either.
+
+    One DFS from vertex 0 gives the preorder, the depths and the subtree
+    sizes; vertex v's subtree is the preorder interval [pre(v), end(v)).
+
+    * Sensor columns follow the tree row recurrence, restricted to the
+      sensors: vertex 0's row is the sensors' depths, and every other
+      vertex's row is its parent's plus one, minus two at the sensors inside
+      its own subtree. One vectorized step per depth level gives a chunk of
+      c columns in O(n * c) time and memory. The last request is kept, so
+      asking again for the same sensors (a sweep's odd k has the sensors of
+      k - 1) recomputes nothing.
+    * Block diameters come from a double sweep in each block: the vertex
+      farthest from the block's first member is an end of a longest path
+      in the block, which holds on any tree metric. A pair's distance is
+      depth(u) + depth(v) - 2 depth(lca). For pre(u) < pre(v) the lca's
+      depth is one less than the smallest depth over preorder positions
+      pre(u) + 1 .. pre(v), a range minimum read from a sparse table in O(1)
+      (Bender & Farach-Colton 2000, on the preorder instead of the Euler
+      tour). The table takes O(n log n) and is built on the first request.
+
+    A graph that is not a tree raises ValueError.
+    """
+
+    def __init__(self, g: Graph) -> None:
+        n = g.n
+        refusal = "a tree metric needs a connected acyclic graph"
+        if n == 0 or g.m != n - 1:
+            raise ValueError(refusal)
+        adjacency = g.adjacency
+        parent = [-1] * n
+        depth = [0] * n
+        seen = [True] + [False] * (n - 1)
+        preorder: list[int] = []
+        stack = [0]
+        while stack:
+            v = stack.pop()
+            preorder.append(v)
+            for w in adjacency[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    parent[w] = v
+                    depth[w] = depth[v] + 1
+                    stack.append(w)
+        if len(preorder) < n:  # n - 1 edges but disconnected: a cycle elsewhere
+            raise ValueError(refusal)
+        size = [1] * n
+        for v in reversed(preorder[1:]):
+            size[parent[v]] += size[v]
+        self.n = n
+        self._order = np.array(preorder, dtype=np.intp)
+        self._pre = np.empty(n, dtype=np.intp)
+        self._pre[self._order] = np.arange(n)
+        self._depth = np.array(depth, dtype=np.intp)
+        self.dtype = distance_dtype(2 * int(self._depth.max()))
+        # the non-root vertices by depth level, with their parents and
+        # subtree intervals
+        end = self._pre + np.array(size, dtype=np.intp)
+        by_depth = np.argsort(self._depth, kind="stable")
+        cuts = np.cumsum(np.bincount(self._depth)).tolist()
+        parents = np.array(parent, dtype=np.intp)
+        self._levels = [
+            (v, parents[v], self._pre[v, None], end[v, None])
+            for v in (by_depth[a:b] for a, b in zip(cuts, cuts[1:]))
+        ]
+        self._last: tuple[tuple[int, ...], np.ndarray] | None = None
+
+    def columns(self, sensors: Sequence[int]) -> np.ndarray:
+        """Distances from every vertex to each sensor, one read-only column
+        per sensor, in :attr:`dtype`."""
+        key = tuple(sensors)
+        if self._last is not None and self._last[0] == key:
+            return self._last[1]
+        s = np.array(key, dtype=np.intp)
+        out = np.empty((self.n, s.size), dtype=self.dtype)
+        out[0] = self._depth[s]
+        pos = self._pre[s]
+        for v, p, start, end in self._levels:
+            rows = out[p]
+            rows += 1
+            # at most the diameter plus one: the bound is even and the
+            # dtype's maximum odd, so this fits
+            np.subtract(rows, 2, out=rows, where=(pos >= start) & (pos < end))
+            out[v] = rows
+        out.setflags(write=False)
+        self._last = (key, out)
+        return out
+
+    def block_diameters(self, blocks: Sequence[Sequence[int]]) -> np.ndarray:
+        """The largest distance within each block, in block order."""
+        if not blocks:
+            return np.zeros(0, dtype=np.intp)
+        members = np.fromiter(chain.from_iterable(blocks), dtype=np.intp)
+        sizes = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
+        starts = np.zeros(len(blocks), dtype=np.intp)
+        np.cumsum(sizes[:-1], out=starts[1:])
+        dist = self._distances(np.repeat(members[starts], sizes), members)
+        farthest = np.flatnonzero(dist == np.repeat(np.maximum.reduceat(dist, starts), sizes))
+        ends = members[farthest[np.searchsorted(farthest, starts)]]
+        return np.maximum.reduceat(self._distances(np.repeat(ends, sizes), members), starts)
+
+    def _distances(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """d(u[i], v[i]) for every i, through the lca's depth."""
+        pu, pv = self._pre[u], self._pre[v]
+        hi = np.maximum(pu, pv)
+        lo = np.minimum(np.minimum(pu, pv) + 1, hi)  # u == v reads a dummy range
+        level = np.frexp(hi - lo + 1)[1] - 1  # floor(log2(range length))
+        table = self._range_minima
+        lca = np.minimum(table[level, lo], table[level, hi - (1 << level) + 1]) - 1
+        dist = self._depth[u] + self._depth[v] - 2 * lca
+        dist[pu == pv] = 0
+        return dist
+
+    @cached_property
+    def _range_minima(self) -> np.ndarray:
+        """Row j, position i: the smallest depth at preorder positions
+        i .. i + 2**j - 1 (zero where that runs past the end)."""
+        n = self.n
+        table = np.zeros((max(1, n.bit_length()), n), dtype=self.dtype)
+        table[0] = self._depth[self._order]
+        for j in range(1, table.shape[0]):
+            half = 1 << (j - 1)
+            m = n - 2 * half + 1
+            np.minimum(table[j - 1, :m], table[j - 1, half : half + m], out=table[j, :m])
+        return table
 
 
 @dataclass(frozen=True)
@@ -380,14 +520,14 @@ def brute_force_md(
     """Minimum k-relaxed resolving set by exhaustive enumeration.
 
     Subsets are tried in increasing size and lexicographic order within each
-    size, so the witness is canonical. Refuses graphs with more than 14
-    vertices.
+    size, so the witness is canonical. Refuses graphs with more than
+    BRUTE_FORCE_MAX_N vertices before it reads or computes a distance.
     """
     if k < 0:
         raise ValueError("relaxation parameter k must be nonnegative")
-    if g.n > 14:
+    if g.n > BRUTE_FORCE_MAX_N:
         raise TooLargeError(
-            f"brute-force search refused for n={g.n} > 14 (exponential cost)"
+            f"brute-force search refused for n={g.n} > {BRUTE_FORCE_MAX_N} (exponential cost)"
         )
     if g.n == 0:
         raise ValueError("empty graph")

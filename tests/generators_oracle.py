@@ -1,6 +1,7 @@
 """Slow references for the generators: the batched conditioned branching-tree
-sampler, the stack decode of a depth-first offspring sequence and the
-min-heap Pruefer decode of the uniform tree.
+sampler, the stack decode of a depth-first offspring sequence, the
+min-heap Pruefer decode of the uniform tree and the preferential-attachment
+tree built through ``Graph.from_edges``.
 
 The batched sampler draws 256-row blocks of offspring counts through
 ``Generator.choice`` and accepts the first row in the first block whose
@@ -110,4 +111,20 @@ def heap_uniform_tree(n: int, seed: int) -> Graph:
     u = heapq.heappop(leaves)
     v = heapq.heappop(leaves)
     edges.append((u, v))
+    return Graph.from_edges(n, edges)
+
+
+def edge_list_ba_tree(n: int, seed: int) -> Graph:
+    """Preferential-attachment tree: the same anchor draws, built through
+    ``Graph.from_edges`` and its set checks."""
+    if n < 2:
+        raise ValueError("need at least two vertices")
+    rng = np.random.default_rng(seed)
+    edges = [(0, 1)]
+    stubs = [0, 1]  # one entry per unit of degree
+    for t in range(2, n):
+        anchor = stubs[int(rng.integers(len(stubs)))]
+        edges.append((anchor, t))
+        stubs.append(anchor)
+        stubs.append(t)
     return Graph.from_edges(n, edges)

@@ -1,8 +1,10 @@
-"""Slow references for all-pairs distances, peeling, down-stemming,
-identification-vector grouping, rooted trees from parent arrays and leaf-path
-walks: the straightforward versions the library replaced.
+"""Slow references for all-pairs distances, statistics, peeling,
+down-stemming, identification-vector grouping, rooted trees from parent
+arrays and leaf-path walks: the straightforward versions the library
+replaced.
 
-All-pairs distances are one breadth-first search per source. Induced
+All-pairs distances are one breadth-first search per source, and the
+statistics are read off that matrix. Induced
 subgraphs relabel through a dict. Each peeling
 round rescans every vertex, so peeling a path of n vertices costs
 Theta(n^2); vertices are grouped through a dict keyed by distance-row
@@ -17,13 +19,29 @@ from itertools import combinations
 
 import numpy as np
 
-from relaxmdim import Graph, RootedTree
+from relaxmdim import Graph, GraphStats, RootedTree
 from relaxmdim.graph import bfs_distances
 
 
 def bfs_distance_matrix(g: Graph) -> np.ndarray:
     """All-pairs distances as one :func:`bfs_distances` row per source."""
     return np.array([bfs_distances(g, s) for s in range(g.n)], dtype=np.int32).reshape(g.n, g.n)
+
+
+def matrix_graph_stats(g: Graph) -> GraphStats:
+    """Statistics of a connected graph from its full distance matrix: the
+    mean of the off-diagonal entries, their maximum and the 1-shell of a
+    round-scan peel."""
+    matrix = bfs_distance_matrix(g)
+    n = g.n
+    return GraphStats(
+        n=n,
+        m=g.m,
+        avg_degree=2.0 * g.m / n,
+        diameter=int(matrix.max()),
+        avg_spl=0.0 if n == 1 else float(matrix.sum(dtype=np.int64)) / (n * (n - 1)),
+        shell1_size=sum(map(len, round_scan_peel(g))),
+    )
 
 
 def dict_induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:

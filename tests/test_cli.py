@@ -11,7 +11,7 @@ import pytest
 
 from relaxmdim import graph
 from relaxmdim.cli import build_parser, main
-from relaxmdim.generators import MODELS, rgg
+from relaxmdim.generators import MODELS, rgg, uniform_tree
 
 PATH9 = "\n".join(f"{i} {i + 1}" for i in range(8)) + "\n"
 CYCLE4 = "0 1\n1 2\n2 3\n3 0\n"
@@ -29,6 +29,23 @@ def no_distances(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "relaxmdim" and hasattr(module, "all_pairs_distances"):
             monkeypatch.setattr(module, "all_pairs_distances", refuse)
+
+
+@pytest.fixture
+def matrix_calls(monkeypatch):
+    """Count the calls of ``all_pairs_distances`` through every binding of it
+    in the package; returns the list the calls append to."""
+    calls = []
+    real = graph.all_pairs_distances
+
+    def counted(g):
+        calls.append(g.n)
+        return real(g)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "relaxmdim" and hasattr(module, "all_pairs_distances"):
+            monkeypatch.setattr(module, "all_pairs_distances", counted)
+    return calls
 
 
 @pytest.fixture
@@ -79,11 +96,12 @@ class TestStats:
         payload = json.loads(capsys.readouterr().out)
         assert payload["m"] == 8
 
-    def test_matrix_above_physical_memory_exits_4(self, path_file, monkeypatch, capsys):
-        # 9-vertex path: bound 16, an 81-byte int8 matrix
-        monkeypatch.setattr(graph, "_physical_memory", lambda: 80)
-        assert main(["stats", path_file]) == 4
+    def test_core_bitsets_above_physical_memory_exits_4(self, cycle_file, path_file, monkeypatch, capsys):
+        # stats builds no matrix; the 4-cycle's BFS bitsets take 4 * 4 * 8 bytes
+        monkeypatch.setattr(graph, "_physical_memory", lambda: 4 * 4 * 8 - 1)
+        assert main(["stats", cycle_file]) == 4
         assert "physical memory" in capsys.readouterr().err
+        assert main(["stats", path_file]) == 0  # a tree has no core
 
     def test_missing_file(self, capsys):
         assert main(["stats", "/nonexistent/file.txt"]) == 2
@@ -115,6 +133,12 @@ class TestMdim:
 
     def test_exact_on_cycle_is_incompatible(self, cycle_file, capsys):
         assert main(["mdim", cycle_file, "--k", "0", "--method", "exact-tree"]) == 3
+
+    def test_greedy_matrix_above_physical_memory_exits_4(self, path_file, monkeypatch, capsys):
+        # 9-vertex path: bound 16, an 81-byte int8 matrix
+        monkeypatch.setattr(graph, "_physical_memory", lambda: 80)
+        assert main(["mdim", path_file, "--k", "0", "--method", "greedy"]) == 4
+        assert "physical memory" in capsys.readouterr().err
 
     def test_brute_refuses_large(self, tmp_path, capsys, no_distances):
         # refused before any distance is computed
@@ -371,14 +395,26 @@ def _peak_rss_mb(argv: list[str], exit_code: int = 0) -> float:
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux only")
 def test_stats_peak_memory_per_vertex_pair(tmp_path):
     # An int32 matrix with int32 row blocks, plus a boolean connectivity
-    # mask, peaked about 10 bytes per vertex pair above the bare import here;
-    # the narrow matrix and its blocks take about 4.
+    # mask, peaked about 10 bytes per vertex pair above the bare import here,
+    # and the narrow matrix with its bit-planes about 4. Without a matrix,
+    # the BFS bitsets take half a byte per pair.
     n = 3000
     path = tmp_path / "rgg.txt"
     path.write_text("".join(f"{u} {v}\n" for u, v in rgg(n, 1.5, seed=1).edges()))
     base = _peak_rss_mb(["-c", "import relaxmdim.cli"])
     peak = _peak_rss_mb(["-m", "relaxmdim.cli", "stats", str(path), "--lcc"])
-    assert peak - base < 6 * n * n / 2**20, (peak, base)
+    assert peak - base < 2 * n * n / 2**20, (peak, base)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux only")
+def test_exact_tree_mdim_peak_memory_per_vertex_pair(tmp_path):
+    # the int16 matrix of this tree alone would take 2 bytes per vertex pair
+    n = 20_000
+    path = tmp_path / "uniform.txt"
+    path.write_text("".join(f"{u} {v}\n" for u, v in uniform_tree(n, seed=1).edges()))
+    base = _peak_rss_mb(["-c", "import relaxmdim.cli"])
+    peak = _peak_rss_mb(["-m", "relaxmdim.cli", "mdim", str(path), "--method", "exact-tree", "--k", "2"])
+    assert peak - base < n * n / 2**20, (peak, base)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux only")
@@ -391,3 +427,40 @@ def test_disconnected_refused_before_the_matrix(tmp_path):
     base = _peak_rss_mb(["-c", "import relaxmdim.cli"])
     peak = _peak_rss_mb(["-m", "relaxmdim.cli", "two-step", str(path)], exit_code=2)
     assert peak - base < n * n / 2**20, (peak, base)
+
+
+@pytest.mark.parametrize(
+    "argv,matrices",
+    [
+        (["stats"], 0),
+        (["mdim", "--k", "2", "--method", "exact-tree"], 0),
+        (["sweep", "--k-max", "3", "--method", "exact-tree"], 0),
+        (["mdim", "--k", "2", "--method", "greedy"], 1),
+        (["mdim", "--k", "2", "--method", "brute"], 1),
+        (["sweep", "--k-max", "3", "--method", "greedy"], 1),
+        (["two-step"], 1),
+    ],
+    ids=["stats", "mdim-exact-tree", "sweep-exact-tree", "mdim-greedy", "mdim-brute", "sweep-greedy", "two-step"],
+)
+def test_each_command_builds_at_most_one_matrix(argv, matrices, path_file, matrix_calls, capsys):
+    assert main([argv[0], path_file, *argv[1:]]) == 0
+    assert len(matrix_calls) == matrices
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats", "PATH"],
+        ["stats", "CYCLE"],
+        ["mdim", "PATH", "--k", "2", "--method", "exact-tree"],
+        ["sweep", "PATH", "--k-max", "8", "--method", "exact-tree"],
+    ],
+    ids=["stats-tree", "stats-cycle", "mdim-exact-tree", "sweep-exact-tree"],
+)
+def test_stats_and_exact_tree_commands_fill_no_matrix(argv, path_file, cycle_file, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("distance matrix filled")
+
+    monkeypatch.setattr(graph, "_component_distances", refuse)
+    files = {"PATH": path_file, "CYCLE": cycle_file}
+    assert main([files.get(a, a) for a in argv]) == 0

@@ -34,6 +34,7 @@ from relaxmdim.graph import bfs_distances
 
 from generators_oracle import (
     batched_gw_tree_conditioned,
+    edge_list_ba_tree,
     heap_uniform_tree,
     stack_depth_first_parents,
 )
@@ -68,6 +69,13 @@ class TestBATree:
         assert a.adjacency == b.adjacency
         c = ba_tree(200, seed=43)
         assert c.adjacency != a.adjacency
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_same_graph_as_edge_list_build(self, seed):
+        for n in range(2, 301):
+            g = ba_tree(n, seed)
+            assert g.adjacency == edge_list_ba_tree(n, seed).adjacency, n
+            assert is_tree(g)
 
 
 class TestUniformTree:

@@ -47,6 +47,7 @@ from graph_oracle import (
     dict_blocks,
     dict_induced_subgraph,
     dict_is_k_resolved,
+    matrix_graph_stats,
     round_scan_peel,
 )
 
@@ -558,8 +559,52 @@ class TestGraphStats:
         assert graph_stats(path_graph(3)).avg_spl == pytest.approx(4 / 3)
 
     def test_disconnected_directs_to_lcc(self):
-        with pytest.raises(ValueError, match="largest_connected_component"):
+        with pytest.raises(ValueError, match=DISCONNECTED):
             graph_stats(Graph.from_edges(3, [(0, 1)]))
+
+    # no explain phase, as in TestAllPairsDistances.test_matches_bfs_oracle
+    @settings(
+        derandomize=True,
+        deadline=None,
+        max_examples=150,
+        phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink],
+    )
+    @given(st.one_of(random_trees(150), connected_graphs(150)))
+    def test_matches_matrix_oracle(self, g):
+        # trees, unicyclic and sparse graphs with pendant trees; every 2-core
+        # to the bit-parallel BFS, then every one to Dijkstra
+        expected = matrix_graph_stats(g)
+        for max_levels in (g.n, -1):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(graph, "BIT_BFS_MAX_LEVELS", max_levels)
+                assert graph_stats(g) == expected
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            _cycle_with_pendant_trees(),
+            # 70-vertex cycle (two words, a partial last one) with a 300-leaf
+            # star (weights of 9 bits) and a 40-path, on opposite sides
+            _with_edges(
+                cycle_graph(70),
+                411,
+                [(0, v) for v in range(70, 370)] + [(35, 370)] + [(v, v + 1) for v in range(370, 410)],
+            ),
+            # a 3-path on every vertex of a 7-cycle: every level finds a
+            # longer pair than the one before
+            _with_edges(
+                cycle_graph(7),
+                28,
+                [e for c in range(7) for e in ((c, 7 + 3 * c), (7 + 3 * c, 8 + 3 * c), (8 + 3 * c, 9 + 3 * c))],
+            ),
+            _long_cycle_with_pendant(),  # Dijkstra without any patch
+            ladder_graph(40),
+            random_connected_graph(300, 30, seed=5),
+        ],
+        ids=["pendant-trees", "heavy-and-deep", "equal-depths", "long-cycle", "ladder", "sparse300"],
+    )
+    def test_pendant_weights_and_depths(self, g):
+        assert graph_stats(g) == matrix_graph_stats(g)
 
     @pytest.mark.parametrize(
         "g",
@@ -568,11 +613,38 @@ class TestGraphStats:
     )
     def test_distance_sum_past_the_matrix_dtype(self, g):
         oracle = bfs_distance_matrix(g)
-        dm = all_pairs_distances(g)
-        assert int(oracle.sum()) > np.iinfo(dm.matrix.dtype).max
-        stats = graph_stats(g, dm)
+        assert int(oracle.sum()) > np.iinfo(all_pairs_distances(g).matrix.dtype).max
+        stats = graph_stats(g)
         assert stats.avg_spl == float(oracle.sum(dtype=np.int64)) / (g.n * (g.n - 1))
         assert stats.diameter == int(oracle.max())
+
+    def test_one_public_peel_and_no_matrix(self, monkeypatch):
+        # the benchmark's traced peel rounds count this one call
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return peel_degree_le1(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("distance matrix built")
+
+        monkeypatch.setattr(graph, "peel_degree_le1", counted)
+        monkeypatch.setattr(graph, "_component_distances", refuse)
+        monkeypatch.setattr(graph, "_bit_bfs_rows", refuse)
+        g = _cycle_with_pendant_trees()
+        assert graph_stats(g) == matrix_graph_stats(g)
+        assert len(calls) == 1
+
+    def test_core_bitsets_above_physical_memory(self, monkeypatch):
+        # the 6-cycle core's four bitset arrays take 4 * 6 * 8 bytes
+        g = _cycle_with_pendant_trees()
+        monkeypatch.setattr(graph, "_physical_memory", lambda: 4 * 6 * 8)
+        assert graph_stats(g) == matrix_graph_stats(g)
+        monkeypatch.setattr(graph, "_physical_memory", lambda: 4 * 6 * 8 - 1)
+        with pytest.raises(TooLargeError, match="physical memory"):
+            graph_stats(g)
+        assert graph_stats(path_graph(9)).diameter == 8  # a tree has no core
 
     def test_as_dict_keys(self):
         d = graph_stats(path_graph(4)).as_dict()

@@ -60,6 +60,19 @@ class TestSweep:
         counts = [rec.sensors for rec in sweep_metrics(g, ks, resolver="exact-tree")]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
+    def test_exact_tree_sweep_reads_no_matrix(self, monkeypatch):
+        from relaxmdim import localization, uniform_tree
+
+        g = uniform_tree(120, seed=4)
+        ks = range(12)
+        with_matrix = sweep_metrics(g, ks, resolver="exact-tree", dm=all_pairs_distances(g))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("all_pairs_distances called")
+
+        monkeypatch.setattr(localization, "all_pairs_distances", refuse)
+        assert sweep_metrics(g, ks, resolver="exact-tree") == with_matrix
+
     def test_csv_row_format(self):
         rec = sweep_metrics(path_graph(4), [0])[0]
         fields = rec.csv_row().split(",")
@@ -127,6 +140,19 @@ class TestQstarCurve:
         assert curve[-1].qstar == len(s0)
         for res in curve:
             assert res.qstar >= max(len(res.phase1), res.max_s2)
+
+    def test_reuses_the_callers_matrix(self, monkeypatch):
+        from relaxmdim import localization
+
+        g = random_connected_graph(20, 6, seed=9)
+        dm = all_pairs_distances(g)
+        expected = qstar_curve(g, 3)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("all_pairs_distances called")
+
+        monkeypatch.setattr(localization, "all_pairs_distances", refuse)
+        assert qstar_curve(g, 3, dm) == expected
 
     def test_k_max_beyond_diameter_rejected(self):
         g = path_graph(5)

@@ -18,6 +18,7 @@ from relaxmdim import (
     count_sigma_ex,
     down_stem_r,
     down_stem_vertices,
+    equivalence_partition,
     exact_tree_md,
     is_k_relaxed_resolving,
     is_path_graph,
@@ -28,7 +29,7 @@ from relaxmdim import (
     tree_diameter,
     uniform_tree,
 )
-from relaxmdim import trees
+from relaxmdim import graph, trees
 from relaxmdim.graph import bfs_distances, induced_subgraph, peel_degree_le1
 
 from conftest import (
@@ -408,6 +409,80 @@ class TestExactTreeMD:
     def test_report_json_schema(self):
         d = exact_tree_md(path_graph(4), 0).as_dict()
         assert set(d) == {"k", "r", "sigma_r", "ex_r", "is_line", "md", "witness"}
+
+
+# ---------------------------------------------------------------- tree metric
+
+
+# shallow trees with shuffled ids, uniform trees (diameter about sqrt(n))
+# and paths
+METRIC_TREES = st.one_of(
+    random_trees(200),
+    st.builds(uniform_tree, st.integers(2, 200), st.integers(0, 2**32 - 1)),
+    st.builds(path_graph, st.integers(1, 40)),
+)
+
+
+class TestTreeMetric:
+    """TreeMetric against the DistanceMatrix of the same tree."""
+
+    @settings(derandomize=True, deadline=None, max_examples=50)
+    @given(METRIC_TREES, st.randoms(use_true_random=False))
+    def test_partitions_and_checks_match_the_matrix(self, g, rng):
+        dm = all_pairs_distances(g)
+        metric = trees.TreeMetric(g)
+        for k in range(dm.diameter + 2):
+            witness = list(exact_tree_md(g, k).witness)
+            short = witness[:]
+            if short:
+                short.pop(rng.randrange(len(short)))
+            planted = rng.sample(range(g.n), rng.randint(0, min(g.n, 12)))
+            for sensors in (witness, short, planted):
+                assert equivalence_partition(metric, sensors) == equivalence_partition(dm, sensors)
+                expected = is_k_relaxed_resolving(dm, sensors, k)
+                assert is_k_relaxed_resolving(metric, sensors, k) == expected
+            assert is_k_relaxed_resolving(metric, witness, k)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(METRIC_TREES, st.randoms(use_true_random=False))
+    def test_reads_match_the_matrix(self, g, rng):
+        dm = all_pairs_distances(g)
+        metric = trees.TreeMetric(g)
+        sensors = rng.sample(range(g.n), rng.randint(1, min(g.n, 20)))
+        columns = metric.columns(sensors)
+        assert columns.dtype == metric.dtype
+        assert np.array_equal(columns, dm.matrix[:, sensors])
+        blocks = [tuple(sorted(rng.sample(range(g.n), rng.randint(1, g.n)))) for _ in range(8)]
+        assert list(metric.block_diameters(blocks)) == list(dm.block_diameters(blocks))
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(METRIC_TREES, st.randoms(use_true_random=False))
+    def test_chunked_refinement_gives_the_same_blocks(self, g, rng):
+        dm = all_pairs_distances(g)
+        metric = trees.TreeMetric(g)
+        sensors = rng.sample(range(g.n), rng.randint(1, g.n))
+        one_pass = equivalence_partition(dm, sensors)
+        for per_chunk in (1, 2, 7):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(graph, "_LABEL_CHUNK_ENTRIES", per_chunk * g.n)
+                assert equivalence_partition(metric, sensors) == one_pass
+                assert equivalence_partition(dm, sensors) == one_pass
+
+    def test_repeated_columns_are_not_recomputed(self):
+        metric = trees.TreeMetric(uniform_tree(50, seed=3))
+        first = metric.columns([4, 9])
+        assert metric.columns((4, 9)) is first
+        assert not first.flags.writeable
+        assert metric.columns([9, 4]) is not first
+
+    @pytest.mark.parametrize(
+        "g",
+        [cycle_graph(4), Graph.from_edges(4, [(0, 1), (1, 2), (2, 0)]), Graph.from_edges(0, [])],
+        ids=["cycle", "triangle-and-isolated-vertex", "empty"],
+    )
+    def test_refuses_non_trees(self, g):
+        with pytest.raises(ValueError, match="connected acyclic"):
+            trees.TreeMetric(g)
 
 
 # ---------------------------------------------------------------- brute force
