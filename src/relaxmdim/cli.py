@@ -61,6 +61,8 @@ def _input_graph(args: argparse.Namespace) -> tuple[Graph, Sequence[int]]:
     With ``--lcc`` the graph is the largest component, renumbered 0..k-1,
     and the ids map its vertices back to the input's."""
     g = _read_graph(args.input)
+    if g.n == 0:
+        raise ValueError(f"{args.input} is an empty graph: it holds no edges")
     if args.lcc:
         return largest_connected_component(g)
     return g, range(g.n)
@@ -94,9 +96,12 @@ def _emit(
     if out is None:
         sys.stdout.write(text)
         return
-    with open(out, "w", encoding="utf-8") as handle:
-        handle.write(text)
-    _write_manifest(out, command, params, inputs, time.perf_counter() - started)
+    try:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        _write_manifest(out, command, params, inputs, time.perf_counter() - started)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out}: {exc}") from exc
 
 
 def _json_text(payload: dict) -> str:

@@ -19,9 +19,12 @@ finite, nonnegative hop counts.
 Statistics need only the sum and the maximum of the distances, so
 :func:`graph_stats` reduces the same core search level by level, or block
 by block, and adds the pendant trees in closed form; it stores no matrix.
-Partitions and the resolving check read a :class:`Metric`: the distance
-columns of the sensors and the diameter of each block, which a tree metric
-(``trees.TreeMetric``) answers without a matrix too.
+Partitions and the resolving check read a :class:`Metric`: one key per
+vertex, equal exactly when the identification vectors are, and the diameter
+of each block. A matrix keys a vertex by its row of sensor distances; a
+tree metric (``trees.TreeMetric``) keys it by its nearest vertex on the
+smallest subtree holding the sensors and its distance to that vertex, with
+no distance columns at all.
 """
 
 from __future__ import annotations
@@ -50,9 +53,8 @@ BIT_BFS_MAX_LEVELS = 256
 _ROW_BLOCK = 1024
 
 # Largest number of entries in a block of Dijkstra rows (scipy returns them
-# as float64), and in one chunk of sensor columns read for labelling.
+# as float64).
 _BLOCK_ENTRIES = 1 << 22
-_LABEL_CHUNK_ENTRIES = 1 << 23
 
 #: An ordered sequence of distinct vertex ids acting as sensors.
 SensorSet = Sequence[int]
@@ -276,9 +278,10 @@ class DistanceMatrix:
             return 0
         return int(self.matrix.max())
 
-    def columns(self, sensors: Sequence[int]) -> np.ndarray:
-        """Distances from every vertex to each sensor, one column per sensor."""
-        return self.matrix[:, sensors]
+    def profile_keys(self, sensors: Sequence[int]) -> np.ndarray:
+        """Each vertex's row of distances to the sensors, as one raw-bytes key."""
+        rows = np.ascontiguousarray(self.matrix[:, sensors])
+        return rows.view(np.dtype((np.void, rows.itemsize * len(sensors)))).ravel()
 
     def block_diameters(self, blocks: Sequence[Sequence[int]]) -> Iterator[int]:
         """The largest distance within each block, lazily, in block order."""
@@ -288,13 +291,16 @@ class DistanceMatrix:
 
 class Metric(Protocol):
     """What the labelling helper and the resolving check read of a graph's
-    distances: :class:`DistanceMatrix` and ``trees.TreeMetric``."""
+    distances: a key per vertex that stands for its identification vector,
+    and the diameter of each block. :class:`DistanceMatrix` and
+    ``trees.TreeMetric`` answer both."""
 
     @property
     def n(self) -> int: ...
 
-    def columns(self, sensors: Sequence[int]) -> np.ndarray:
-        """An (n, len(sensors)) array of distances to the sensors."""
+    def profile_keys(self, sensors: Sequence[int]) -> np.ndarray:
+        """One sortable key per vertex for a nonempty sensor set: two keys
+        are equal iff the two identification vectors are."""
         ...
 
     def block_diameters(self, blocks: Sequence[Sequence[int]]) -> Iterable[int]:
@@ -633,35 +639,17 @@ class EquivalencePartition:
 
 def _profile_blocks(dm: Metric, sensors: list[int]) -> list[tuple[int, ...]]:
     """Vertices grouped by identification vector: each block ascending, blocks
-    ordered by smallest member.
-
-    The sensors' distance columns are read in chunks of at most
-    _LABEL_CHUNK_ENTRIES entries, so the labelling holds O(n * chunk)
-    distances at a time. Each chunk refines the labels of the chunks before
-    it: a vertex's key is its label followed by its row of the chunk, and
-    one stable sort of the keys as raw bytes puts equal keys next to each
-    other, in vertex order.
-    """
+    ordered by smallest member. One stable sort of the metric's keys puts
+    equal vectors next to each other, in vertex order."""
     n = dm.n
     if not sensors:
         return [tuple(range(n))] if n else []
-    step = max(1, _LABEL_CHUNK_ENTRIES // n)
-    labels = None
-    for start in range(0, len(sensors), step):
-        rows = np.ascontiguousarray(dm.columns(sensors[start : start + step]))
-        rows = rows.view(np.uint8).reshape(n, -1)
-        if labels is not None:
-            rows = np.concatenate((labels.view(np.uint8).reshape(n, -1), rows), axis=1)
-        keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        first = np.ones(n, dtype=bool)  # first of its key in sorted order
-        first[1:] = keys[1:] != keys[:-1]
-        labels = np.empty(n, dtype=np.intp)
-        labels[order] = np.cumsum(first) - 1
-    cuts = np.flatnonzero(first).tolist() + [n]
+    keys = dm.profile_keys(sensors)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    cuts = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
     order = order.tolist()
-    blocks = [tuple(order[a:b]) for a, b in zip(cuts, cuts[1:])]
+    blocks = [tuple(order[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
     blocks.sort()  # by first, i.e. smallest, member
     return blocks
 

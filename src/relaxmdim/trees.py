@@ -73,19 +73,20 @@ class TreeMetric:
 
     It answers the two reads the labelling helper and the resolving check
     make of a :class:`~relaxmdim.graph.DistanceMatrix` (see
-    :class:`~relaxmdim.graph.Metric`), with the same values, so
-    ``equivalence_partition`` and ``is_k_relaxed_resolving`` take either.
+    :class:`~relaxmdim.graph.Metric`), so ``equivalence_partition`` and
+    ``is_k_relaxed_resolving`` take either.
 
-    One DFS from vertex 0 gives the preorder, the depths and the subtree
-    sizes; vertex v's subtree is the preorder interval [pre(v), end(v)).
+    One DFS from vertex 0 gives the preorder, the parents and the depths.
 
-    * Sensor columns follow the tree row recurrence, restricted to the
-      sensors: vertex 0's row is the sensors' depths, and every other
-      vertex's row is its parent's plus one, minus two at the sensors inside
-      its own subtree. One vectorized step per depth level gives a chunk of
-      c columns in O(n * c) time and memory. The last request is kept, so
-      asking again for the same sensors (a sweep's odd k has the sensors of
-      k - 1) recomputes nothing.
+    * Profile keys come from T_S, the smallest subtree holding the sensors
+      S: two vertices have the same identification vector iff they have the
+      same nearest vertex p on T_S and the same distance a to it. (For
+      x != y, a sensor leaves them at equal distance iff the x-y path has
+      even length and the sensor's projection onto it is the path's
+      midpoint z; all of S does iff T_S avoids both branches at z toward x
+      and y, which is equal (p, a).) A vertex's key is p * n + a, from two
+      passes over the preorder: one counting the sensors in each subtree,
+      one assigning the keys, in O(n) time and memory.
     * Block diameters come from a double sweep in each block: the vertex
       farthest from the block's first member is an end of a longest path
       in the block, which holds on any tree metric. A pair's distance is
@@ -120,47 +121,35 @@ class TreeMetric:
                     stack.append(w)
         if len(preorder) < n:  # n - 1 edges but disconnected: a cycle elsewhere
             raise ValueError(refusal)
-        size = [1] * n
-        for v in reversed(preorder[1:]):
-            size[parent[v]] += size[v]
         self.n = n
-        self._order = np.array(preorder, dtype=np.intp)
+        self._preorder = preorder
+        self._parent = parent
         self._pre = np.empty(n, dtype=np.intp)
-        self._pre[self._order] = np.arange(n)
+        self._pre[preorder] = np.arange(n)
         self._depth = np.array(depth, dtype=np.intp)
-        self.dtype = distance_dtype(2 * int(self._depth.max()))
-        # the non-root vertices by depth level, with their parents and
-        # subtree intervals
-        end = self._pre + np.array(size, dtype=np.intp)
-        by_depth = np.argsort(self._depth, kind="stable")
-        cuts = np.cumsum(np.bincount(self._depth)).tolist()
-        parents = np.array(parent, dtype=np.intp)
-        self._levels = [
-            (v, parents[v], self._pre[v, None], end[v, None])
-            for v in (by_depth[a:b] for a, b in zip(cuts, cuts[1:]))
-        ]
-        self._last: tuple[tuple[int, ...], np.ndarray] | None = None
 
-    def columns(self, sensors: Sequence[int]) -> np.ndarray:
-        """Distances from every vertex to each sensor, one read-only column
-        per sensor, in :attr:`dtype`."""
-        key = tuple(sensors)
-        if self._last is not None and self._last[0] == key:
-            return self._last[1]
-        s = np.array(key, dtype=np.intp)
-        out = np.empty((self.n, s.size), dtype=self.dtype)
-        out[0] = self._depth[s]
-        pos = self._pre[s]
-        for v, p, start, end in self._levels:
-            rows = out[p]
-            rows += 1
-            # at most the diameter plus one: the bound is even and the
-            # dtype's maximum odd, so this fits
-            np.subtract(rows, 2, out=rows, where=(pos >= start) & (pos < end))
-            out[v] = rows
-        out.setflags(write=False)
-        self._last = (key, out)
-        return out
+    def profile_keys(self, sensors: Sequence[int]) -> np.ndarray:
+        """p * n + a for each vertex, where p is its nearest vertex on the
+        sensors' spanning subtree and a its distance to p; the sensors are
+        distinct and at least one."""
+        n, preorder, parent = self.n, self._preorder, self._parent
+        held = [0] * n  # sensors in each subtree
+        for v in sensors:
+            held[v] = 1
+        for v in preorder[:0:-1]:  # children before parents
+            held[parent[v]] += held[v]
+        # The subtrees holding every sensor are those of a chain from the
+        # root down to top, the deepest of them, which is on the spanning
+        # subtree; the chain above it projects to top.
+        full = [v for v in preorder if held[v] == len(sensors)]
+        key = list(range(0, n * n, n))  # a vertex on the subtree is its own p
+        top = full[-1]
+        for a, v in enumerate(reversed(full)):
+            key[v] = top * n + a
+        for v in preorder:
+            if not held[v]:  # off the subtree, below its parent
+                key[v] = key[parent[v]] + 1
+        return np.array(key, dtype=np.int64)
 
     def block_diameters(self, blocks: Sequence[Sequence[int]]) -> np.ndarray:
         """The largest distance within each block, in block order."""
@@ -192,8 +181,9 @@ class TreeMetric:
         """Row j, position i: the smallest depth at preorder positions
         i .. i + 2**j - 1 (zero where that runs past the end)."""
         n = self.n
-        table = np.zeros((max(1, n.bit_length()), n), dtype=self.dtype)
-        table[0] = self._depth[self._order]
+        dtype = distance_dtype(2 * int(self._depth.max()))  # 2 * lca fits too
+        table = np.zeros((max(1, n.bit_length()), n), dtype=dtype)
+        table[0] = self._depth[self._preorder]
         for j in range(1, table.shape[0]):
             half = 1 << (j - 1)
             m = n - 2 * half + 1

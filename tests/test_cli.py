@@ -6,12 +6,15 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 from relaxmdim import graph
 from relaxmdim.cli import build_parser, main
 from relaxmdim.generators import MODELS, rgg, uniform_tree
+
+from conftest import path_graph
 
 PATH9 = "\n".join(f"{i} {i + 1}" for i in range(8)) + "\n"
 CYCLE4 = "0 1\n1 2\n2 3\n3 0\n"
@@ -171,13 +174,6 @@ class TestSweep:
         assert "acyclic" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_empty_edge_list_rejected(self, tmp_path, capsys):
-        p = tmp_path / "empty.txt"
-        p.write_text("# no edges\n")
-        for method in ("greedy", "exact-tree"):
-            assert main(["sweep", str(p), "--k-max", "1", "--method", method]) == 2
-            assert "empty graph" in capsys.readouterr().err
-
     def test_negative_kmax_rejected(self, path_file, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         assert main(["sweep", path_file, "--k-max", "-1", "--out", str(out)]) == 2
@@ -306,6 +302,37 @@ class TestDisconnectedInput:
         assert lcc != alone
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["stats"],
+        ["mdim", "--k", "0", "--method", "exact-tree"],
+        ["mdim", "--k", "0", "--method", "greedy"],
+        ["mdim", "--k", "0", "--method", "brute"],
+        ["sweep", "--k-max", "1", "--method", "exact-tree"],
+        ["sweep", "--k-max", "1", "--method", "greedy"],
+        ["two-step"],
+    ],
+    ids=["stats", "mdim-exact-tree", "mdim-greedy", "mdim-brute", "sweep-exact-tree", "sweep-greedy", "two-step"],
+)
+def test_empty_edge_list_rejected(argv, tmp_path, capsys):
+    p = tmp_path / "empty.txt"
+    p.write_text("# no edges\n")
+    assert main([argv[0], str(p), *argv[1:]]) == 2
+    assert "empty graph" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["stats", "PATH"], ["generate", "--model", "uniform-tree", "--n", "5", "--seed", "0"]],
+    ids=["stats", "generate"],
+)
+def test_unwritable_out_exits_2(argv, path_file, tmp_path, capsys):
+    out = tmp_path / "missing" / "result.txt"
+    assert main([path_file if a == "PATH" else a for a in argv] + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write {out}")
+
+
 class TestGWConstants:
     def test_limit_constant_values(self, tmp_path):
         out = tmp_path / "constants.csv"
@@ -415,6 +442,28 @@ def test_exact_tree_mdim_peak_memory_per_vertex_pair(tmp_path):
     base = _peak_rss_mb(["-c", "import relaxmdim.cli"])
     peak = _peak_rss_mb(["-m", "relaxmdim.cli", "mdim", str(path), "--method", "exact-tree", "--k", "2"])
     assert peak - base < n * n / 2**20, (peak, base)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux only")
+@pytest.mark.parametrize("model", ["uniform-tree", "path"])
+def test_exact_tree_check_is_linear_on_100000_vertices(model, tmp_path):
+    # The check keys each vertex by its projection onto the witness's
+    # spanning subtree. Distance columns, one per sensor, peaked about
+    # 100 MB above the bare import on both trees here, and took 22 s on the
+    # uniform tree (14 038 sensors at k = 0).
+    n = 100_000
+    g = uniform_tree(n, seed=1) if model == "uniform-tree" else path_graph(n)
+    path, out = tmp_path / "tree.txt", tmp_path / "mdim.json"
+    path.write_text("".join(f"{u} {v}\n" for u, v in g.edges()))
+    base = _peak_rss_mb(["-c", "import relaxmdim.cli"])
+    started = time.perf_counter()
+    argv = ["-m", "relaxmdim.cli", "mdim", str(path), "--method", "exact-tree", "--k", "0", "--out", str(out)]
+    peak = _peak_rss_mb(argv)
+    elapsed = time.perf_counter() - started
+    assert json.loads(out.read_text())["verified"] is True
+    assert peak - base < 80, (peak, base)
+    if model == "uniform-tree":
+        assert elapsed < 10, elapsed
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux only")

@@ -29,7 +29,7 @@ from relaxmdim import (
     tree_diameter,
     uniform_tree,
 )
-from relaxmdim import graph, trees
+from relaxmdim import trees
 from relaxmdim.graph import bfs_distances, induced_subgraph, peel_degree_le1
 
 from conftest import (
@@ -414,12 +414,13 @@ class TestExactTreeMD:
 # ---------------------------------------------------------------- tree metric
 
 
-# shallow trees with shuffled ids, uniform trees (diameter about sqrt(n))
-# and paths
+# shallow trees with shuffled ids, uniform trees (diameter about sqrt(n)),
+# paths and stars
 METRIC_TREES = st.one_of(
     random_trees(200),
     st.builds(uniform_tree, st.integers(2, 200), st.integers(0, 2**32 - 1)),
     st.builds(path_graph, st.integers(1, 40)),
+    st.builds(star_graph, st.integers(1, 40)),
 )
 
 
@@ -437,43 +438,21 @@ class TestTreeMetric:
             if short:
                 short.pop(rng.randrange(len(short)))
             planted = rng.sample(range(g.n), rng.randint(0, min(g.n, 12)))
-            for sensors in (witness, short, planted):
+            single = [rng.randrange(g.n)]
+            for sensors in (witness, short, planted, [], single):
                 assert equivalence_partition(metric, sensors) == equivalence_partition(dm, sensors)
                 expected = is_k_relaxed_resolving(dm, sensors, k)
                 assert is_k_relaxed_resolving(metric, sensors, k) == expected
             assert is_k_relaxed_resolving(metric, witness, k)
+        assert equivalence_partition(metric, []).blocks == (tuple(range(g.n)),)
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(METRIC_TREES, st.randoms(use_true_random=False))
     def test_reads_match_the_matrix(self, g, rng):
         dm = all_pairs_distances(g)
         metric = trees.TreeMetric(g)
-        sensors = rng.sample(range(g.n), rng.randint(1, min(g.n, 20)))
-        columns = metric.columns(sensors)
-        assert columns.dtype == metric.dtype
-        assert np.array_equal(columns, dm.matrix[:, sensors])
         blocks = [tuple(sorted(rng.sample(range(g.n), rng.randint(1, g.n)))) for _ in range(8)]
         assert list(metric.block_diameters(blocks)) == list(dm.block_diameters(blocks))
-
-    @settings(derandomize=True, deadline=None, max_examples=40)
-    @given(METRIC_TREES, st.randoms(use_true_random=False))
-    def test_chunked_refinement_gives_the_same_blocks(self, g, rng):
-        dm = all_pairs_distances(g)
-        metric = trees.TreeMetric(g)
-        sensors = rng.sample(range(g.n), rng.randint(1, g.n))
-        one_pass = equivalence_partition(dm, sensors)
-        for per_chunk in (1, 2, 7):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(graph, "_LABEL_CHUNK_ENTRIES", per_chunk * g.n)
-                assert equivalence_partition(metric, sensors) == one_pass
-                assert equivalence_partition(dm, sensors) == one_pass
-
-    def test_repeated_columns_are_not_recomputed(self):
-        metric = trees.TreeMetric(uniform_tree(50, seed=3))
-        first = metric.columns([4, 9])
-        assert metric.columns((4, 9)) is first
-        assert not first.flags.writeable
-        assert metric.columns([9, 4]) is not first
 
     @pytest.mark.parametrize(
         "g",
