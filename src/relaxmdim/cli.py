@@ -56,6 +56,14 @@ def _read_graph(path: str) -> Graph:
         raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
+def _check_relaxation(args: argparse.Namespace) -> None:
+    """Refuse a negative ``--k`` or ``--k-max`` before any input is read."""
+    for name in ("k", "k_max"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            raise ValueError(f"--{name.replace('_', '-')} {value} is negative")
+
+
 def _input_graph(args: argparse.Namespace) -> tuple[Graph, Sequence[int]]:
     """The command's input graph and the input id of each of its vertices.
     With ``--lcc`` the graph is the largest component, renumbered 0..k-1,
@@ -166,8 +174,6 @@ def cmd_mdim(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     g, _ = _input_graph(args)
-    if args.k_max < 0:
-        raise ValueError(f"--k-max {args.k_max} is negative")
     records = sweep_metrics(g, range(args.k_max + 1), resolver=args.method)
     lines = [SWEEP_CSV_HEADER] + [rec.csv_row() for rec in records]
     _emit("\n".join(lines) + "\n", args.out, "sweep", vars(args), [args.input], started)
@@ -311,6 +317,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_relaxation(args)
         return args.func(args)
     except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)

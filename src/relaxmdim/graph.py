@@ -153,8 +153,7 @@ def load_edge_list(source: str | TextIO) -> LoadResult:
     """
     text = source.read() if hasattr(source, "read") else source
     ids: dict[str, int] = {}
-    edges: set[tuple[int, int]] = set()
-    order: list[tuple[int, int]] = []
+    nbrs: list[set[int]] = []
     duplicates = 0
     loops = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -166,18 +165,17 @@ def load_edge_list(source: str | TextIO) -> LoadResult:
             raise ValueError(
                 f"line {lineno}: expected two endpoint tokens, got {len(tokens)}"
             )
-        uid = [ids.setdefault(tok, len(ids)) for tok in tokens]
-        u, v = uid
+        u, v = [ids.setdefault(tok, len(ids)) for tok in tokens]
+        while len(nbrs) < len(ids):
+            nbrs.append(set())
         if u == v:
             loops += 1
-            continue
-        key = (min(u, v), max(u, v))
-        if key in edges:
+        elif v in nbrs[u]:
             duplicates += 1
-            continue
-        edges.add(key)
-        order.append(key)
-    graph = Graph.from_edges(len(ids), order)
+        else:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    graph = Graph(tuple(tuple(sorted(s)) for s in nbrs))
     return LoadResult(graph, tuple(ids), duplicates, loops)
 
 

@@ -2,17 +2,18 @@
 
 Pairs of active vertices (all, or the targets of greedy_resolve_within) more
 than ``k`` apart must be split by a sensor at different distances from their
-ends; each round picks the largest gain, ties to the smallest id. A pair is
-open iff its ends share a class of the partition the chosen sensors induce
-(Hauptmann, Schmied & Viehmann 2012), so a gain is the same-class pairs,
-minus those the candidate's row leaves together (a bincount over (class,
-distance rank) keys, or a sort when bins are many), minus the close (<= k)
-same-class pairs it splits: O(m + |close|). Once fewer, the open pairs are
-listed and scanned instead. Gains never grow, so stale gains are upper bounds
-(Minoux 1978): candidates are re-evaluated in descending (bound, -id) order in
-doubling batches until no bound beats the best fresh (gain, -id), the exact
-maximum with its smallest-id tie-break. A round costs its evaluations, an
-O(n log n) sort and an O(m log m + |close|) or O(|open|) update.
+ends; each round computes every candidate's exact gain and picks the first
+argmax, the largest gain with the smallest id. A pair is open iff its ends
+share a class of the partition the chosen sensors induce (Hauptmann, Schmied
+& Viehmann 2012), so a gain is the same-class pairs, minus those the
+candidate's row leaves together (a bincount over (class, distance rank)
+keys), minus the close (<= k) same-class pairs it splits: work = |close| + m
++ bins per candidate and round. The open pairs are listed once fewer than
+work, or once work >= 2 * the last gain: a gain never grows, so at least
+open / last gain rounds remain, while a listed pair is read about twice per
+candidate. With the pairs listed, each gain is counted once; after a pick,
+the pairs it separated are subtracted, or, if they were more than half, the
+rest are recounted, so a listed pair is read O(1) times per candidate.
 """
 
 from __future__ import annotations
@@ -24,11 +25,7 @@ import numpy as np
 
 from .graph import DistanceMatrix, _check_sensors
 
-_BATCH_ELEMENTS = 1_000_000  # workspace cap for one evaluation batch
-_BINS_PER_KEY = 8  # (class, rank) bins per active vertex counted by bincount
-# Batches past n / _FULL_PASS candidates or _BATCH_ELEMENTS elements, and all
-# rounds reading at most _FULL_PASS_ELEMENTS, read whole rows: far cheaper.
-_FULL_PASS, _FULL_PASS_ELEMENTS = 8, 1 << 16
+_BATCH_ELEMENTS = 1_000_000  # workspace limit for one evaluation batch
 
 
 @dataclass(frozen=True)
@@ -58,13 +55,18 @@ def _dense_ranks(block: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _pairs_left_together(keys: np.ndarray, bins: int) -> np.ndarray:
     """Per row of ``keys`` (values in [0, bins)), the pairs of equal entries."""
-    rows, m = keys.shape
-    if bins <= _BINS_PER_KEY * m:
-        counts = np.bincount((keys + np.arange(rows)[:, None] * bins).ravel(), minlength=rows * bins)
-        return (counts * (counts - 1)).reshape(rows, bins).sum(axis=1) // 2
-    ordered, pos = np.sort(keys, axis=1), np.arange(m)
-    run_start = np.where(np.diff(ordered, axis=1, prepend=-1) != 0, pos, 0)
-    return (pos - np.maximum.accumulate(run_start, axis=1)).sum(axis=1)
+    rows = keys.shape[0]
+    counts = np.bincount((keys + np.arange(rows)[:, None] * bins).ravel(), minlength=rows * bins)
+    return (counts * (counts - 1)).reshape(rows, bins).sum(axis=1) // 2
+
+
+def _split(columns: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Per candidate (column), how many of the pairs (u, v) its row splits."""
+    step = max(1, _BATCH_ELEMENTS // columns.shape[1])
+    split = np.zeros(columns.shape[1], dtype=np.int64)
+    for i in range(0, u.size, step):
+        split += (columns[u[i : i + step]] != columns[v[i : i + step]]).sum(axis=0)
+    return split
 
 
 def _greedy(dm: DistanceMatrix, active: np.ndarray | None, k: int) -> GreedyTrace:
@@ -78,56 +80,35 @@ def _greedy(dm: DistanceMatrix, active: np.ndarray | None, k: int) -> GreedyTrac
     bins, same = width, m * (m - 1) // 2  # (class, rank) keys; same-class pairs
     u, v = np.nonzero(np.triu(local <= k, 1))  # the close same-class pairs...
     listed = False  # ...or, once listed, the open ones
-    open_count = same - u.size
-    bound = np.full(n, open_count, dtype=np.int64)
+    open_count = last = same - u.size
     trace: tuple[list[int], ...] = ([], [], [])  # sensor, gain, pairs left
-
-    def gains(cands: np.ndarray) -> np.ndarray:
-        everyone = cands.size * _FULL_PASS > n  # then read whole rows
-        sub = columns if everyone else columns[:, cands]
-        step = max(1, _BATCH_ELEMENTS // sub.shape[1])
-        split = np.zeros(sub.shape[1], dtype=np.int64)
-        for i in range(0, u.size, step):
-            split += (sub[u[i : i + step]] != sub[v[i : i + step]]).sum(axis=0)
-        split = split[cands] if everyone else split
-        if listed:
-            return split
-        step = max(1, _BATCH_ELEMENTS // count_work)
-        for j in range(0, cands.size, step):
-            split[j : j + step] += _pairs_left_together(labels * width + ranks[cands[j : j + step]], bins)
-        return same - split
-
     while open_count > 0:
-        count_work = m + min(bins, _BINS_PER_KEY * m)
-        if not listed and open_count < u.size + count_work:
+        work = u.size + m + bins  # per candidate, the cost of a partition round
+        if not listed and (open_count < work or work >= 2 * last):
             u, v = np.nonzero(np.triu((labels[:, None] == labels) & (local > k), 1))
-            listed = True
-        work = 2 * u.size + (0 if listed else m)
-        # no stale gains before the first pick; small rounds take one batch
-        lazy = trace[0] and n * work > _FULL_PASS_ELEMENTS
-        cap = min(n // _FULL_PASS, _BATCH_ELEMENTS // work) if lazy else 0
-        order = np.argsort(-bound, kind="stable")  # descending (bound, -id)
-        best, gain, start, size = -1, 0, 0, 1
-        # until no stale bound can beat the best fresh (gain, -id)
-        while start < n and (bound[order[start]], -order[start]) > (gain, -best):
-            size = size if size <= cap else n - start
-            cands = order[start : start + size]
-            bound[cands] = fresh = gains(cands)
-            i = np.lexsort((cands, -fresh))[0]  # the batch's best (gain, -id)
-            if (fresh[i], -cands[i]) > (gain, -best):
-                best, gain = int(cands[i]), int(fresh[i])
-            start, size = start + size, 2 * size
-        assert gain > 0  # any open pair {u, v} is covered by u itself
-        open_count -= gain
-        for column, value in zip(trace, (best, gain, open_count)):
+            listed, gain = True, _split(columns, u, v)
+        elif not listed:
+            gain = same - _split(columns, u, v)
+            keys, step = labels * width, max(1, _BATCH_ELEMENTS // (m + bins))
+            for j in range(0, n, step):
+                gain[j : j + step] -= _pairs_left_together(keys + ranks[j : j + step], bins)
+        best = int(np.argmax(gain))  # the first maximum: ties go to the smallest id
+        last = int(gain[best])
+        assert last > 0  # any open pair {u, v} is covered by u itself
+        open_count -= last
+        for column, value in zip(trace, (best, last, open_count)):
             column.append(value)
         row = columns[:, best]
         keep = row[u] == row[v]
-        u, v = u[keep], v[keep]
-        if not listed:
+        if listed and 2 * last > u.size:  # it separated most listed pairs: recount the rest
+            gain = _split(columns, u[keep], v[keep])
+        elif listed:  # subtract the pairs it separated
+            gain -= _split(columns, u[~keep], v[~keep])
+        else:
             labels = np.unique(labels * width + row, return_inverse=True)[1].reshape(m)
             sizes = np.bincount(labels)
             bins, same = sizes.size * width, int((sizes * (sizes - 1)).sum()) // 2
+        u, v = u[keep], v[keep]
         assert open_count == (u.size if listed else same - u.size), "gain disagrees with the partition"
     return GreedyTrace(*map(tuple, trace))
 

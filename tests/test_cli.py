@@ -143,6 +143,13 @@ class TestMdim:
         assert main(["mdim", path_file, "--k", "0", "--method", "greedy"]) == 4
         assert "physical memory" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["exact-tree", "greedy", "brute"])
+    def test_negative_k_rejected_before_distances(self, path_file, tmp_path, capsys, no_distances, method):
+        out = tmp_path / "mdim.json"
+        assert main(["mdim", path_file, "--k", "-1", "--method", method, "--out", str(out)]) == 2
+        assert "negative" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_brute_refuses_large(self, tmp_path, capsys, no_distances):
         # refused before any distance is computed
         p = tmp_path / "big.txt"
@@ -198,7 +205,7 @@ class TestTwoStep:
         payload = json.loads(capsys.readouterr().out)
         assert [r["k"] for r in payload["results"]] == [0, 1]
 
-    def test_negative_kmax_rejected(self, star_file, tmp_path, capsys):
+    def test_negative_kmax_rejected(self, star_file, tmp_path, capsys, no_distances):
         base = tmp_path / "twostep"
         assert main(["two-step", star_file, "--k-max", "-2", "--out", str(base)]) == 2
         assert "negative" in capsys.readouterr().err

@@ -5,8 +5,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from contextlib import contextmanager
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,10 +17,13 @@ from relaxmdim import (
     all_pairs_distances,
     ba_tree,
     brute_force_md,
+    configuration_model,
     count_sigma_ex,
     greedy_k_resolving_set,
     greedy_resolve_within,
     is_k_relaxed_resolving,
+    largest_connected_component,
+    rgg,
 )
 
 from conftest import (
@@ -32,7 +33,13 @@ from conftest import (
     star_graph,
     unicyclic_graph,
 )
-from greedy_oracle import PairUniverse, oracle_k_resolving_set, oracle_resolve_within
+from greedy_oracle import (
+    PairUniverse,
+    lazy_k_resolving_set,
+    lazy_resolve_within,
+    oracle_k_resolving_set,
+    oracle_resolve_within,
+)
 
 
 class TestPairUniverse:
@@ -166,14 +173,6 @@ class TestGreedyOnTrees:
         assert len(s2) == len(s3)
 
 
-@contextmanager
-def lazy_everywhere():
-    """Engine settings under which every round after the first is lazy and
-    no batch is promoted to a full pass."""
-    with mock.patch.object(engine, "_FULL_PASS_ELEMENTS", 0), mock.patch.object(engine, "_FULL_PASS", 1):
-        yield
-
-
 class TestAgainstPairScanOracle:
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(connected_graphs())
@@ -183,8 +182,6 @@ class TestAgainstPairScanOracle:
             expected = oracle_k_resolving_set(dm, k)
             sensors, trace = greedy_k_resolving_set(dm, k)
             assert (sensors, trace) == (expected.sensors, expected)
-            with lazy_everywhere():
-                assert greedy_k_resolving_set(dm, k)[1] == expected
 
     @settings(derandomize=True, deadline=None, max_examples=100)
     @given(connected_graphs(), st.data())
@@ -195,8 +192,6 @@ class TestAgainstPairScanOracle:
             targets = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=2 * g.n))
             expected = oracle_resolve_within(dm, targets)
             assert greedy_resolve_within(dm, targets) == expected
-            with lazy_everywhere():
-                assert greedy_resolve_within(dm, targets) == expected
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(connected_graphs(max_n=12))
@@ -211,6 +206,25 @@ class TestAgainstPairScanOracle:
             dm = all_pairs_distances(g)
             for k in (0, 1, 3):
                 assert greedy_k_resolving_set(dm, k)[1] == oracle_k_resolving_set(dm, k)
+
+
+class TestAgainstLazyOracle:
+    @pytest.mark.parametrize(
+        "make, ks",
+        [
+            (lambda: ba_tree(1000, seed=1), (0, 2, 4)),
+            (lambda: configuration_model(1000, seed=1), (0, 2, 4)),
+            (lambda: largest_connected_component(rgg(1000, 1.5, seed=1))[0], (0, 2)),
+        ],
+        ids=["ba-tree", "configuration-model", "rgg-lcc"],
+    )
+    def test_same_traces_on_n1000_graphs(self, make, ks):
+        # the previous lazy-bound engine gives the same picks, gains and counts
+        dm = all_pairs_distances(make())
+        for k in ks:
+            assert greedy_k_resolving_set(dm, k)[1] == lazy_k_resolving_set(dm, k)
+        targets = np.random.default_rng(0).choice(dm.n, dm.n // 2, replace=False).tolist()
+        assert greedy_resolve_within(dm, targets) == lazy_resolve_within(dm, targets)
 
 
 class TestCountKeys:
