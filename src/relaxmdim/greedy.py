@@ -14,6 +14,9 @@ open / last gain rounds remain, while a listed pair is read about twice per
 candidate. With the pairs listed, each gain is counted once; after a pick,
 the pairs it separated are subtracted, or, if they were more than half, the
 rest are recounted, so a listed pair is read O(1) times per candidate.
+Gains are counted in cache-sized blocks: splits as uint16 per-block counts
+into reused buffers, pairs left together as (sum of squared counts - m) / 2,
+and pairs are listed as int32 indices a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 
 from .graph import DistanceMatrix, _check_sensors
 
-_BATCH_ELEMENTS = 1_000_000  # workspace limit for one evaluation batch
+_BATCH_ELEMENTS = 1 << 18  # entries per block: a block's buffers stay in cache
 
 
 @dataclass(frozen=True)
@@ -55,18 +58,40 @@ def _dense_ranks(block: np.ndarray) -> tuple[np.ndarray, int]:
 
 def _pairs_left_together(keys: np.ndarray, bins: int) -> np.ndarray:
     """Per row of ``keys`` (values in [0, bins)), the pairs of equal entries."""
-    rows = keys.shape[0]
+    rows, m = keys.shape
     counts = np.bincount((keys + np.arange(rows)[:, None] * bins).ravel(), minlength=rows * bins)
-    return (counts * (counts - 1)).reshape(rows, bins).sum(axis=1) // 2
+    counts = counts.reshape(rows, bins)
+    return (np.einsum("ij,ij->i", counts, counts) - m) // 2  # sum of c(c-1)/2 over the bins
 
 
 def _split(columns: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Per candidate (column), how many of the pairs (u, v) its row splits."""
-    step = max(1, _BATCH_ELEMENTS // columns.shape[1])
-    split = np.zeros(columns.shape[1], dtype=np.int64)
+    n = columns.shape[1]
+    split = np.zeros(n, dtype=np.int64)
+    # at most 65535 rows a block, so a block's uint16 counts cannot overflow
+    step = max(1, min(u.size, 65535, _BATCH_ELEMENTS // n))
+    a, b = np.empty((step, n), columns.dtype), np.empty((step, n), columns.dtype)
+    differ, part = np.empty((step, n), dtype=bool), np.empty(n, dtype=np.uint16)
     for i in range(0, u.size, step):
-        split += (columns[u[i : i + step]] != columns[v[i : i + step]]).sum(axis=0)
+        rows = min(step, u.size - i)
+        np.take(columns, u[i : i + rows], axis=0, out=a[:rows], mode="clip")
+        np.take(columns, v[i : i + rows], axis=0, out=b[:rows], mode="clip")
+        np.not_equal(a[:rows], b[:rows], out=differ[:rows])
+        split += np.add.reduce(differ[:rows].view(np.uint8), axis=0, dtype=np.uint16, out=part)
     return split
+
+
+def _upper_pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs i < j with ``mask[i, j]``, in row-major order, as int32
+    arrays, listed a block of rows at a time."""
+    m = mask.shape[0]
+    step = max(1, _BATCH_ELEMENTS // m)
+    u, v = [], []
+    for lo in range(0, m, step):
+        r, c = np.nonzero(np.triu(mask[lo : lo + step], lo + 1))
+        u.append((r + lo).astype(np.int32))
+        v.append(c.astype(np.int32))
+    return np.concatenate(u), np.concatenate(v)
 
 
 def _greedy(dm: DistanceMatrix, active: np.ndarray | None, k: int) -> GreedyTrace:
@@ -78,14 +103,14 @@ def _greedy(dm: DistanceMatrix, active: np.ndarray | None, k: int) -> GreedyTrac
     columns = np.ascontiguousarray(ranks.T)  # a pair reads two rows of this
     labels = np.zeros(m, dtype=np.int64)  # class of each active vertex
     bins, same = width, m * (m - 1) // 2  # (class, rank) keys; same-class pairs
-    u, v = np.nonzero(np.triu(local <= k, 1))  # the close same-class pairs...
+    u, v = _upper_pairs(local <= k)  # the close same-class pairs...
     listed = False  # ...or, once listed, the open ones
     open_count = last = same - u.size
     trace: tuple[list[int], ...] = ([], [], [])  # sensor, gain, pairs left
     while open_count > 0:
         work = u.size + m + bins  # per candidate, the cost of a partition round
         if not listed and (open_count < work or work >= 2 * last):
-            u, v = np.nonzero(np.triu((labels[:, None] == labels) & (local > k), 1))
+            u, v = _upper_pairs((labels[:, None] == labels) & (local > k))
             listed, gain = True, _split(columns, u, v)
         elif not listed:
             gain = same - _split(columns, u, v)

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import relaxmdim.greedy as engine
 from relaxmdim import (
     DistanceMatrix,
+    Graph,
     all_pairs_distances,
     ba_tree,
     brute_force_md,
@@ -248,3 +249,76 @@ class TestCountKeys:
         keys, width = engine._dense_ranks(block)
         assert width == 2
         assert keys.dtype == np.uint8
+
+
+def spider_303():
+    """A path 0..299 with a leg 150-300 and a two-edge leg 150-301-302:
+    diameter 299, so the distance ranks are uint16."""
+    edges = [(i, i + 1) for i in range(299)] + [(150, 300), (150, 301), (301, 302)]
+    return Graph.from_edges(303, edges)
+
+
+class TestWideRanks:
+    def test_uint16_ranks_through_split(self, monkeypatch):
+        dm = all_pairs_distances(spider_303())
+        assert engine._dense_ranks(dm.matrix)[0].dtype == np.uint16
+        split, pairs = engine._split, []
+
+        def counting_split(columns, u, v):
+            pairs.append(u.size)
+            return split(columns, u, v)
+
+        monkeypatch.setattr(engine, "_split", counting_split)
+        assert greedy_k_resolving_set(dm, 0)[0] == (0, 151, 300)
+        assert greedy_k_resolving_set(dm, 1)[0] == (0, 151, 300)
+        assert greedy_k_resolving_set(dm, 3)[0] == (0, 151)
+        assert max(pairs) > 0
+        targets = np.random.default_rng(0).choice(dm.n, dm.n // 2, replace=False).tolist()
+        assert greedy_resolve_within(dm, targets) == oracle_resolve_within(dm, targets)
+
+
+class TestBlocks:
+    @staticmethod
+    def plain_split(columns, u, v):
+        return (columns[u] != columns[v]).sum(axis=0)
+
+    @pytest.mark.parametrize(
+        "rows, candidates, pairs",
+        [(40, 3, 200_000), (40, 9, 0), (50, 1000, 1000)],
+        ids=["crosses-uint16-cap", "no-pairs", "partial-last-block"],
+    )
+    def test_split_matches_plain_count(self, rows, candidates, pairs):
+        rng = np.random.default_rng(rows + candidates + pairs)
+        columns = rng.integers(0, 4, size=(rows, candidates)).astype(np.uint8)
+        u, v = (rng.integers(0, rows, size=pairs).astype(np.int32) for _ in range(2))
+        assert pairs % min(65535, engine._BATCH_ELEMENTS // candidates) != 0 or pairs == 0
+        split = engine._split(columns, u, v)
+        assert split.dtype == np.int64
+        assert split.tolist() == self.plain_split(columns, u, v).tolist()
+
+    def test_split_counts_past_the_uint16_range(self):
+        # one candidate splits every pair: 200 000 > 65535 in its total
+        columns = np.array([[0, 0], [0, 1]], dtype=np.uint8)
+        u, v = np.zeros(200_000, dtype=np.int32), np.ones(200_000, dtype=np.int32)
+        assert engine._split(columns, u, v).tolist() == [0, 200_000]
+
+    @pytest.mark.parametrize("batch", [1, 7, 4096])
+    def test_upper_pairs_match_nonzero(self, batch, monkeypatch):
+        monkeypatch.setattr(engine, "_BATCH_ELEMENTS", batch)
+        mask = np.random.default_rng(batch).random((37, 37)) < 0.4
+        u, v = engine._upper_pairs(mask)
+        eu, ev = np.nonzero(np.triu(mask, 1))
+        assert u.dtype == v.dtype == np.int32
+        assert (u.tolist(), v.tolist()) == (eu.tolist(), ev.tolist())
+
+    @pytest.mark.parametrize("batch", [1, 7, 4096])
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(g=connected_graphs(), data=st.data())
+    def test_traces_match_lazy_oracle_at_any_block_size(self, batch, g, data):
+        dm = all_pairs_distances(g)
+        targets = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=g.n))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_BATCH_ELEMENTS", batch)
+            for k in range(dm.diameter + 1):
+                assert greedy_k_resolving_set(dm, k)[1] == lazy_k_resolving_set(dm, k)
+            assert greedy_resolve_within(dm, targets) == lazy_resolve_within(dm, targets)
