@@ -26,7 +26,6 @@ from .graph import (
 from .greedy import GreedyTrace, greedy_k_resolving_set, greedy_resolve_within
 from .gw import GWConstants, OffspringDistribution, gw_sequence, monte_carlo_cr, poisson_closed_form
 from .generators import (
-    GeneratorConfig,
     ba_tree,
     configuration_model,
     gw_tree_conditioned,
@@ -93,7 +92,6 @@ __all__ = [
     "gw_sequence",
     "poisson_closed_form",
     "monte_carlo_cr",
-    "GeneratorConfig",
     "ba_tree",
     "uniform_tree",
     "gw_tree_conditioned",

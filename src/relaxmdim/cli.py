@@ -224,17 +224,21 @@ def _parse_offspring(spec: str) -> OffspringDistribution:
     )
 
 
+# Each generator model, with the sampler call that reads only that model's
+# options; each sampler refuses a size below its own minimum.
+MODELS = {
+    "ba-tree": lambda a: generators.ba_tree(a.n, a.seed),
+    "gw-tree": lambda a: generators.gw_tree_conditioned(a.n, _parse_offspring(a.offspring), a.seed),
+    "config-model": lambda a: generators.configuration_model(a.n, a.seed),
+    "rgg": lambda a: generators.rgg(a.n, a.radius_factor, a.seed),
+    "uniform-tree": lambda a: generators.uniform_tree(a.n, a.seed),
+}
+
+
 def cmd_generate(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     header = [f"# relaxmdim generate model={args.model} n={args.n} seed={args.seed}"]
-    config = generators.GeneratorConfig(
-        model=args.model,
-        n=args.n,
-        seed=args.seed,
-        offspring=_parse_offspring(args.offspring) if args.model == "gw-tree" else None,
-        radius_factor=args.radius_factor,
-    )
-    sampled = config.sample()
+    sampled = MODELS[args.model](args)
     if isinstance(sampled, Graph):
         g = sampled
     else:
@@ -296,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_two_step)
 
     p = sub.add_parser("generate", help="sample a random graph, write an edge list")
-    p.add_argument("--model", choices=generators.MODELS, required=True)
+    p.add_argument("--model", choices=MODELS, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--offspring", default="poisson:1", help="gw-tree only")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -20,37 +19,6 @@ from .gw import OffspringDistribution
 from .trees import RootedTree
 
 log = logging.getLogger(__name__)
-
-MODELS = ("ba-tree", "gw-tree", "config-model", "rgg", "uniform-tree")
-
-
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """Fully determines one sampled graph: model tag, size, seed, parameters."""
-
-    model: str
-    n: int
-    seed: int
-    offspring: OffspringDistribution | None = None
-    radius_factor: float = 1.5
-
-    def __post_init__(self) -> None:
-        if self.model not in MODELS:
-            raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-
-    def sample(self) -> "Graph | RootedTree":
-        if self.model == "ba-tree":
-            return ba_tree(self.n, self.seed)
-        if self.model == "uniform-tree":
-            return uniform_tree(self.n, self.seed)
-        if self.model == "gw-tree":
-            xi = self.offspring or OffspringDistribution.poisson(1.0)
-            return gw_tree_conditioned(self.n, xi, self.seed)
-        if self.model == "config-model":
-            return configuration_model(self.n, self.seed)
-        return rgg(self.n, self.radius_factor, self.seed)
 
 
 def ba_tree(n: int, seed: int) -> Graph:

@@ -98,9 +98,6 @@ class Graph:
                 if u < v:
                     yield u, v
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency[u]
-
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph on vertices 0..n-1, rejecting loops and duplicates."""

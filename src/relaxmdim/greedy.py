@@ -83,8 +83,8 @@ def _split(columns: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _upper_pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The pairs i < j with ``mask[i, j]``, in row-major order, as int32
-    arrays, listed a block of rows at a time."""
-    m = mask.shape[0]
+    arrays, listed a block of rows at a time (one empty block if m = 0)."""
+    m = max(1, mask.shape[0])
     step = max(1, _BATCH_ELEMENTS // m)
     u, v = [], []
     for lo in range(0, m, step):

@@ -49,11 +49,6 @@ class OffspringDistribution:
     def mean(self) -> float:
         return sum(j * p for j, p in enumerate(self.pmf))
 
-    @cached_property
-    def variance(self) -> float:
-        second = sum(j * j * p for j, p in enumerate(self.pmf))
-        return second - self.mean**2
-
     def pgf(self, x: float) -> float:
         """Probability generating function, Horner-evaluated from the top."""
         acc = 0.0

@@ -224,11 +224,7 @@ class RootedTree:
                     seen[w] = True
                     parent[w] = u
                     order.append(w)
-        children: list[list[int]] = [[] for _ in range(g.n)]
-        for v, p in enumerate(parent):
-            if p >= 0:
-                children[p].append(v)
-        return cls(g, root, tuple(parent), tuple(tuple(sorted(c)) for c in children), to_original)
+        return cls(g, root, tuple(parent), _children(parent), to_original)
 
     @classmethod
     def from_parents(cls, parents: Sequence[int], root: int = 0) -> "RootedTree":

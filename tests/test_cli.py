@@ -11,8 +11,8 @@ import time
 import pytest
 
 from relaxmdim import graph
-from relaxmdim.cli import build_parser, main
-from relaxmdim.generators import MODELS, rgg, uniform_tree
+from relaxmdim.cli import MODELS, build_parser, main
+from relaxmdim.generators import rgg, uniform_tree
 
 from conftest import path_graph
 
@@ -238,6 +238,18 @@ class TestGenerate:
         assert proc.returncode == 4
         assert proc.stderr.startswith("error: conditioning rejected 701 draws")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "model, minimum",
+        [("ba-tree", 2), ("gw-tree", 1), ("config-model", 4), ("rgg", 2), ("uniform-tree", 2)],
+    )
+    def test_each_sampler_refuses_too_small_n(self, model, minimum, capsys):
+        argv = ["generate", "--model", model, "--seed", "0", "--n"]
+        assert main([*argv, str(minimum - 1)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: need at least")
+        assert "Traceback" not in err
+        assert main([*argv, str(minimum)]) == 0
 
     def test_generated_file_loads_back(self, tmp_path, capsys):
         out = tmp_path / "rgg.txt"

@@ -21,7 +21,7 @@ from relaxmdim import (
     rgg,
     uniform_tree,
 )
-from relaxmdim import GeneratorConfig, RootedTree, generators
+from relaxmdim import generators
 from relaxmdim.generators import (
     _MAX_COUNTED_THRESHOLDS,
     _critical_tilt,
@@ -366,25 +366,3 @@ def test_trees_peel_away_entirely():
 
     for g in (ba_tree(500, seed=0), uniform_tree(500, seed=0)):
         assert sum(len(b) for b in peel_degree_le1(g)) == 500
-
-
-class TestGeneratorConfig:
-    def test_dispatch_and_determinism(self):
-        cfg = GeneratorConfig(model="rgg", n=100, seed=5, radius_factor=1.5)
-        a, b = cfg.sample(), cfg.sample()
-        assert a.adjacency == b.adjacency
-        assert a.adjacency == rgg(100, 1.5, seed=5).adjacency
-
-    def test_gw_model_returns_rooted_tree(self):
-        cfg = GeneratorConfig(
-            model="gw-tree", n=40, seed=1, offspring=OffspringDistribution.poisson(1.0)
-        )
-        assert isinstance(cfg.sample(), RootedTree)
-
-    def test_rejects_unknown_model(self):
-        with pytest.raises(ValueError, match="unknown model"):
-            GeneratorConfig(model="erdos-renyi", n=10, seed=0)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            GeneratorConfig(model="ba-tree", n=0, seed=0)

@@ -15,6 +15,8 @@ import relaxmdim.greedy as engine
 from relaxmdim import (
     DistanceMatrix,
     Graph,
+    GreedyTrace,
+    TwoStepResult,
     all_pairs_distances,
     ba_tree,
     brute_force_md,
@@ -24,7 +26,9 @@ from relaxmdim import (
     greedy_resolve_within,
     is_k_relaxed_resolving,
     largest_connected_component,
+    qstar_curve,
     rgg,
+    two_step_qstar,
 )
 
 from conftest import (
@@ -64,6 +68,13 @@ class TestGreedyResolvingSet:
         sensors, trace = greedy_k_resolving_set(dm, dm.diameter)
         assert sensors == ()
         assert trace.sensors == ()
+
+    def test_empty_graph_has_nothing_to_cover(self):
+        g = Graph(())
+        assert greedy_k_resolving_set(all_pairs_distances(g), 0) == ((), GreedyTrace((), (), ()))
+        empty = TwoStepResult(k=0, phase1=(), class_prices=(), worst_class=(), max_s2=0, qstar=0)
+        assert two_step_qstar(g, 0) == empty
+        assert qstar_curve(g, 0) == [empty]
 
     def test_path_needs_one_endpoint(self):
         dm = all_pairs_distances(path_graph(4))
