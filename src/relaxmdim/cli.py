@@ -1,9 +1,13 @@
 """Command-line interface: stats, mdim, sweep, two-step, generate, gw-constants.
 
-Single results are emitted as JSON, curves as CSV. Every result written to a
-file gets a ``<file>.manifest.json`` sidecar recording the command, its full
-parameter set, input digests, the tool version and wall-clock time; re-running
-with the same parameters reproduces result files byte-identically.
+Each command maps its parsed arguments to its result texts, JSON for single
+results and CSV for curves, and :func:`main` alone writes them. With
+``--out`` each text goes to ``--out`` plus its suffix (``two-step`` writes
+``<out>.csv`` and ``<out>.json``) beside a ``<file>.manifest.json`` sidecar
+recording the command, its full parameter set, input digests, the tool
+version and wall-clock time; re-running with the same parameters reproduces
+result files byte-identically. Without ``--out`` the last text, for
+``two-step`` its JSON, goes to stdout.
 
 Exit codes: 0 success, 2 validation error, 3 incompatible method,
 4 resource refusal.
@@ -13,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import io
 import json
 import sys
 import time
@@ -20,6 +25,7 @@ from typing import Sequence
 
 from . import __version__
 from .graph import (
+    DistanceMatrix,
     Graph,
     TooLargeError,
     all_pairs_distances,
@@ -84,126 +90,56 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_path: str, command: str, params: dict, inputs: list[str], elapsed: float) -> None:
-    manifest = {
-        "schema": "relaxmdim/manifest/1",
-        "version": __version__,
-        "command": command,
-        "parameters": {k: v for k, v in params.items() if k != "func"},
-        "inputs": {path: _sha256(path) for path in inputs},
-        "wall_clock_s": elapsed,
-    }
-    with open(out_path + ".manifest.json", "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def _emit(
-    text: str, out: str | None, command: str, params: dict, inputs: list[str], started: float
-) -> None:
-    if out is None:
-        sys.stdout.write(text)
-        return
+def _write(path: str, text: str, args: argparse.Namespace, started: float) -> None:
+    """Write one result file and its ``.manifest.json`` sidecar."""
+    inputs = [args.input] if hasattr(args, "input") else []
     try:
-        with open(out, "w", encoding="utf-8") as handle:
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
-        _write_manifest(out, command, params, inputs, time.perf_counter() - started)
+        manifest = {
+            "schema": "relaxmdim/manifest/1",
+            "version": __version__,
+            "command": args.command,
+            "parameters": {k: v for k, v in vars(args).items() if k != "func"},
+            "inputs": {name: _sha256(name) for name in inputs},
+            "wall_clock_s": time.perf_counter() - started,
+        }
+        with open(path + ".manifest.json", "w", encoding="utf-8") as handle:
+            json.dump(manifest, handle, indent=2, sort_keys=True)
+            handle.write("\n")
     except OSError as exc:
-        raise ValueError(f"cannot write {out}: {exc}") from exc
+        raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    g, _ = _input_graph(args)
-    stats = graph_stats(g)
-    payload = {"schema": "relaxmdim/stats/1", **stats.as_dict()}
-    _emit(_json_text(payload), args.out, "stats", vars(args), [args.input], started)
-    return EXIT_OK
+# A command maps its parsed arguments to its results: (suffix, text) pairs,
+# each written to ``--out`` + suffix, the last one to stdout without ``--out``.
+Results = list[tuple[str, str]]
 
 
-def cmd_mdim(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    g, ids = _input_graph(args)
-    if args.method == "exact-tree":
-        report = exact_tree_md(g, args.k)
-        verified = is_k_relaxed_resolving(TreeMetric(g), report.witness, args.k)
-        payload = {
-            "schema": "relaxmdim/mdim/1",
-            "method": "exact-tree",
-            **report.as_dict(),
-            "verified": verified,
-        }
-    elif args.method == "greedy":
-        dm = all_pairs_distances(g)
-        sensors, trace = greedy_k_resolving_set(dm, args.k)
-        verified = is_k_relaxed_resolving(dm, sensors, args.k)
-        payload = {
-            "schema": "relaxmdim/mdim/1",
-            "method": "greedy",
-            "k": args.k,
-            "size": len(sensors),
-            "witness": list(sensors),
-            "verified": verified,
-            "trace": trace.rows(),
-        }
-    else:  # brute: refused above BRUTE_FORCE_MAX_N vertices before any distance is computed
-        dm = all_pairs_distances(g) if g.n <= BRUTE_FORCE_MAX_N else None
-        md, witness = brute_force_md(g, args.k, dm)
-        verified = is_k_relaxed_resolving(dm, witness, args.k)
-        payload = {
-            "schema": "relaxmdim/mdim/1",
-            "method": "brute",
-            "k": args.k,
-            "md": md,
-            "witness": list(witness),
-            "verified": verified,
-        }
-    if not payload["verified"]:  # pragma: no cover - internal consistency
-        raise AssertionError("computed witness failed verification")
-    payload["witness"] = [ids[v] for v in payload["witness"]]
-    for row in payload.get("trace", ()):
-        row["sensor"] = ids[row["sensor"]]
-    _emit(_json_text(payload), args.out, "mdim", vars(args), [args.input], started)
-    return EXIT_OK
+def _greedy_fields(g: Graph, dm: DistanceMatrix, k: int) -> dict:
+    sensors, trace = greedy_k_resolving_set(dm, k)
+    return {"k": k, "size": len(sensors), "witness": list(sensors), "trace": trace.rows()}
 
 
-def cmd_sweep(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    g, _ = _input_graph(args)
-    records = sweep_metrics(g, range(args.k_max + 1), resolver=args.method)
-    lines = [SWEEP_CSV_HEADER] + [rec.csv_row() for rec in records]
-    _emit("\n".join(lines) + "\n", args.out, "sweep", vars(args), [args.input], started)
-    return EXIT_OK
+def _brute_fields(g: Graph, dm: DistanceMatrix | None, k: int) -> dict:
+    md, witness = brute_force_md(g, k, dm)
+    return {"k": k, "md": md, "witness": list(witness)}
 
 
-def cmd_two_step(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    g, ids = _input_graph(args)
-    dm = all_pairs_distances(g)
-    k_max = dm.diameter if args.k_max is None else args.k_max
-    curve = qstar_curve(g, k_max, dm)
-    for result in curve:
-        if not is_k_relaxed_resolving(dm, result.phase1, result.k):  # pragma: no cover
-            raise AssertionError("phase-1 set failed verification")
-    csv_lines = ["k,phase1_size,max_s2,qstar"] + [
-        f"{r.k},{len(r.phase1)},{r.max_s2},{r.qstar}" for r in curve
-    ]
-    results = [r.as_dict() for r in curve]
-    for result in results:
-        result["phase1"] = [ids[v] for v in result["phase1"]]
-        result["worst_class"] = [ids[v] for v in result["worst_class"]]
-    json_text = _json_text({"schema": "relaxmdim/two-step/1", "results": results})
-    params, inputs = vars(args), [args.input]
-    if args.out is None:
-        _emit(json_text, None, "two-step", params, inputs, started)
-    else:
-        _emit("\n".join(csv_lines) + "\n", args.out + ".csv", "two-step", params, inputs, started)
-        _emit(json_text, args.out + ".json", "two-step", params, inputs, started)
-    return EXIT_OK
+# Each mdim method: the metric its witness is verified on, and the fields it
+# reports from a solve at k. Both look the library's names up when called,
+# so a wrapped or patched binding sees every call. TreeMetric refuses a
+# cyclic input and brute force one above BRUTE_FORCE_MAX_N vertices, each
+# before any distance is computed.
+METHODS = {
+    "exact-tree": (lambda g: TreeMetric(g), lambda g, metric, k: exact_tree_md(g, k).as_dict()),
+    "greedy": (lambda g: all_pairs_distances(g), _greedy_fields),
+    "brute": (lambda g: all_pairs_distances(g) if g.n <= BRUTE_FORCE_MAX_N else None, _brute_fields),
+}
 
 
 def _parse_offspring(spec: str) -> OffspringDistribution:
@@ -235,8 +171,52 @@ MODELS = {
 }
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def cmd_stats(args: argparse.Namespace) -> Results:
+    g, _ = _input_graph(args)
+    return [("", _json_text({"schema": "relaxmdim/stats/1", **graph_stats(g).as_dict()}))]
+
+
+def cmd_mdim(args: argparse.Namespace) -> Results:
+    g, ids = _input_graph(args)
+    metric_of, solve = METHODS[args.method]
+    metric = metric_of(g)
+    fields = solve(g, metric, args.k)
+    if not is_k_relaxed_resolving(metric, fields["witness"], args.k):  # pragma: no cover
+        raise AssertionError("computed witness failed verification")
+    fields["witness"] = [ids[v] for v in fields["witness"]]
+    for row in fields.get("trace", ()):
+        row["sensor"] = ids[row["sensor"]]
+    payload = {"schema": "relaxmdim/mdim/1", "method": args.method, **fields, "verified": True}
+    return [("", _json_text(payload))]
+
+
+def cmd_sweep(args: argparse.Namespace) -> Results:
+    g, _ = _input_graph(args)
+    records = sweep_metrics(g, range(args.k_max + 1), resolver=args.method)
+    lines = [SWEEP_CSV_HEADER] + [rec.csv_row() for rec in records]
+    return [("", "\n".join(lines) + "\n")]
+
+
+def cmd_two_step(args: argparse.Namespace) -> Results:
+    g, ids = _input_graph(args)
+    dm = all_pairs_distances(g)
+    k_max = dm.diameter if args.k_max is None else args.k_max
+    curve = qstar_curve(g, k_max, dm)
+    for result in curve:
+        if not is_k_relaxed_resolving(dm, result.phase1, result.k):  # pragma: no cover
+            raise AssertionError("phase-1 set failed verification")
+    csv_lines = ["k,phase1_size,max_s2,qstar"] + [
+        f"{r.k},{len(r.phase1)},{r.max_s2},{r.qstar}" for r in curve
+    ]
+    results = [r.as_dict() for r in curve]
+    for result in results:
+        result["phase1"] = [ids[v] for v in result["phase1"]]
+        result["worst_class"] = [ids[v] for v in result["worst_class"]]
+    json_text = _json_text({"schema": "relaxmdim/two-step/1", "results": results})
+    return [(".csv", "\n".join(csv_lines) + "\n"), (".json", json_text)]
+
+
+def cmd_generate(args: argparse.Namespace) -> Results:
     header = [f"# relaxmdim generate model={args.model} n={args.n} seed={args.seed}"]
     sampled = MODELS[args.model](args)
     if isinstance(sampled, Graph):
@@ -245,20 +225,13 @@ def cmd_generate(args: argparse.Namespace) -> int:
         g = sampled.graph
         header.append(f"# root {sampled.root}")
     lines = header + [f"{u} {v}" for u, v in g.edges()]
-    _emit("\n".join(lines) + "\n", args.out, "generate", vars(args), [], started)
-    return EXIT_OK
+    return [("", "\n".join(lines) + "\n")]
 
 
-def cmd_gw_constants(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    xi = _parse_offspring(args.offspring)
-    constants = gw_sequence(xi, args.r_max)
-    import io
-
+def cmd_gw_constants(args: argparse.Namespace) -> Results:
     buffer = io.StringIO()
-    constants.write_csv(buffer)
-    _emit(buffer.getvalue(), args.out, "gw-constants", vars(args), [], started)
-    return EXIT_OK
+    gw_sequence(_parse_offspring(args.offspring), args.r_max).write_csv(buffer)
+    return [("", buffer.getvalue())]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mdim", help="k-relaxed metric dimension of a graph")
     p.add_argument("input")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--method", choices=("exact-tree", "greedy", "brute"), required=True)
+    p.add_argument("--method", choices=METHODS, required=True)
     p.add_argument("--lcc", action="store_true", help=LCC_HELP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_mdim)
@@ -318,11 +291,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     try:
         _check_relaxation(args)
-        return args.func(args)
+        results = args.func(args)
+        if args.out is None:
+            sys.stdout.write(results[-1][1])
+        else:
+            for suffix, text in results:
+                _write(args.out + suffix, text, args, started)
     except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -332,6 +310,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    return EXIT_OK
 
 
 if __name__ == "__main__":

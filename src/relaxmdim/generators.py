@@ -277,7 +277,7 @@ def rgg(n: int, radius_factor: float, seed: int) -> Graph:
     """
     if n < 2:
         raise ValueError("need at least two vertices")
-    if radius_factor < 0:
+    if not radius_factor >= 0:
         raise ValueError("radius_factor must be nonnegative")
     rng = np.random.default_rng(seed)
     points = rng.random((n, 2))

@@ -66,7 +66,7 @@ class OffspringDistribution:
     def poisson(cls, lam: float = 1.0, tail_bound: float = 1e-12) -> "OffspringDistribution":
         """Poisson(lam) truncated where the remaining tail mass drops below
         ``tail_bound``."""
-        if lam <= 0:
+        if not lam > 0:
             raise ValueError("lam must be positive")
         probs = [math.exp(-lam)]
         total = probs[0]
@@ -158,13 +158,10 @@ def gw_sequence(xi: OffspringDistribution, r_max: int) -> GWConstants:
     return GWConstants(tuple(d), tuple(l), tuple(s), tuple(e), tuple(c))
 
 
-def poisson_closed_form(r_max: int, lam: float = 1.0) -> GWConstants:
-    """Closed-form evaluation for Poisson offspring with unit mean; other
-    means route through :func:`gw_sequence` on a truncated pmf."""
+def poisson_closed_form(r_max: int) -> GWConstants:
+    """Closed-form evaluation for Poisson offspring with unit mean."""
     if r_max < 0:
         raise ValueError("r_max must be nonnegative")
-    if lam != 1.0:
-        return gw_sequence(OffspringDistribution.poisson(lam), r_max)
     d = [0.0]
     l = [math.exp(-1.0)]
     for r in range(1, r_max + 1):

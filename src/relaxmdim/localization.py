@@ -19,7 +19,7 @@ from .graph import (
     equivalence_partition,
 )
 from .greedy import greedy_k_resolving_set, greedy_resolve_within
-from .trees import IncompatibleMethodError, TreeMetric, exact_tree_md, is_tree
+from .trees import TreeMetric, exact_tree_md
 
 Resolver = Literal["exact-tree", "greedy"]
 
@@ -50,27 +50,20 @@ class SweepRecord:
 
 
 def sweep_metrics(
-    g: Graph,
-    k_values: Sequence[int],
-    resolver: Resolver = "greedy",
-    dm: DistanceMatrix | None = None,
+    g: Graph, k_values: Sequence[int], resolver: Resolver = "greedy"
 ) -> list[SweepRecord]:
     """Compute a resolving set per k and the induced ambiguity metrics.
 
-    ``resolver="exact-tree"`` uses the constructive tree witness and raises
-    :class:`IncompatibleMethodError` on other inputs before any distance is
-    computed; its partitions read one :class:`TreeMetric`, built once, unless
-    ``dm`` is given. ``"greedy"`` works on any connected graph.
+    ``resolver="exact-tree"`` uses the constructive tree witness, and its
+    partitions read one :class:`TreeMetric`, which refuses other inputs
+    (:class:`~relaxmdim.trees.IncompatibleMethodError`) before any distance
+    is computed. ``"greedy"`` works on any connected graph.
     """
     n = g.n
     if n == 0:
         raise ValueError("sweep of the empty graph is undefined")
-    if resolver == "exact-tree" and not is_tree(g):
-        raise IncompatibleMethodError("exact-tree resolver requires a connected acyclic input")
     metric: Metric
-    if dm is not None:
-        metric = dm
-    elif resolver == "exact-tree":
+    if resolver == "exact-tree":
         metric = TreeMetric(g)
     else:
         metric = dm = all_pairs_distances(g)

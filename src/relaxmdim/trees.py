@@ -47,7 +47,7 @@ def is_tree(g: Graph) -> bool:
 
     The answer is kept on the immutable graph, beside its cached edge count,
     so a graph pays for at most one BFS, and a graph built from a parent
-    array for none."""
+    array or checked by a :class:`TreeMetric` for none."""
     known = g.__dict__.get(_IS_TREE)
     if known is None:
         known = g.n > 0 and g.m == g.n - 1 and UNREACHABLE not in bfs_distances(g, 0)
@@ -76,7 +76,9 @@ class TreeMetric:
     :class:`~relaxmdim.graph.Metric`), so ``equivalence_partition`` and
     ``is_k_relaxed_resolving`` take either.
 
-    One DFS from vertex 0 gives the preorder, the parents and the depths.
+    One DFS from vertex 0 gives the preorder, the parents and the depths. It
+    is the tree check: a non-tree raises :class:`IncompatibleMethodError`,
+    and a tree keeps the answer for :func:`is_tree`, which then runs no BFS.
 
     * Profile keys come from T_S, the smallest subtree holding the sensors
       S: two vertices have the same identification vector iff they have the
@@ -95,15 +97,13 @@ class TreeMetric:
       pre(u) + 1 .. pre(v), a range minimum read from a sparse table in O(1)
       (Bender & Farach-Colton 2000, on the preorder instead of the Euler
       tour). The table takes O(n log n) and is built on the first request.
-
-    A graph that is not a tree raises ValueError.
     """
 
     def __init__(self, g: Graph) -> None:
         n = g.n
         refusal = "a tree metric needs a connected acyclic graph"
         if n == 0 or g.m != n - 1:
-            raise ValueError(refusal)
+            raise IncompatibleMethodError(refusal)
         adjacency = g.adjacency
         parent = [-1] * n
         depth = [0] * n
@@ -120,7 +120,8 @@ class TreeMetric:
                     depth[w] = depth[v] + 1
                     stack.append(w)
         if len(preorder) < n:  # n - 1 edges but disconnected: a cycle elsewhere
-            raise ValueError(refusal)
+            raise IncompatibleMethodError(refusal)
+        g.__dict__[_IS_TREE] = True
         self.n = n
         self._preorder = preorder
         self._parent = parent

@@ -10,8 +10,8 @@ import time
 
 import pytest
 
-from relaxmdim import graph
-from relaxmdim.cli import MODELS, build_parser, main
+from relaxmdim import cli, graph, trees
+from relaxmdim.cli import METHODS, MODELS, build_parser, main
 from relaxmdim.generators import rgg, uniform_tree
 
 from conftest import path_graph
@@ -134,8 +134,9 @@ class TestMdim:
         assert payload["verified"]
         assert payload["trace"][0]["pick_index"] == 0
 
-    def test_exact_on_cycle_is_incompatible(self, cycle_file, capsys):
+    def test_exact_on_cycle_is_incompatible(self, cycle_file, capsys, no_distances):
         assert main(["mdim", cycle_file, "--k", "0", "--method", "exact-tree"]) == 3
+        assert "acyclic" in capsys.readouterr().err
 
     def test_greedy_matrix_above_physical_memory_exits_4(self, path_file, monkeypatch, capsys):
         # 9-vertex path: bound 16, an 81-byte int8 matrix
@@ -250,6 +251,18 @@ class TestGenerate:
         assert err.startswith("error: need at least")
         assert "Traceback" not in err
         assert main([*argv, str(minimum)]) == 0
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--model", "rgg", "--radius-factor", "nan"], "radius_factor must be nonnegative"),
+            (["--model", "gw-tree", "--offspring", "poisson:nan"], "lam must be positive"),
+        ],
+        ids=["radius-factor", "offspring"],
+    )
+    def test_nan_parameter_refused(self, argv, message, capsys):
+        assert main(["generate", *argv, "--n", "10", "--seed", "0"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_generated_file_loads_back(self, tmp_path, capsys):
         out = tmp_path / "rgg.txt"
@@ -396,6 +409,53 @@ def test_generate_accepts_exactly_the_generator_models(capsys):
         assert args.model == model
     with pytest.raises(SystemExit):
         parser.parse_args(["generate", "--model", "erdos-renyi", "--n", "5", "--seed", "0"])
+
+
+def test_mdim_accepts_exactly_the_methods(path_file):
+    parser = build_parser()
+    for method in METHODS:
+        assert parser.parse_args(["mdim", path_file, "--k", "0", "--method", method]).method == method
+    with pytest.raises(SystemExit):
+        parser.parse_args(["mdim", path_file, "--k", "0", "--method", "lazy-greedy"])
+
+
+@pytest.mark.parametrize(
+    "method, solver",
+    [("exact-tree", "exact_tree_md"), ("greedy", "greedy_k_resolving_set"), ("brute", "brute_force_md")],
+)
+def test_each_method_calls_its_solver_through_the_cli_binding(method, solver, path_file, monkeypatch, capsys):
+    # the benchmark's tracer wraps module attributes, so a table that held
+    # the solver objects from import time would hide these calls
+    calls = []
+    real = getattr(cli, solver)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, solver, counted)
+    assert main(["mdim", path_file, "--k", "1", "--method", method]) == 0
+    assert len(calls) == 1
+    assert json.loads(capsys.readouterr().out)["method"] == method
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["mdim", "--k", "2", "--method", "exact-tree"], ["sweep", "--k-max", "3", "--method", "exact-tree"]],
+    ids=["mdim", "sweep"],
+)
+def test_exact_tree_commands_run_no_bfs(argv, path_file, monkeypatch, capsys):
+    # TreeMetric's DFS is the tree check, and the graph keeps its answer
+    calls = []
+    real = trees.bfs_distances
+
+    def counted(g, source):
+        calls.append(source)
+        return real(g, source)
+
+    monkeypatch.setattr(trees, "bfs_distances", counted)
+    assert main([argv[0], path_file, *argv[1:]]) == 0
+    assert calls == []
 
 
 def test_console_script_help():

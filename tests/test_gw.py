@@ -27,6 +27,11 @@ class TestOffspringDistribution:
         xi = OffspringDistribution.geometric(0.5)
         assert xi.mean == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan")])
+    def test_poisson_rejects_a_nonpositive_or_nan_mean(self, lam):
+        with pytest.raises(ValueError, match="lam must be positive"):
+            OffspringDistribution.poisson(lam)
+
     def test_rejects_negative_mass(self):
         with pytest.raises(ValueError):
             OffspringDistribution.from_pmf([0.5, -0.1, 0.6])
@@ -133,11 +138,6 @@ class TestClosedForm:
         for r in range(7):
             expected = 1 - math.exp(-closed.s[r]) - (closed.s[r] - closed.l[r])
             assert closed.e[r] == pytest.approx(expected, abs=1e-12)
-
-    def test_other_lambda_routes_through_pmf(self):
-        with pytest.warns(UserWarning):
-            constants = poisson_closed_form(2, lam=1.2)
-        assert constants.r_max == 2
 
 
 class TestMonteCarlo:

@@ -33,7 +33,7 @@ class TestSweep:
     def test_diameter_row_all_merged(self):
         g = random_connected_graph(15, 4, seed=1)
         dm = all_pairs_distances(g)
-        rec = sweep_metrics(g, [dm.diameter], dm=dm)[0]
+        rec = sweep_metrics(g, [dm.diameter])[0]
         assert rec.sensors == 0
         assert rec.alpha == g.n
 
@@ -61,17 +61,25 @@ class TestSweep:
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
     def test_exact_tree_sweep_reads_no_matrix(self, monkeypatch):
-        from relaxmdim import localization, uniform_tree
+        from relaxmdim import equivalence_partition, exact_tree_md, localization, uniform_tree
 
         g = uniform_tree(120, seed=4)
         ks = range(12)
-        with_matrix = sweep_metrics(g, ks, resolver="exact-tree", dm=all_pairs_distances(g))
+        dm = all_pairs_distances(g)
+        witnesses = [exact_tree_md(g, k).witness for k in ks]
 
         def refuse(*args, **kwargs):
             raise AssertionError("all_pairs_distances called")
 
         monkeypatch.setattr(localization, "all_pairs_distances", refuse)
-        assert sweep_metrics(g, ks, resolver="exact-tree") == with_matrix
+        records = sweep_metrics(g, ks, resolver="exact-tree")
+        assert [rec.k for rec in records] == list(ks)
+        for rec, witness in zip(records, witnesses):
+            part = equivalence_partition(dm, witness)
+            assert rec.sensors == len(witness)
+            assert rec.non_resolved_ratio == part.non_resolved_count / g.n
+            assert rec.alpha == part.alpha
+            assert rec.class_histogram == part.histogram()
 
     def test_csv_row_format(self):
         rec = sweep_metrics(path_graph(4), [0])[0]
