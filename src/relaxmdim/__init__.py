@@ -41,7 +41,6 @@ from .trees import (
     TreeMetric,
     brute_force_md,
     count_sigma_ex,
-    down_stem_r,
     down_stem_vertices,
     exact_tree_md,
     is_path_graph,
@@ -75,7 +74,6 @@ __all__ = [
     "IncompatibleMethodError",
     "stem",
     "stem_r",
-    "down_stem_r",
     "down_stem_vertices",
     "count_sigma_ex",
     "exact_tree_md",

@@ -69,6 +69,8 @@ class OffspringDistribution:
         if not lam > 0:
             raise ValueError("lam must be positive")
         probs = [math.exp(-lam)]
+        if probs[0] == 0.0:  # lam = inf, or too large for a float p_0
+            raise ValueError(f"lam must be positive with exp(-lam) > 0, but lam {lam} is too large")
         total = probs[0]
         j = 0
         while 1.0 - total > tail_bound and j < 10_000:

@@ -14,7 +14,6 @@ from typing import Literal, Sequence
 from .graph import (
     DistanceMatrix,
     Graph,
-    Metric,
     all_pairs_distances,
     equivalence_partition,
 )
@@ -49,6 +48,15 @@ class SweepRecord:
         )
 
 
+# Each resolver: the metric a sweep's partitions read, and the sensors it
+# places at k. Both look this module's names up when called, so a wrapped
+# binding here sees every call.
+_RESOLVERS = {
+    "exact-tree": (lambda g: TreeMetric(g), lambda g, metric, k: exact_tree_md(g, k).witness),
+    "greedy": (lambda g: all_pairs_distances(g), lambda g, dm, k: greedy_k_resolving_set(dm, k)[0]),
+}
+
+
 def sweep_metrics(
     g: Graph, k_values: Sequence[int], resolver: Resolver = "greedy"
 ) -> list[SweepRecord]:
@@ -57,22 +65,19 @@ def sweep_metrics(
     ``resolver="exact-tree"`` uses the constructive tree witness, and its
     partitions read one :class:`TreeMetric`, which refuses other inputs
     (:class:`~relaxmdim.trees.IncompatibleMethodError`) before any distance
-    is computed. ``"greedy"`` works on any connected graph.
+    is computed. ``"greedy"`` works on any connected graph. Any other
+    resolver raises ValueError.
     """
+    if resolver not in _RESOLVERS:
+        raise ValueError(f"unknown resolver {resolver!r}; choose one of {', '.join(_RESOLVERS)}")
     n = g.n
     if n == 0:
         raise ValueError("sweep of the empty graph is undefined")
-    metric: Metric
-    if resolver == "exact-tree":
-        metric = TreeMetric(g)
-    else:
-        metric = dm = all_pairs_distances(g)
+    metric_of, solve = _RESOLVERS[resolver]
+    metric = metric_of(g)
     records = []
     for k in k_values:
-        if resolver == "exact-tree":
-            sensors = exact_tree_md(g, k).witness
-        else:
-            sensors, _ = greedy_k_resolving_set(dm, k)
+        sensors = solve(g, metric, k)
         part = equivalence_partition(metric, sensors)
         records.append(
             SweepRecord(

@@ -5,7 +5,8 @@ down-stemming, leaf / exterior-major-vertex counting, the closed-form
 dimension of a tree with a constructive witness, a tree metric that
 partitions and verifies sensor sets without the n x n distance matrix,
 per-vertex subtree property counters, and an exhaustive brute-force oracle
-for small graphs.
+for small graphs. Stems are vertex sets of the input graph: every vertex id
+here is an input id, and no stem is rebuilt as a graph of its own.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .graph import (
     all_pairs_distances,
     bfs_distances,
     distance_dtype,
-    induced_subgraph,
     is_k_relaxed_resolving,
     peel_degree_le1,
 )
@@ -201,16 +201,13 @@ class RootedTree:
     root: int
     parent: tuple[int, ...]
     children: tuple[tuple[int, ...], ...]
-    to_original: tuple[int, ...] | None = None
 
     @property
     def n(self) -> int:
         return self.graph.n
 
     @classmethod
-    def from_graph(
-        cls, g: Graph, root: int = 0, to_original: tuple[int, ...] | None = None
-    ) -> "RootedTree":
+    def from_graph(cls, g: Graph, root: int = 0) -> "RootedTree":
         if not is_tree(g):
             raise ValueError("input graph is not a tree")
         if not 0 <= root < g.n:
@@ -225,7 +222,7 @@ class RootedTree:
                     seen[w] = True
                     parent[w] = u
                     order.append(w)
-        return cls(g, root, tuple(parent), _children(parent), to_original)
+        return cls(g, root, tuple(parent), _children(parent))
 
     @classmethod
     def from_parents(cls, parents: Sequence[int], root: int = 0) -> "RootedTree":
@@ -299,17 +296,15 @@ def _tree_graph(parent: list[int], children: tuple[tuple[int, ...], ...]) -> Gra
 
 @dataclass(frozen=True)
 class StemResult:
-    """Survivors of iterated degree-<=1 pruning.
+    """Survivors of iterated degree-<=1 pruning, as vertex ids of the input
+    graph.
 
-    ``survivors`` are original ids (ascending); ``subgraph`` is the induced
-    graph relabeled 0..len-1 with ``to_original`` mapping back; round ``i`` of
-    ``removed_per_round`` holds exactly the degree-<=1 vertices of the
-    previous round's survivor graph.
+    ``survivors`` ascend; round ``i`` of ``removed_per_round`` holds exactly
+    the degree-<=1 vertices of the graph the earlier rounds left, ascending.
+    The stem as a graph of its own is ``induced_subgraph(g, survivors)``.
     """
 
     survivors: tuple[int, ...]
-    subgraph: Graph
-    to_original: tuple[int, ...]
     removed_per_round: tuple[tuple[int, ...], ...]
 
     @property
@@ -322,14 +317,10 @@ def stem_r(g: Graph, r: int) -> StemResult:
     round); ``r = 0`` is the identity."""
     if r < 0:
         raise ValueError("stemming rounds must be nonnegative")
-    if r == 0:
-        ids = tuple(range(g.n))
-        return StemResult(ids, g, ids, ())
     rounds = peel_degree_le1(g, rounds=r)
     alive = np.ones(g.n, dtype=bool)
     alive[np.fromiter(chain.from_iterable(rounds), dtype=np.intp)] = False
-    subgraph, to_original = induced_subgraph(g, np.flatnonzero(alive).tolist())
-    return StemResult(to_original, subgraph, to_original, tuple(tuple(b) for b in rounds))
+    return StemResult(tuple(np.flatnonzero(alive).tolist()), tuple(map(tuple, rounds)))
 
 
 def stem(g: Graph) -> StemResult:
@@ -360,28 +351,32 @@ def down_stem_vertices(t: RootedTree, r: int) -> tuple[int, ...]:
     return tuple(v for v in range(t.n) if v == t.root or height[v] >= r)
 
 
-def down_stem_r(t: RootedTree, r: int) -> RootedTree:
-    """The down-stem as a rooted tree, relabeled with a map to original ids."""
-    survivors = down_stem_vertices(t, r)
-    subgraph, to_original = induced_subgraph(t.graph, survivors)
-    new_root = to_original.index(t.root)
-    return RootedTree.from_graph(subgraph, new_root, to_original)
-
-
-def _leaf_groups(g: Graph) -> tuple[list[int], dict[int, list[int]]]:
+def _leaf_groups(g: Graph, removed: Iterable[int] = ()) -> tuple[list[int], dict[int, list[int]]]:
     """The leaves (ascending), and the leaves grouped by their closest major
     vertex (degree >= 3), i.e. by the exterior major vertex owning their leaf
-    path. Leaves on path components have no major vertex and are in no
-    group."""
+    path, in the graph left when the distinct vertices ``removed`` are taken
+    out of ``g``; all ids are ``g``'s. Leaves on path components have no
+    major vertex and are in no group.
+
+    The walk keeps two values per vertex left: its degree there and the id
+    sum of its removed neighbours. A leaf's one neighbour is its neighbours'
+    id sum less that, and the vertex after a degree-2 vertex is the same less
+    the vertex the walk came from, summed only for the vertices walked.
+    """
     adjacency = g.adjacency
     degree = g.degrees()
+    cut = [0] * g.n
+    for v in removed:
+        degree[v] = 0  # only falls from here: never a leaf, never walked
+        for w in adjacency[v]:
+            degree[w] -= 1
+            cut[w] += v
     leaves = [v for v, d in enumerate(degree) if d == 1]
     groups: dict[int, list[int]] = {}
     for leaf in leaves:
-        prev, cur = leaf, adjacency[leaf][0]
+        prev, cur = leaf, sum(adjacency[leaf]) - cut[leaf]
         while degree[cur] == 2:
-            a, b = adjacency[cur]
-            prev, cur = cur, (b if a == prev else a)
+            prev, cur = cur, sum(adjacency[cur]) - cut[cur] - prev
         if degree[cur] > 2:  # degree 1: the far end of a path component
             groups.setdefault(cur, []).append(leaf)
     return leaves, groups
@@ -434,7 +429,8 @@ def exact_tree_md(g: Graph, k: int) -> TreeMDReport:
     stemming rounds matter. The witness keeps, for every exterior major
     vertex of the r-stem, all but the smallest-id leaf of its leaf paths; for
     a path stem (the only trees without an exterior major vertex) it is the
-    smaller-id endpoint. One walk of the stem's leaf paths gives all of it.
+    smaller-id endpoint. One walk of the stem's leaf paths, on the input
+    tree less the peeled vertices, gives all of it in input ids.
 
     The r-stem of a tree of diameter D has diameter D - 2r, or is empty, so
     k >= D (and md = 0) exactly when the stem has at most 1 + k % 2
@@ -449,16 +445,12 @@ def exact_tree_md(g: Graph, k: int) -> TreeMDReport:
     st = stem_r(g, min(r, g.n))
     if len(st.survivors) <= 1 + k % 2:
         return TreeMDReport(k, r, 0, 0, False, 0, ())
-    leaves, groups = _leaf_groups(st.subgraph)
+    leaves, groups = _leaf_groups(g, chain.from_iterable(st.removed_per_round))
     sigma, ex = len(leaves), len(groups)
     if ex == 0:
-        # to_original ascends, so the smallest endpoint maps to the smallest id
-        w = st.to_original[leaves[0]]
-        return TreeMDReport(k, r, sigma, ex, True, 1, (w,))
-    # groups list their leaves ascending and to_original ascends, so each
-    # group's first leaf is the one with the smallest original id
-    to_original = st.to_original
-    witness = sorted(to_original[leaf] for group in groups.values() for leaf in group[1:])
+        return TreeMDReport(k, r, sigma, ex, True, 1, (leaves[0],))
+    # groups list their leaves ascending: each group's first is its smallest
+    witness = sorted(leaf for group in groups.values() for leaf in group[1:])
     md = sigma - ex
     assert md == len(witness)
     return TreeMDReport(k, r, sigma, ex, False, md, tuple(witness))

@@ -1,7 +1,7 @@
 """Slow references for all-pairs distances, statistics, peeling,
 down-stemming, identification-vector grouping, rooted trees from parent
-arrays and leaf-path walks: the straightforward versions the library
-replaced.
+arrays, leaf-path walks and the exact tree solver: the straightforward
+versions the library replaced.
 
 All-pairs distances are one breadth-first search per source, and the
 statistics are read off that matrix. Induced
@@ -10,7 +10,9 @@ round rescans every vertex, so peeling a path of n vertices costs
 Theta(n^2); vertices are grouped through a dict keyed by distance-row
 tuples; the resolving check and the brute-force search run on that grouping.
 A parent array becomes a rooted tree through ``Graph.from_edges`` and its set
-checks, and leaf paths are walked through ``Graph.degree`` calls.
+checks, and leaf paths are walked through ``Graph.degree`` calls. The exact
+tree solver rebuilds the r-stem as a relabelled subgraph, walks it there and
+maps the witness back to input ids.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from itertools import combinations
 
 import numpy as np
 
-from relaxmdim import Graph, GraphStats, RootedTree
+from relaxmdim import Graph, GraphStats, RootedTree, TreeMDReport
 from relaxmdim.graph import bfs_distances
 
 
@@ -159,3 +161,23 @@ def degree_call_leaf_groups(g: Graph) -> tuple[list[int], dict[int, list[int]]]:
         if cur >= 0:
             groups.setdefault(cur, []).append(leaf)
     return leaves, groups
+
+
+def subgraph_exact_tree_md(g: Graph, k: int) -> TreeMDReport:
+    """The exact k-relaxed dimension report of a tree, with r = k // 2: the
+    r-stem as a subgraph relabelled in ascending id order, its leaves and
+    exterior major vertices from :func:`degree_call_leaf_groups`, and the
+    witness (all but the smallest leaf of each group, or the smaller end of
+    a path stem) mapped back through the relabel map."""
+    r = k // 2
+    removed = {v for batch in round_scan_peel(g, rounds=min(r, g.n)) for v in batch}
+    sub, to_original = dict_induced_subgraph(g, [v for v in range(g.n) if v not in removed])
+    if sub.n <= 1 + k % 2:
+        return TreeMDReport(k, r, 0, 0, False, 0, ())
+    leaves, groups = degree_call_leaf_groups(sub)
+    sigma, ex = len(leaves), len(groups)
+    if ex == 0:
+        return TreeMDReport(k, r, sigma, ex, True, 1, (to_original[leaves[0]],))
+    witness = sorted(to_original[leaf] for group in groups.values() for leaf in group[1:])
+    assert sigma - ex == len(witness)
+    return TreeMDReport(k, r, sigma, ex, False, sigma - ex, tuple(witness))

@@ -264,6 +264,21 @@ class TestGenerate:
         assert main(["generate", *argv, "--n", "10", "--seed", "0"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--model", "gw-tree", "--offspring", "poisson:inf", "--n", "10", "--seed", "0"],
+            ["gw-constants", "--offspring", "poisson:1e400", "--r-max", "2"],
+            ["gw-constants", "--offspring", "poisson:800", "--r-max", "2"],
+        ],
+        ids=["inf", "overflow", "underflow"],
+    )
+    def test_poisson_mean_without_a_float_p0_refused(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: lam must be positive with exp(-lam) > 0, but lam ")
+        assert "pmf mass" not in err
+
     def test_generated_file_loads_back(self, tmp_path, capsys):
         out = tmp_path / "rgg.txt"
         args = ["generate", "--model", "rgg", "--n", "120", "--seed", "5", "--out", str(out)]

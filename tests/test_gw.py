@@ -27,7 +27,7 @@ class TestOffspringDistribution:
         xi = OffspringDistribution.geometric(0.5)
         assert xi.mean == pytest.approx(1.0, abs=1e-9)
 
-    @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan"), float("inf"), 800.0])
     def test_poisson_rejects_a_nonpositive_or_nan_mean(self, lam):
         with pytest.raises(ValueError, match="lam must be positive"):
             OffspringDistribution.poisson(lam)

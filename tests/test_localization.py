@@ -12,7 +12,9 @@ from relaxmdim import (
     qstar_curve,
     sweep_metrics,
     two_step_qstar,
+    uniform_tree,
 )
+from relaxmdim import localization
 
 from conftest import (
     cycle_graph,
@@ -45,6 +47,24 @@ class TestSweep:
     def test_exact_resolver_rejects_cycles(self):
         with pytest.raises(ValueError, match="acyclic"):
             sweep_metrics(cycle_graph(5), [0], resolver="exact-tree")
+
+    def test_unknown_resolver_refused_by_name(self):
+        with pytest.raises(ValueError, match="unknown resolver 'exact_tree'; choose one of exact-tree, greedy"):
+            sweep_metrics(uniform_tree(20, 1), [0], resolver="exact_tree")
+
+    @pytest.mark.parametrize("resolver, solver", [("exact-tree", "exact_tree_md"), ("greedy", "greedy_k_resolving_set")])
+    def test_solver_read_from_module_globals_per_k(self, resolver, solver, monkeypatch):
+        # a wrapper bound at the module's attribute sees every per-k call
+        calls = []
+        original = getattr(localization, solver)
+
+        def counted(*args):
+            calls.append(args[-1])
+            return original(*args)
+
+        monkeypatch.setattr(localization, solver, counted)
+        sweep_metrics(full_m_ary_tree(2, 3), [0, 1, 2], resolver=resolver)
+        assert calls == [0, 1, 2]
 
     def test_histogram_mass_equals_non_resolved(self):
         g = random_connected_graph(30, 8, seed=2)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from itertools import chain
+
 import networkx as nx
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from relaxmdim import (
     all_pairs_distances,
     brute_force_md,
     count_sigma_ex,
-    down_stem_r,
     down_stem_vertices,
     equivalence_partition,
     exact_tree_md,
@@ -48,7 +49,28 @@ from graph_oracle import (
     dict_brute_force_md,
     edge_list_rooted_tree,
     round_scan_down_stem,
+    subgraph_exact_tree_md,
 )
+
+# n = 1, n = 2, stars, paths and spiders: the edge cases of the stem rules
+SMALL_TREES = [
+    path_graph(1),
+    path_graph(2),
+    *(star_graph(leaves) for leaves in range(2, 7)),
+    *(path_graph(n) for n in range(3, 10)),
+    spider_graph([1, 1, 2]),
+    spider_graph([2, 2, 2]),
+    spider_graph([3, 1, 2]),
+    spider_graph([4, 4, 1, 1]),
+    spider_graph([5, 3, 3]),
+]
+
+
+def relabelled(g: Graph, rng) -> Graph:
+    """``g`` with its vertex ids shuffled."""
+    ids = list(range(g.n))
+    rng.shuffle(ids)
+    return Graph.from_edges(g.n, [(ids[u], ids[v]) for u, v in g.edges()])
 
 
 @st.composite
@@ -153,14 +175,15 @@ class TestStem:
     def test_r0_is_identity(self):
         g = spider_graph([3, 1, 2])
         res = stem_r(g, 0)
-        assert res.subgraph is g
-        assert res.to_original == res.survivors == tuple(range(g.n))
+        assert res.survivors == tuple(range(g.n))
+        assert induced_subgraph(g, res.survivors) == (g, res.survivors)
         assert res.removed_per_round == ()
 
     def test_full_binary_one_round(self):
-        res = stem_r(full_m_ary_tree(2, 3), 1)
-        assert res.subgraph.n == 7  # height-2 binary tree
-        assert is_tree(res.subgraph)
+        g = full_m_ary_tree(2, 3)
+        sub, _ = induced_subgraph(g, stem_r(g, 1).survivors)
+        assert sub.n == 7  # height-2 binary tree
+        assert is_tree(sub)
 
     def test_cycle_with_pendant_path(self):
         # 4-cycle 0..3 plus the path 0-4-5-6; three rounds eat the path
@@ -205,12 +228,6 @@ class TestDownStem:
         t = RootedTree.from_graph(g, root=0)
         for r in range(4):
             assert set(down_stem_vertices(t, r)) == set(stem_r(g, r).survivors) | {0}
-
-    def test_down_stem_r_returns_rooted_tree(self):
-        t = RootedTree.from_graph(spider_graph([3, 2]), root=0)
-        ds = down_stem_r(t, 2)
-        assert ds.to_original is not None
-        assert ds.to_original[ds.root] == 0
 
     def test_non_root_survival_is_subtree_height(self):
         # literal peeling agrees with the height characterization
@@ -393,18 +410,54 @@ class TestExactTreeMD:
         # them; a path stem's witness is its smaller-id end
         for k in range(tree_diameter(g)):
             rep = exact_tree_md(g, k)
-            res = stem_r(g, k // 2)
-            sub = res.subgraph
+            sub, to_original = induced_subgraph(g, stem_r(g, k // 2).survivors)
             assert (rep.sigma_r, rep.ex_r) == count_sigma_ex(sub)
             assert rep.is_line == is_path_graph(sub) == (rep.ex_r == 0)
             if rep.is_line:
                 ends = [v for v in range(sub.n) if sub.degree(v) <= 1]
-                assert rep.witness == (min(res.to_original[v] for v in ends),)
+                assert rep.witness == (min(to_original[v] for v in ends),)
 
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(st.one_of(random_trees(), connected_graphs(), sparse_graphs()))
     def test_leaf_walk_matches_degree_calls(self, g):
         assert trees._leaf_groups(g) == degree_call_leaf_groups(g)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.one_of(random_trees(), connected_graphs(), sparse_graphs()), st.data())
+    def test_leaf_walk_less_removed_matches_the_induced_subgraph(self, g, data):
+        # removed: the peel at a random depth, or any vertex subset in any
+        # order; the walk on g less removed answers in g's ids what the walk
+        # of the relabelled subgraph answers in its own
+        if data.draw(st.booleans()):
+            depth = data.draw(st.integers(0, 8))
+            removed = list(chain.from_iterable(peel_degree_le1(g, rounds=depth)))
+        else:
+            removed = data.draw(st.lists(st.integers(0, g.n - 1), unique=True))
+        sub, to_original = induced_subgraph(g, sorted(set(range(g.n)) - set(removed)))
+        leaves, groups = degree_call_leaf_groups(sub)
+        expected_groups = {
+            to_original[major]: [to_original[v] for v in group] for major, group in groups.items()
+        }
+        got_leaves, got_groups = trees._leaf_groups(g, removed)
+        assert got_leaves == [to_original[v] for v in leaves]
+        assert got_groups == expected_groups
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(
+        st.one_of(
+            random_trees(),
+            st.builds(relabelled, st.sampled_from(SMALL_TREES), st.randoms(use_true_random=False)),
+        )
+    )
+    def test_report_matches_the_subgraph_solver(self, g):
+        # every field, at every k up to one past the diameter
+        for k in range(tree_diameter(g) + 2):
+            assert exact_tree_md(g, k) == subgraph_exact_tree_md(g, k), k
+
+    @pytest.mark.parametrize("g", SMALL_TREES)
+    def test_report_matches_the_subgraph_solver_on_small_trees(self, g):
+        for k in range(tree_diameter(g) + 2):
+            assert exact_tree_md(g, k) == subgraph_exact_tree_md(g, k), k
 
     def test_report_json_schema(self):
         d = exact_tree_md(path_graph(4), 0).as_dict()
