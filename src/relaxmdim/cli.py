@@ -36,7 +36,7 @@ from .graph import (
 )
 from .greedy import greedy_k_resolving_set
 from .gw import OffspringDistribution, gw_sequence
-from .localization import SWEEP_CSV_HEADER, qstar_curve, sweep_metrics
+from .localization import _RESOLVERS, SWEEP_CSV_HEADER, qstar_curve, sweep_metrics
 from .trees import (
     BRUTE_FORCE_MAX_N,
     IncompatibleMethodError,
@@ -260,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="metrics for k = 0..k-max (CSV)")
     p.add_argument("input")
     p.add_argument("--k-max", type=int, required=True)
-    p.add_argument("--method", choices=("exact-tree", "greedy"), default="greedy")
+    p.add_argument("--method", choices=_RESOLVERS, default="greedy")
     p.add_argument("--lcc", action="store_true", help=LCC_HELP)
     p.add_argument("--out")
     p.set_defaults(func=cmd_sweep)

@@ -4,6 +4,10 @@ Every generator is a pure function of its parameters and a 64-bit seed. The
 RNG is numpy's default PCG64 stream (``np.random.default_rng(seed)``), which
 is portable across platforms; replicate-level sub-streams are derived as
 ``seed + replicate_index``.
+
+Each sampler first checks a lower bound on the bytes its own arrays take
+for n vertices, and refuses a size beyond physical memory with
+:class:`~relaxmdim.graph.TooLargeError` before it allocates anything.
 """
 
 from __future__ import annotations
@@ -14,11 +18,33 @@ from functools import lru_cache
 
 import numpy as np
 
-from .graph import Graph, TooLargeError, largest_connected_component
+from .graph import (
+    Graph,
+    TooLargeError,
+    _graph_from_pairs,
+    _physical_memory,
+    largest_connected_component,
+)
 from .gw import OffspringDistribution
 from .trees import RootedTree
 
 log = logging.getLogger(__name__)
+
+# Smallest side of an RGG grid cell. Coordinates lie in [0, 1), so the cell
+# ids stay at most 2^30 per axis and a cell's key fits in int64.
+_MIN_CELL_SIDE = 2.0**-30
+
+
+def _refuse_beyond_memory(n: int, bytes_per_vertex: int) -> None:
+    """Raise :class:`TooLargeError` when a sample of n vertices needs more
+    than physical memory at ``bytes_per_vertex``, a lower bound on what the
+    sampler's own arrays hold per vertex."""
+    need, limit = n * bytes_per_vertex, _physical_memory()
+    if need > limit:
+        raise TooLargeError(
+            f"a sample of {n} vertices needs at least {need / 1e9:.1f} GB, "
+            f"more than the {limit / 1e9:.1f} GB of physical memory"
+        )
 
 
 def ba_tree(n: int, seed: int) -> Graph:
@@ -30,6 +56,7 @@ def ba_tree(n: int, seed: int) -> Graph:
     into the graph without an edge set."""
     if n < 2:
         raise ValueError("need at least two vertices")
+    _refuse_beyond_memory(n, 24)  # the parent list and two stubs, 8 bytes each
     rng = np.random.default_rng(seed)
     parent = [-1, 0]
     stubs = [0, 1]  # one entry per unit of degree
@@ -54,6 +81,7 @@ def uniform_tree(n: int, seed: int) -> Graph:
     """
     if n < 2:
         raise ValueError("need at least two vertices")
+    _refuse_beyond_memory(n, 16)  # the int64 codes and their counts
     rng = np.random.default_rng(seed)
     seq = rng.integers(0, n, size=n - 2)
     degree = (np.bincount(seq, minlength=n) + 1).tolist()
@@ -200,6 +228,7 @@ def gw_tree_conditioned(n: int, xi: OffspringDistribution, seed: int) -> RootedT
     """
     if n < 1:
         raise ValueError("need at least one vertex")
+    _refuse_beyond_memory(n, 16)  # a row of float64 uniforms and its int64 counts
     rng = np.random.default_rng(seed)
     if n == 1:
         return RootedTree.from_parents([-1])
@@ -238,10 +267,14 @@ def configuration_model(n: int, seed: int) -> Graph:
     """Configuration model with iid degrees 2 + Zipf(2.5), uniform stub
     matching, self-loops and multi-edges erased, largest component returned.
 
-    An odd degree total is repaired by resampling the last degree only.
+    An odd degree total is repaired by resampling the last degree only. Each
+    matched pair is keyed ``min * n + max``; the loops are the pairs with
+    equal ends, and keeping the distinct keys of the others, sorted, erases
+    the multi-edges.
     """
     if n < 4:
         raise ValueError("need at least four vertices")
+    _refuse_beyond_memory(n, 24)  # the Zipf table's support, weights and cdf
     rng = np.random.default_rng(seed)
     draw = _zipf_sampler(n)
     degrees = 2 + draw(rng, n)
@@ -254,16 +287,18 @@ def configuration_model(n: int, seed: int) -> Graph:
     hi = pairs.max(axis=1)
     proper = lo != hi
     n_loops = int((~proper).sum())
-    unique = {(int(a), int(b)) for a, b in zip(lo[proper], hi[proper])}
-    n_multi = int(proper.sum()) - len(unique)
+    keys = np.sort(lo[proper] * n + hi[proper])
+    # the distinct keys, as np.unique gives them; np.unique would import
+    # numpy.ma (about 1 MB) into every process that samples this model
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    n_multi = int(proper.sum()) - keys.size
     if n_loops or n_multi:
         log.debug(
             "configuration model erased %d self-loops and %d multi-edges",
             n_loops,
             n_multi,
         )
-    g = Graph.from_edges(n, sorted(unique))
-    component, _ = largest_connected_component(g)
+    component, _ = largest_connected_component(_graph_from_pairs(n, *np.divmod(keys, n)))
     return component
 
 
@@ -272,36 +307,50 @@ def rgg(n: int, radius_factor: float, seed: int) -> Graph:
 
     Points are the first draw from the stream (``rng.random((n, 2))``); two
     vertices are adjacent when their Euclidean distance is at most
-    ``radius_factor * sqrt(log(n) / (n * pi))``. Neighbor search uses a
-    uniform grid with cells of side equal to the radius.
+    ``radius_factor * sqrt(log(n) / (n * pi))``, tested in float64 as
+    ``dx*dx + dy*dy <= r*r``.
+
+    Neighbor search keys each point by its cell in a uniform grid, with cells
+    of side equal to the radius, and sorts the points by key once. For each
+    of the 9 neighbor offsets, ``searchsorted`` finds every point's range of
+    candidates in the offset cell, and the candidates j > i that pass the
+    distance test are the edges; no pair is visited in Python. A radius
+    below ``_MIN_CELL_SIDE`` gets cells of that side instead, so the cell
+    ids fit in int64: cells at least as wide as the radius find the same
+    pairs.
     """
     if n < 2:
         raise ValueError("need at least two vertices")
     if not radius_factor >= 0:
         raise ValueError("radius_factor must be nonnegative")
+    _refuse_beyond_memory(n, 16)  # two float64 coordinates per point
     rng = np.random.default_rng(seed)
     points = rng.random((n, 2))
     radius = radius_factor * math.sqrt(math.log(n) / (n * math.pi))
     if radius <= 0.0:
         return Graph.from_edges(n, [])
-    cells: dict[tuple[int, int], list[int]] = {}
-    for i, (x, y) in enumerate(points):
-        cells.setdefault((int(x / radius), int(y / radius)), []).append(i)
+    cell = (points / max(radius, _MIN_CELL_SIDE)).astype(np.int64)
+    # one empty column on each side, so no offset wraps into another row
+    width = int(cell[:, 1].max()) + 3
+    key = (cell[:, 0] + 1) * width + cell[:, 1] + 1
+    order = np.argsort(key, kind="stable")
+    sorted_key = key[order]
+    x, y = points[:, 0], points[:, 1]
     r2 = radius * radius
-    edges = []
-    for (cx, cy), members in cells.items():
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                other = cells.get((cx + dx, cy + dy))
-                if other is None:
-                    continue
-                for i in members:
-                    xi, yi = points[i]
-                    for j in other:
-                        if j <= i:
-                            continue
-                        dxv = xi - points[j, 0]
-                        dyv = yi - points[j, 1]
-                        if dxv * dxv + dyv * dyv <= r2:
-                            edges.append((i, j))
-    return Graph.from_edges(n, edges)
+    ids = np.arange(n)
+    us, vs = [], []
+    for offset in (dx * width + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)):
+        target = key + offset
+        start = sorted_key.searchsorted(target, side="left")
+        count = sorted_key.searchsorted(target, side="right") - start
+        i = np.repeat(ids, count)
+        # sorted positions start[i], start[i] + 1, ..., start[i] + count[i] - 1
+        j = order[np.arange(i.size) + np.repeat(start - np.cumsum(count) + count, count)]
+        later = j > i
+        i, j = i[later], j[later]
+        dx = x[i] - x[j]
+        dy = y[i] - y[j]
+        near = dx * dx + dy * dy <= r2
+        us.append(i[near])
+        vs.append(j[near])
+    return _graph_from_pairs(n, np.concatenate(us), np.concatenate(vs))

@@ -62,9 +62,9 @@ SensorSet = Sequence[int]
 
 class TooLargeError(RuntimeError):
     """Raised when a computation is refused on resource grounds: an
-    exhaustive search over too many vertices, a distance matrix larger than
-    physical memory, or a conditioned tree size that rejection sampling
-    does not reach."""
+    exhaustive search over too many vertices, a distance matrix or a
+    sample larger than physical memory, or a conditioned tree size that
+    rejection sampling does not reach."""
 
 
 @dataclass(frozen=True)
@@ -127,6 +127,34 @@ class Graph:
                     raise ValueError(f"self-loop at vertex {u}")
                 if u not in self.adjacency[v]:
                     raise ValueError(f"asymmetric edge ({u}, {v})")
+
+
+def _graph_from_pairs(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
+    """The graph on vertices 0..n-1 with the undirected edges {u[i], v[i]}:
+    :meth:`Graph.from_edges` on integer arrays.
+
+    The pairs are listed in both orientations and keyed ``src * n + dst``;
+    one sort of the keys gives every row, sorted, and the rows become tuples
+    of Python ints. ``from_edges``' three checks run on the arrays: an id
+    out of range, a self-loop, and a repeated pair (equal neighbouring
+    keys). When one fails, ``from_edges`` itself reads the pairs, so the
+    error raised names the first bad edge in input order, with its message.
+    """
+    if n * n > np.iinfo(np.int64).max:
+        raise TooLargeError(f"pair keys of {n} vertices overflow int64")
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    src = np.concatenate((u, v))
+    key = np.sort(src * max(n, 1) + np.concatenate((v, u)))
+    outside = n <= 0 or src.size and (int(src.min()) < 0 or int(src.max()) >= n)
+    if outside or bool((u == v).any()) or bool((key[1:] == key[:-1]).any()):
+        return Graph.from_edges(n, zip(u.tolist(), v.tolist()))
+    rows, cols = np.divmod(key, n)
+    ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
+    # one int object per vertex id, shared by every row that lists it: an
+    # int per entry, as cols.tolist() makes, costs 32 more bytes each
+    flat = np.array(range(n), dtype=object)[cols].tolist()
+    return Graph(tuple(tuple(flat[a:b]) for a, b in zip([0, *ends], ends)))
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Slow references for the generators: the batched conditioned branching-tree
 sampler, the stack decode of a depth-first offspring sequence, the
-min-heap Pruefer decode of the uniform tree and the preferential-attachment
-tree built through ``Graph.from_edges``.
+min-heap Pruefer decode of the uniform tree, the preferential-attachment
+tree built through ``Graph.from_edges``, the configuration model erased
+through a Python set of edge tuples, and the random geometric graph found
+by a Python loop over the pairs of neighboring grid cells.
 
 The batched sampler draws 256-row blocks of offspring counts through
 ``Generator.choice`` and accepts the first row in the first block whose
@@ -17,7 +19,8 @@ import math
 import numpy as np
 
 from relaxmdim import Graph, OffspringDistribution, RootedTree
-from relaxmdim.generators import _critical_tilt
+from relaxmdim.generators import _critical_tilt, _zipf_sampler
+from relaxmdim.graph import largest_connected_component
 
 
 def batched_gw_tree_conditioned(
@@ -127,4 +130,64 @@ def edge_list_ba_tree(n: int, seed: int) -> Graph:
         edges.append((anchor, t))
         stubs.append(anchor)
         stubs.append(t)
+    return Graph.from_edges(n, edges)
+
+
+def set_configuration_model(n: int, seed: int) -> tuple[Graph, int, int]:
+    """Configuration model with the same degree and matching draws, loops
+    and multi-edges erased through a set of edge tuples; returns the largest
+    component and the numbers of loops and multi-edges erased."""
+    if n < 4:
+        raise ValueError("need at least four vertices")
+    rng = np.random.default_rng(seed)
+    draw = _zipf_sampler(n)
+    degrees = 2 + draw(rng, n)
+    while int(degrees.sum()) % 2 == 1:
+        degrees[-1] = 2 + int(draw(rng, 1)[0])
+    stubs = np.repeat(np.arange(n), degrees)
+    rng.shuffle(stubs)
+    pairs = stubs.reshape(-1, 2)
+    lo = pairs.min(axis=1)
+    hi = pairs.max(axis=1)
+    proper = lo != hi
+    n_loops = int((~proper).sum())
+    unique = {(int(a), int(b)) for a, b in zip(lo[proper], hi[proper])}
+    n_multi = int(proper.sum()) - len(unique)
+    component, _ = largest_connected_component(Graph.from_edges(n, sorted(unique)))
+    return component, n_loops, n_multi
+
+
+def loop_rgg(n: int, radius_factor: float, seed: int) -> Graph:
+    """Random geometric graph from the same points: a dict of grid cells of
+    side equal to the radius, and a Python loop over the pairs of points in
+    neighboring cells."""
+    if n < 2:
+        raise ValueError("need at least two vertices")
+    if not radius_factor >= 0:
+        raise ValueError("radius_factor must be nonnegative")
+    rng = np.random.default_rng(seed)
+    points = rng.random((n, 2))
+    radius = radius_factor * math.sqrt(math.log(n) / (n * math.pi))
+    if radius <= 0.0:
+        return Graph.from_edges(n, [])
+    cells: dict[tuple[int, int], list[int]] = {}
+    for i, (x, y) in enumerate(points):
+        cells.setdefault((int(x / radius), int(y / radius)), []).append(i)
+    r2 = radius * radius
+    edges = []
+    for (cx, cy), members in cells.items():
+        for dx in (-1, 0, 1):
+            for dy in (-1, 0, 1):
+                other = cells.get((cx + dx, cy + dy))
+                if other is None:
+                    continue
+                for i in members:
+                    xi, yi = points[i]
+                    for j in other:
+                        if j <= i:
+                            continue
+                        dxv = xi - points[j, 0]
+                        dyv = yi - points[j, 1]
+                        if dxv * dxv + dyv * dyv <= r2:
+                            edges.append((i, j))
     return Graph.from_edges(n, edges)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -13,6 +14,7 @@ import pytest
 from relaxmdim import cli, graph, trees
 from relaxmdim.cli import METHODS, MODELS, build_parser, main
 from relaxmdim.generators import rgg, uniform_tree
+from relaxmdim.localization import _RESOLVERS
 
 from conftest import path_graph
 
@@ -252,6 +254,27 @@ class TestGenerate:
         assert "Traceback" not in err
         assert main([*argv, str(minimum)]) == 0
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
+    @pytest.mark.parametrize("model", MODELS)
+    def test_each_sampler_refuses_a_size_beyond_memory(self, model):
+        # the child's address space is capped at 4 GB, so an allocation
+        # before the refusal fails fast instead of filling the host's memory
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+        argv = ["generate", "--model", model, "--n", str(10**11), "--seed", "0"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "relaxmdim.cli", *argv],
+            capture_output=True,
+            text=True,
+            preexec_fn=cap,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+            timeout=120,
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.startswith(f"error: a sample of {10**11} vertices needs at least")
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize(
         "argv, message",
         [
@@ -424,6 +447,14 @@ def test_generate_accepts_exactly_the_generator_models(capsys):
         assert args.model == model
     with pytest.raises(SystemExit):
         parser.parse_args(["generate", "--model", "erdos-renyi", "--n", "5", "--seed", "0"])
+
+
+def test_sweep_accepts_exactly_the_resolvers(path_file):
+    parser = build_parser()
+    for resolver in _RESOLVERS:
+        assert parser.parse_args(["sweep", path_file, "--k-max", "0", "--method", resolver]).method == resolver
+    with pytest.raises(SystemExit):
+        parser.parse_args(["sweep", path_file, "--k-max", "0", "--method", "brute"])
 
 
 def test_mdim_accepts_exactly_the_methods(path_file):

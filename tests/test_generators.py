@@ -4,7 +4,9 @@ structural statistics of each family."""
 from __future__ import annotations
 
 import itertools
+import logging
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -36,6 +38,8 @@ from generators_oracle import (
     batched_gw_tree_conditioned,
     edge_list_ba_tree,
     heap_uniform_tree,
+    loop_rgg,
+    set_configuration_model,
     stack_depth_first_parents,
 )
 
@@ -319,6 +323,18 @@ class TestConfigurationModel:
         with pytest.raises(ValueError):
             configuration_model(3, seed=0)
 
+    @pytest.mark.parametrize("n", [4, 5, 800, 4000])
+    def test_same_graph_and_erasures_as_set_oracle(self, n, caplog):
+        caplog.set_level(logging.DEBUG, logger=generators.__name__)
+        for seed in range(10):
+            caplog.clear()
+            g = configuration_model(n, seed)
+            expected, loops, multi = set_configuration_model(n, seed)
+            assert g.adjacency == expected.adjacency, seed
+            # the debug line is logged only when something was erased
+            logged = [r.args for r in caplog.records if "erased" in r.getMessage()]
+            assert logged == ([(loops, multi)] if loops or multi else []), seed
+
 
 class TestRGG:
     def test_radius_zero_gives_empty_graph(self):
@@ -355,6 +371,29 @@ class TestRGG:
             if bfs_distances(g, 0).count(-1) == 0:
                 connected += 1
         assert connected >= 95
+
+    # (5000, 1e6) is left out: its complete graph has 12.5 million edges, over
+    # a gigabyte as adjacency tuples, and the loop oracle takes about half a
+    # minute per seed
+    @pytest.mark.parametrize(
+        "n, factor",
+        [c for c in itertools.product([2, 3, 50, 800, 5000], [0.3, 1.5, 3, 1e6]) if c != (5000, 1e6)],
+    )
+    def test_same_graph_as_loop_oracle(self, n, factor):
+        for seed in range(10):
+            g = rgg(n, factor, seed)
+            assert g.adjacency == loop_rgg(n, factor, seed).adjacency, seed
+            if factor == 1e6:  # one cell holds every point
+                assert g.m == n * (n - 1) // 2
+
+    def test_tiny_radius_needs_no_cell_overflow(self):
+        # cells as narrow as this radius would need ids far past int64
+        for seed in range(3):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                g = rgg(5000, 1e-300, seed)
+            assert g.m == 0
+            assert g.adjacency == loop_rgg(5000, 1e-300, seed).adjacency
 
     def test_one_shell_small(self):
         # seed 4 gives a connected graph; graph_stats refuses any other

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import random
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -144,6 +145,52 @@ class TestLargestComponent:
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
             largest_connected_component(Graph.from_edges(0, []))
+
+
+class TestGraphFromPairs:
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(ANY_GRAPH, st.integers(0, 2**32 - 1))
+    def test_matches_from_edges(self, g, seed):
+        # the edges in a shuffled order, each in a random orientation
+        rng = random.Random(seed)
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges()]
+        rng.shuffle(edges)
+        pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+        got = graph._graph_from_pairs(g.n, pairs[:, 0], pairs[:, 1])
+        assert got.adjacency == Graph.from_edges(g.n, edges).adjacency
+        assert all(type(w) is int for nbrs in got.adjacency for w in nbrs)
+
+    @pytest.mark.parametrize(
+        "n, pairs, message",
+        [
+            (3, [(0, 1), (1, 3)], "edge (1, 3) out of range for n=3"),
+            (3, [(0, 1), (-1, 2)], "edge (-1, 2) out of range for n=3"),
+            (0, [(0, 0)], "edge (0, 0) out of range for n=0"),
+            (3, [(0, 1), (2, 2)], "self-loop at vertex 2"),
+            (3, [(0, 1), (1, 2), (1, 0)], "duplicate edge (1, 0)"),
+            # the first bad edge in input order is the one named
+            (4, [(0, 1), (2, 3), (3, 2), (1, 1), (0, 9)], "duplicate edge (3, 2)"),
+            (4, [(0, 1), (1, 1), (1, 0), (0, 9)], "self-loop at vertex 1"),
+        ],
+    )
+    def test_refuses_with_the_from_edges_message(self, n, pairs, message):
+        with pytest.raises(ValueError) as expected:
+            Graph.from_edges(n, pairs)
+        assert str(expected.value) == message
+        u, v = np.array(pairs, dtype=np.int64).T
+        with pytest.raises(ValueError) as got:
+            graph._graph_from_pairs(n, u, v)
+        assert str(got.value) == message
+
+    def test_no_pairs(self):
+        none = np.empty(0, dtype=np.int64)
+        assert graph._graph_from_pairs(0, none, none) == Graph(())
+        assert graph._graph_from_pairs(3, none, none) == Graph(((), (), ()))
+
+    def test_refuses_keys_past_int64(self):
+        none = np.empty(0, dtype=np.int64)
+        with pytest.raises(TooLargeError, match="overflow int64"):
+            graph._graph_from_pairs(2**32, none, none)
 
 
 @st.composite
