@@ -30,11 +30,6 @@ from .trees import RootedTree
 
 log = logging.getLogger(__name__)
 
-# Smallest side of an RGG grid cell. Coordinates lie in [0, 1), so the cell
-# ids stay at most 2^30 per axis and a cell's key fits in int64.
-_MIN_CELL_SIDE = 2.0**-30
-
-
 def _refuse_beyond_memory(n: int, bytes_per_vertex: int) -> None:
     """Raise :class:`TooLargeError` when a sample of n vertices needs more
     than physical memory at ``bytes_per_vertex``, a lower bound on what the
@@ -310,14 +305,17 @@ def rgg(n: int, radius_factor: float, seed: int) -> Graph:
     ``radius_factor * sqrt(log(n) / (n * pi))``, tested in float64 as
     ``dx*dx + dy*dy <= r*r``.
 
-    Neighbor search keys each point by its cell in a uniform grid, with cells
-    of side equal to the radius, and sorts the points by key once. For each
-    of the 9 neighbor offsets, ``searchsorted`` finds every point's range of
-    candidates in the offset cell, and the candidates j > i that pass the
-    distance test are the edges; no pair is visited in Python. A radius
-    below ``_MIN_CELL_SIDE`` gets cells of that side instead, so the cell
-    ids fit in int64: cells at least as wide as the radius find the same
-    pairs.
+    Neighbor search puts the points in a uniform grid of c x c cells, c the
+    smaller of 1 / radius and sqrt(n), so each cell is at least as wide as
+    the radius and the grid holds at most about n cells for any radius. The
+    points are sorted by cell once, and a cell-start table, the cumulative
+    count of points per cell, gives every cell's run of sorted points. Each
+    point's candidates are the later points of its own cell and every point
+    of the forward half of its 3 x 3 neighbourhood (the cells right of it,
+    and the three above it), so each pair of points in touching cells is
+    tested once; no pair is visited in Python. When the candidates would
+    need more than physical memory, :class:`TooLargeError` is raised before
+    any is listed.
     """
     if n < 2:
         raise ValueError("need at least two vertices")
@@ -329,28 +327,44 @@ def rgg(n: int, radius_factor: float, seed: int) -> Graph:
     radius = radius_factor * math.sqrt(math.log(n) / (n * math.pi))
     if radius <= 0.0:
         return Graph.from_edges(n, [])
-    cell = (points / max(radius, _MIN_CELL_SIDE)).astype(np.int64)
-    # one empty column on each side, so no offset wraps into another row
-    width = int(cell[:, 1].max()) + 3
-    key = (cell[:, 0] + 1) * width + cell[:, 1] + 1
+    cells = max(1, int(min(1.0 / radius, math.isqrt(n))))
+    cell = np.minimum((points * cells).astype(np.int64), cells - 1)
+    # an empty column past each row of cells and an empty row past the last,
+    # so no forward offset wraps into another row or runs off the table
+    width = cells + 1
+    key = cell[:, 0] * width + cell[:, 1]
+    start = np.zeros(width * width + 1, dtype=np.intp)
+    np.cumsum(np.bincount(key, minlength=width * width), out=start[1:])
     order = np.argsort(key, kind="stable")
-    sorted_key = key[order]
-    x, y = points[:, 0], points[:, 1]
-    r2 = radius * radius
-    ids = np.arange(n)
-    us, vs = [], []
-    for offset in (dx * width + dy for dx in (-1, 0, 1) for dy in (-1, 0, 1)):
-        target = key + offset
-        start = sorted_key.searchsorted(target, side="left")
-        count = sorted_key.searchsorted(target, side="right") - start
-        i = np.repeat(ids, count)
-        # sorted positions start[i], start[i] + 1, ..., start[i] + count[i] - 1
-        j = order[np.arange(i.size) + np.repeat(start - np.cumsum(count) + count, count)]
-        later = j > i
-        i, j = i[later], j[later]
-        dx = x[i] - x[j]
-        dy = y[i] - y[j]
-        near = dx * dx + dy * dy <= r2
-        us.append(i[near])
-        vs.append(j[near])
-    return _graph_from_pairs(n, np.concatenate(us), np.concatenate(vs))
+    key = key[order]
+    xs, ys = points[order, 0], points[order, 1]
+    # candidate runs of sorted positions: the later points of the own cell,
+    # then the cells at (0, +1), (+1, -1), (+1, 0) and (+1, +1)
+    pos = np.arange(n)
+    lo = np.concatenate([pos + 1] + [start[key + step] for step in (1, width - 1, width, width + 1)])
+    hi = np.concatenate([start[key + step + 1] for step in (0, 1, width - 1, width, width + 1)])
+    count = hi - lo
+    _refuse_candidates(n, int(count.sum()))
+    i = np.repeat(np.tile(pos, 5), count)
+    j = np.repeat(lo - np.cumsum(count) + count, count)
+    j += np.arange(j.size)
+    dx = xs[i] - xs[j]
+    dy = ys[i] - ys[j]
+    near = dx * dx + dy * dy <= radius * radius
+    return _graph_from_pairs(n, order[i[near]], order[j[near]])
+
+
+# Bytes per RGG candidate pair: the two int64 positions, the two float64
+# differences, and the two float64 squares the distance test holds with them.
+_CANDIDATE_BYTES = 48
+
+
+def _refuse_candidates(n: int, candidates: int) -> None:
+    """Raise :class:`TooLargeError` when testing ``candidates`` pairs at
+    ``_CANDIDATE_BYTES`` each needs more than physical memory."""
+    need, limit = candidates * _CANDIDATE_BYTES, _physical_memory()
+    if need > limit:
+        raise TooLargeError(
+            f"a random geometric graph of {n} vertices has {candidates} candidate pairs, "
+            f"which need {need / 1e9:.1f} GB, more than the {limit / 1e9:.1f} GB of physical memory"
+        )

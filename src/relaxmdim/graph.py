@@ -5,6 +5,15 @@ Vertices are always the contiguous integers 0..n-1. Everything in this module
 is a pure function of immutable inputs; :class:`Graph` and
 :class:`DistanceMatrix` are safe to share across threads.
 
+A :class:`Graph` is stored as one sorted, read-only CSR pair (row offsets
+and the concatenated neighbour lists) and nothing else. The parser, the
+samplers' integer pair arrays and parent arrays (in ``trees``) and induced
+subgraphs write the two arrays from one sort of pair keys or one gather;
+:meth:`Graph.from_edges` checks a hand-written edge list edge by edge into
+neighbour sets first. The peel works on the arrays a round at a time.
+Per-vertex adjacency tuples are derived on first read, for the Python loops
+that remain: BFS, components, the pendant forest and the tree metric.
+
 All-pairs distances split each component into its 2-core and the trees
 hanging off it. The core's distances come from a bit-parallel multi-source
 BFS (64 sources per machine word), or from scipy's Dijkstra when the core's
@@ -34,7 +43,7 @@ import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain
 from typing import Iterable, Iterator, Protocol, Sequence, TextIO
 
 import numpy as np
@@ -67,40 +76,73 @@ class TooLargeError(RuntimeError):
     rejection sampling does not reach."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected simple graph given by per-vertex sorted adjacency tuples.
+    """Undirected simple graph stored as one sorted, read-only CSR pair.
 
-    Invariants: adjacency is symmetric, has no self-loops and no duplicate
-    neighbors. Use :meth:`from_edges` to construct with validation.
+    The neighbours of vertex v are ``indices[indptr[v]:indptr[v + 1]]``,
+    ascending. The two intp arrays are the only stored form: equality, ``m``,
+    :meth:`degrees` and :meth:`edges` read them, and ``adjacency`` (one
+    tuple of neighbours per vertex) is derived on first read for the Python
+    loops that walk the graph vertex by vertex. Invariants: adjacency is
+    symmetric, has no self-loops and no duplicate neighbors. Use
+    :meth:`from_edges` to construct with validation.
     """
 
-    adjacency: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.indptr.setflags(write=False)
+        self.indices.setflags(write=False)
+
+    @classmethod
+    def from_adjacency(cls, rows: Sequence[Sequence[int]]) -> "Graph":
+        """The graph whose row v lists the neighbours of v, as given: nothing
+        is checked (see :meth:`validate`)."""
+        indptr = np.array([0, *accumulate(map(len, rows))], dtype=np.intp)
+        return cls(indptr, np.array([*chain.from_iterable(rows)], dtype=np.intp))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return np.array_equal(self.indptr, other.indptr) and np.array_equal(self.indices, other.indices)
 
     @property
     def n(self) -> int:
-        return len(self.adjacency)
+        return self.indptr.size - 1
+
+    @property
+    def m(self) -> int:
+        return self.indices.size // 2
 
     @cached_property
-    def m(self) -> int:
-        return sum(map(len, self.adjacency)) // 2
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Each vertex's neighbours as a tuple of Python ints. Every row that
+        lists a vertex shares one int object for it: an int per entry, as
+        ``indices.tolist()`` makes, costs 32 more bytes each."""
+        flat = np.array(range(self.n), dtype=object)[self.indices].tolist()
+        bounds = self.indptr.tolist()
+        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
+        return int(self.indptr[v + 1] - self.indptr[v])
 
     def degrees(self) -> list[int]:
-        return list(map(len, self.adjacency))
+        return np.diff(self.indptr).tolist()
 
-    def edges(self) -> Iterable[tuple[int, int]]:
-        """Yield each undirected edge once, as (u, v) with u < v."""
-        for u, nbrs in enumerate(self.adjacency):
-            for v in nbrs:
-                if u < v:
-                    yield u, v
+    def edges(self) -> Iterator[tuple[int, int]]:
+        """Each undirected edge once, as (u, v) with u < v, ordered by u and
+        then by v."""
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        up = rows < self.indices
+        return zip(rows[up].tolist(), self.indices[up].tolist())
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        """Build a graph on vertices 0..n-1, rejecting loops and duplicates."""
+        """Build a graph on vertices 0..n-1, rejecting loops and duplicates:
+        one neighbour set per vertex, in input order, so the error raised
+        names the first bad edge."""
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
         nbrs: list[set[int]] = [set() for _ in range(n)]
@@ -113,48 +155,79 @@ class Graph:
                 raise ValueError(f"duplicate edge ({u}, {v})")
             nbrs[u].add(v)
             nbrs[v].add(u)
-        return cls(tuple(tuple(sorted(s)) for s in nbrs))
+        return cls.from_adjacency([sorted(s) for s in nbrs])
 
     def validate(self) -> None:
         """Re-check all structural invariants; raises ValueError on violation."""
-        for u, nbrs in enumerate(self.adjacency):
-            if list(nbrs) != sorted(set(nbrs)):
-                raise ValueError(f"adjacency of {u} not sorted/deduplicated")
-            for v in nbrs:
-                if not 0 <= v < self.n:
-                    raise ValueError(f"neighbor {v} of {u} out of range")
-                if v == u:
-                    raise ValueError(f"self-loop at vertex {u}")
-                if u not in self.adjacency[v]:
-                    raise ValueError(f"asymmetric edge ({u}, {v})")
+        n, indptr, indices = self.n, self.indptr, self.indices
+        if n < 0 or indptr[0] != 0 or indptr[-1] != indices.size or (np.diff(indptr) < 0).any():
+            raise ValueError("row offsets do not split the neighbour list")
+        rows = np.repeat(np.arange(n), np.diff(indptr))
+        for bad, message in (
+            ((indices < 0) | (indices >= n), "neighbor {v} of {u} out of range"),
+            (indices == rows, "self-loop at vertex {u}"),
+            # the first entry of a row that is not above the one before it
+            (np.concatenate(([False], (rows[1:] == rows[:-1]) & (indices[1:] <= indices[:-1]))),
+             "adjacency of {u} not sorted/deduplicated"),
+        ):
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise ValueError(message.format(u=int(rows[i]), v=int(indices[i])))
+        # rows ascend and so do their entries, so the keys u * n + v are sorted
+        # already; the graph is symmetric iff the keys v * n + u are the same
+        forward = rows * n + indices
+        reverse = np.sort(indices * n + rows)
+        missing = forward != reverse
+        if missing.any():
+            i = int(np.argmax(missing))
+            raise ValueError(f"asymmetric edge ({int(rows[i])}, {int(indices[i])})")
+
+
+def _pair_keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The keys ``src * n + dst`` of the pairs {u[i], v[i]} in both
+    orientations, sorted: row src of a graph, in order, with its entries."""
+    if n * n >= 1 << 63:  # past int64
+        raise TooLargeError(f"pair keys of {n} vertices overflow int64")
+    u = np.asarray(u, dtype=np.int64)
+    v = np.asarray(v, dtype=np.int64)
+    key = np.concatenate((u, v))
+    key *= max(n, 1)
+    key += np.concatenate((v, u))
+    key.sort()
+    return key
+
+
+def _graph_from_keys(n: int, key: np.ndarray) -> Graph:
+    """The graph on vertices 0..n-1 whose directed pairs have the sorted,
+    distinct keys ``src * n + dst`` (see :func:`_pair_keys`)."""
+    indptr = np.searchsorted(key, np.arange(0, n * n + 1, max(n, 1)))
+    return Graph(indptr, key % max(n, 1))
+
+
+def _row_sums(g: Graph, values: np.ndarray) -> np.ndarray:
+    """The sum of ``values`` (one per CSR entry of ``g``) over each row."""
+    total = np.concatenate(([0], np.cumsum(values)))
+    return total[g.indptr[1:]] - total[g.indptr[:-1]]
 
 
 def _graph_from_pairs(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
     """The graph on vertices 0..n-1 with the undirected edges {u[i], v[i]}:
     :meth:`Graph.from_edges` on integer arrays.
 
-    The pairs are listed in both orientations and keyed ``src * n + dst``;
-    one sort of the keys gives every row, sorted, and the rows become tuples
-    of Python ints. ``from_edges``' three checks run on the arrays: an id
-    out of range, a self-loop, and a repeated pair (equal neighbouring
-    keys). When one fails, ``from_edges`` itself reads the pairs, so the
-    error raised names the first bad edge in input order, with its message.
+    One sort of the pair keys (see :func:`_pair_keys`) gives the CSR arrays.
+    ``from_edges``' three checks run on the arrays: an id out of range, a
+    self-loop, and a repeated pair (equal neighbouring keys). When one fails,
+    ``from_edges`` itself reads the pairs, so the error raised names the
+    first bad edge in input order, with its message.
     """
-    if n * n > np.iinfo(np.int64).max:
-        raise TooLargeError(f"pair keys of {n} vertices overflow int64")
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    src = np.concatenate((u, v))
-    key = np.sort(src * max(n, 1) + np.concatenate((v, u)))
-    outside = n <= 0 or src.size and (int(src.min()) < 0 or int(src.max()) >= n)
+    key = _pair_keys(n, u, v)
+    u = np.asarray(u)
+    v = np.asarray(v)
+    ends = np.concatenate((u, v))
+    outside = ends.size and (int(ends.min()) < 0 or int(ends.max()) >= n)
     if outside or bool((u == v).any()) or bool((key[1:] == key[:-1]).any()):
-        return Graph.from_edges(n, zip(u.tolist(), v.tolist()))
-    rows, cols = np.divmod(key, n)
-    ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
-    # one int object per vertex id, shared by every row that lists it: an
-    # int per entry, as cols.tolist() makes, costs 32 more bytes each
-    flat = np.array(range(n), dtype=object)[cols].tolist()
-    return Graph(tuple(tuple(flat[a:b]) for a, b in zip([0, *ends], ends)))
+        Graph.from_edges(n, zip(u.tolist(), v.tolist()))
+    return _graph_from_keys(n, key)
 
 
 @dataclass(frozen=True)
@@ -175,33 +248,31 @@ def load_edge_list(source: str | TextIO) -> LoadResult:
     ``#`` starts a comment. Tokens are mapped to contiguous ids 0..n-1 in
     first-appearance order. Duplicate edges and self-loops are dropped and
     counted. A malformed line raises ValueError with its line number.
+
+    A dict maps the tokens to ids; one sort of the pair keys, both
+    orientations of every line, then puts each row in order and counts the
+    rest: a loop's keys are the multiples of n + 1, and a repeated edge
+    repeats its two keys.
     """
     text = source.read() if hasattr(source, "read") else source
-    ids: dict[str, int] = {}
-    nbrs: list[set[int]] = []
-    duplicates = 0
-    loops = 0
+    ends: list[str] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if len(tokens) != 2:
-            raise ValueError(
-                f"line {lineno}: expected two endpoint tokens, got {len(tokens)}"
-            )
-        u, v = [ids.setdefault(tok, len(ids)) for tok in tokens]
-        while len(nbrs) < len(ids):
-            nbrs.append(set())
-        if u == v:
-            loops += 1
-        elif v in nbrs[u]:
-            duplicates += 1
-        else:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-    graph = Graph(tuple(tuple(sorted(s)) for s in nbrs))
-    return LoadResult(graph, tuple(ids), duplicates, loops)
+        if "#" in raw:
+            raw = raw[: raw.index("#")]
+        tokens = raw.split()
+        if len(tokens) == 2:
+            ends += tokens
+        elif tokens:
+            raise ValueError(f"line {lineno}: expected two endpoint tokens, got {len(tokens)}")
+    ids: dict[str, int] = {}
+    flat = np.array([ids.setdefault(tok, len(ids)) for tok in ends], dtype=np.int64)
+    n = len(ids)
+    key = _pair_keys(n, flat[0::2], flat[1::2])
+    proper = key[key % (n + 1) != 0]
+    distinct = proper[np.concatenate(([True], proper[1:] != proper[:-1]))] if proper.size else proper
+    graph = _graph_from_keys(n, distinct)
+    loops = (key.size - proper.size) // 2
+    return LoadResult(graph, tuple(ids), (proper.size - distinct.size) // 2, loops)
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
@@ -247,16 +318,17 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, tuple[in
     index[np.fromiter(vertices, dtype=np.intp)] = 0
     keep = np.flatnonzero(index == 0)
     index[keep] = np.arange(keep.size)
-    rows = [g.adjacency[v] for v in keep.tolist()]
-    bounds = np.zeros(len(rows) + 1, dtype=np.intp)
-    np.cumsum(np.fromiter(map(len, rows), dtype=np.intp, count=len(rows)), out=bounds[1:])
-    nbrs = index[np.fromiter(chain.from_iterable(rows), dtype=np.intp, count=int(bounds[-1]))]
+    starts = g.indptr[keep]
+    bounds = np.zeros(keep.size + 1, dtype=np.intp)
+    np.cumsum(g.indptr[keep + 1] - starts, out=bounds[1:])
+    # the kept rows' entries, row after row
+    at = np.repeat(starts - bounds[:-1], np.diff(bounds))
+    at += np.arange(bounds[-1])
+    nbrs = index[g.indices[at]]
     inside = nbrs >= 0
     # index is increasing on keep, so every relabeled row stays sorted
-    cuts = np.concatenate(([0], np.cumsum(inside)))[bounds].tolist()
-    flat = nbrs[inside].tolist()
-    adjacency = tuple(tuple(flat[a:b]) for a, b in zip(cuts, cuts[1:]))
-    return Graph(adjacency), tuple(keep.tolist())
+    indptr = np.concatenate(([0], np.cumsum(inside)))[bounds]
+    return Graph(indptr, nbrs[inside]), tuple(keep.tolist())
 
 
 def largest_connected_component(g: Graph) -> tuple[Graph, tuple[int, ...]]:
@@ -491,17 +563,6 @@ def _core_rows(core: Graph, dtype: np.dtype) -> Iterator[tuple[np.ndarray, np.nd
     return _bit_bfs_rows(core, dtype)
 
 
-def _csr(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(degrees, row offsets, concatenated neighbor lists) of ``g``."""
-    degree = np.fromiter(map(len, g.adjacency), dtype=np.intp, count=g.n)
-    indptr = np.zeros(g.n + 1, dtype=np.intp)
-    np.cumsum(degree, out=indptr[1:])
-    indices = np.fromiter(
-        (w for nbrs in g.adjacency for w in nbrs), dtype=np.intp, count=int(indptr[-1])
-    )
-    return degree, indptr, indices
-
-
 def _bit_bfs(core: Graph) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
     """Multi-source BFS from every vertex at once (Then et al., VLDB 2014).
 
@@ -527,7 +588,8 @@ def _bit_bfs(core: Graph) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.nda
             f"the bit-parallel BFS of a {n}-vertex 2-core needs {need / 1e9:.1f} GB, "
             f"more than the {_physical_memory() / 1e9:.1f} GB of physical memory"
         )
-    degree, indptr, indices = _csr(core)
+    indptr, indices = core.indptr, core.indices
+    degree = np.diff(indptr)
     order = np.argsort(-degree, kind="stable")
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
@@ -609,8 +671,8 @@ def _dijkstra_rows(core: Graph, dtype: np.dtype) -> Iterator[tuple[np.ndarray, n
     from scipy.sparse.csgraph import shortest_path
 
     n = core.n
-    _, indptr, indices = _csr(core)
-    adj = csr_matrix((np.ones(len(indices), dtype=np.int8), indices, indptr), shape=(n, n))
+    indices = core.indices
+    adj = csr_matrix((np.ones(len(indices), dtype=np.int8), indices, core.indptr), shape=(n, n))
     step = max(1, min(_ROW_BLOCK, _BLOCK_ENTRIES // n))
     for start in range(0, n, step):
         rows = np.arange(start, min(n, start + step))
@@ -706,36 +768,64 @@ def peel_degree_le1(g: Graph, rounds: int | None = None) -> list[list[int]]:
     recorded (possibly empty). Returns the removed vertices per round, each
     batch ascending.
 
-    Queue-driven (Batagelj & Zaversnik 2003): a round's batch is exactly the
-    vertices whose degree fell to <= 1 during the previous round, so the
-    whole peel costs O(n + m) plus sorting each batch.
+    A round's batch is exactly the vertices whose degree fell to <= 1 during
+    the previous round (Batagelj & Zaversnik 2003). Each round is a few
+    array operations on the batch: every vertex keeps its degree and the id
+    sum of its neighbours still there, so a vertex of degree 1 names its one
+    neighbour, and removing the batch updates both arrays at those
+    neighbours only.
     """
     return _peel(g, rounds)
+
+
+# From the first peel round of fewer vertices than this, the peel goes on one
+# vertex at a time on Python lists: a vectorized round costs a dozen array
+# calls, as much as a Python step for each of this many vertices, so long
+# thin tails (a path peels two vertices a round) stay linear in Python.
+_SCALAR_BATCH = 8
 
 
 def _peel(g: Graph, rounds: int | None) -> list[list[int]]:
     """The peel behind :func:`peel_degree_le1`. All-pairs distances call it
     directly to find the 2-core, so the benchmark's traced count of the public
     function's rounds covers only explicit peels."""
-    degree = g.degrees()
-    alive = [True] * g.n
-    batch = [v for v, d in enumerate(degree) if d <= 1]
+    degree = np.diff(g.indptr)
+    nbr_sum = _row_sums(g, g.indices)
+    alive = np.ones(g.n, dtype=bool)
+    batch = np.flatnonzero(degree <= 1)
     removed_per_round: list[list[int]] = []
-    while rounds is None or len(removed_per_round) < rounds:
-        if rounds is None and not batch:
-            break
-        for v in batch:
-            alive[v] = False
-        nxt = []
-        for v in batch:
-            for w in g.adjacency[v]:
-                if alive[w]:
+    scalar = False
+    while len(batch) and (rounds is None or len(removed_per_round) < rounds):
+        if not scalar and len(batch) < _SCALAR_BATCH:
+            scalar = True
+            degree, nbr_sum, alive, batch = degree.tolist(), nbr_sum.tolist(), alive.tolist(), batch.tolist()
+        if scalar:
+            removed_per_round.append(batch)
+            for v in batch:
+                alive[v] = False
+            nxt = []
+            for v in batch:
+                w = nbr_sum[v]
+                if degree[v] == 1 and alive[w]:  # a neighbour in the batch goes with it
                     degree[w] -= 1
+                    nbr_sum[w] -= v
                     if degree[w] == 1:  # fell from 2: joins the next batch once
                         nxt.append(w)
-        removed_per_round.append(batch)
-        nxt.sort()
-        batch = nxt
+            batch = sorted(nxt)
+            continue
+        removed_per_round.append(batch.tolist())
+        alive[batch] = False
+        leaf = batch[degree[batch] == 1]
+        nbr = nbr_sum[leaf]
+        live = alive[nbr]
+        leaf, nbr = leaf[live], nbr[live]
+        np.subtract.at(degree, nbr, 1)
+        np.subtract.at(nbr_sum, nbr, leaf)
+        nbr = nbr[degree[nbr] <= 1]
+        nbr.sort()
+        batch = nbr[np.concatenate(([True], nbr[1:] != nbr[:-1]))] if nbr.size else nbr
+    if rounds is not None:
+        removed_per_round += [[] for _ in range(rounds - len(removed_per_round))]
     return removed_per_round
 
 

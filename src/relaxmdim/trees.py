@@ -6,7 +6,9 @@ dimension of a tree with a constructive witness, a tree metric that
 partitions and verifies sensor sets without the n x n distance matrix,
 per-vertex subtree property counters, and an exhaustive brute-force oracle
 for small graphs. Stems are vertex sets of the input graph: every vertex id
-here is an input id, and no stem is rebuilt as a graph of its own.
+here is an input id, and no stem is rebuilt as a graph of its own. The exact
+solver reads only the graph's CSR arrays, so a tree from a parent array is
+solved without building a per-vertex tuple.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ from .graph import (
     DistanceMatrix,
     Graph,
     TooLargeError,
+    _graph_from_keys,
+    _pair_keys,
+    _row_sums,
     all_pairs_distances,
     bfs_distances,
     distance_dtype,
@@ -195,16 +200,27 @@ class TreeMetric:
 @dataclass(frozen=True)
 class RootedTree:
     """A tree with a distinguished root, parents and children oriented away
-    from it. ``parent[root] == -1``; children lists are sorted."""
+    from it. ``parent[root] == -1``; children lists are sorted and derived
+    from the parents on first read. The graph holds only its CSR arrays."""
 
     graph: Graph
     root: int
     parent: tuple[int, ...]
-    children: tuple[tuple[int, ...], ...]
 
     @property
     def n(self) -> int:
         return self.graph.n
+
+    @cached_property
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        """Every vertex's children, ascending, from one pass over the
+        parents (in Python: the sampled trees are often tiny, and a few
+        array calls would cost more than the pass)."""
+        kids: list[list[int]] = [[] for _ in self.parent]
+        for v, p in enumerate(self.parent):
+            if p >= 0:
+                kids[p].append(v)
+        return tuple(map(tuple, kids))
 
     @classmethod
     def from_graph(cls, g: Graph, root: int = 0) -> "RootedTree":
@@ -222,7 +238,7 @@ class RootedTree:
                     seen[w] = True
                     parent[w] = u
                     order.append(w)
-        return cls(g, root, tuple(parent), _children(parent))
+        return cls(g, root, tuple(parent))
 
     @classmethod
     def from_parents(cls, parents: Sequence[int], root: int = 0) -> "RootedTree":
@@ -230,12 +246,10 @@ class RootedTree:
         entry is a vertex id. A list or an integer array; the tree holds
         Python ints either way.
 
-        Raises ValueError unless the array is a tree on all its vertices, in
-        O(n). With root 0, ``parents[v] < v`` for every other v is proof
-        enough (the conditioned sampler's decode gives such labels);
-        otherwise a walk of the children from the root must reach every
-        vertex. Each vertex's adjacency is its children with its parent
-        merged in; no edge set is built.
+        Raises ValueError unless the array is a tree on all its vertices;
+        see :func:`_array_tree`, and :func:`_list_tree` for trees of a few
+        vertices, which are often sampled by the thousand. No edge set is
+        built.
         """
         parent = np.asarray(parents, dtype=np.intp)
         n = parent.size
@@ -243,22 +257,10 @@ class RootedTree:
             raise ValueError(f"root {root} out of range for n={n}")
         if parent[root] != -1:
             raise ValueError(f"parents[{root}] is {parent[root]}, but the root's parent must be -1")
-        outside = np.flatnonzero((parent < 0) | (parent >= n))
-        if outside.size > 1:
-            v = int(outside[outside != root][0])
-            raise ValueError(f"parent {parent[v]} of vertex {v} is not a vertex id for n={n}")
         plist = parent.tolist()
-        children = _children(plist)
-        if not (root == 0 and bool((parent[1:] < np.arange(1, n)).all())):
-            reached = [root]
-            for u in reached:
-                reached.extend(children[u])
-            if len(reached) < n:
-                raise ValueError(
-                    f"parent array is not a tree: {n - len(reached)} of {n} vertices "
-                    f"lie on cycles that never reach root {root}"
-                )
-        return cls(_tree_graph(plist, children), root, tuple(plist), children)
+        g = _array_tree(parent, root) if n >= _ARRAY_TREE_MIN else _list_tree(plist, root)
+        g.__dict__[_IS_TREE] = True
+        return cls(g, root, tuple(plist))
 
     def topo_order(self) -> list[int]:
         """Vertices with every parent before its children (BFS from root)."""
@@ -268,30 +270,66 @@ class RootedTree:
         return order
 
 
-def _children(parent: list[int]) -> tuple[tuple[int, ...], ...]:
-    """Every vertex's children, ascending, from a parent list whose root
-    holds -1 and every other entry a vertex id."""
+# Parent arrays of fewer vertices than this are checked and turned into a
+# graph on Python lists: on a few vertices the dozen array calls of the
+# vectorized build cost more than the loops.
+_ARRAY_TREE_MIN = 64
+
+
+def _not_a_vertex(parent: int, v: int, n: int) -> ValueError:
+    return ValueError(f"parent {parent} of vertex {v} is not a vertex id for n={n}")
+
+
+def _cyclic(lost: int, n: int, root: int) -> ValueError:
+    return ValueError(
+        f"parent array is not a tree: {lost} of {n} vertices "
+        f"lie on cycles that never reach root {root}"
+    )
+
+
+def _array_tree(parent: np.ndarray, root: int) -> Graph:
+    """The graph of the parent array (root entry -1), or ValueError unless it
+    is a tree: :meth:`RootedTree.from_parents` on arrays. With root 0,
+    ``parent[v] < v`` for every other v is proof enough; otherwise pointer
+    jumping, every vertex's ancestor replaced by that ancestor's ancestor,
+    reaches the root from every vertex within log2(n) + 1 rounds exactly
+    when the array is a tree. The CSR arrays come from one sort of the
+    (parent, child) pair keys."""
+    n = parent.size
+    child = np.flatnonzero(parent >= 0)
+    up = parent[child]
+    if child.size < n - 1 or (child.size and int(up.max()) >= n):
+        outside = np.flatnonzero((parent < 0) | (parent >= n))
+        v = int(outside[outside != root][0])
+        raise _not_a_vertex(int(parent[v]), v, n)
+    if not (root == 0 and bool((up < child).all())):
+        ancestor = parent.copy()
+        ancestor[root] = root
+        for _ in range(n.bit_length()):
+            ancestor = ancestor[ancestor]
+        lost = int(np.count_nonzero(ancestor != root))
+        if lost:
+            raise _cyclic(lost, n, root)
+    return _graph_from_keys(n, _pair_keys(n, up, child))
+
+
+def _list_tree(parent: list[int], root: int) -> Graph:
+    """:func:`_array_tree` on a short parent list, in Python: the tree check
+    walks the children from the root, and each adjacency row is the
+    children with the parent merged in."""
+    n = len(parent)
     kids: list[list[int]] = [[] for _ in parent]
     for v, p in enumerate(parent):
-        if p >= 0:
+        if v != root:
+            if not 0 <= p < n:
+                raise _not_a_vertex(p, v, n)
             kids[p].append(v)
-    return tuple(map(tuple, kids))
-
-
-def _tree_graph(parent: list[int], children: tuple[tuple[int, ...], ...]) -> Graph:
-    """The graph of a tree given by a valid parent list and its sorted
-    children: each adjacency row is the children with the parent merged in."""
-    rows = []
-    for p, kids in zip(parent, children):
-        if p < 0:
-            rows.append(kids)
-        elif not kids or p < kids[0]:
-            rows.append((p, *kids))
-        else:
-            rows.append(tuple(sorted((p, *kids))))
-    g = Graph(tuple(rows))
-    g.__dict__[_IS_TREE] = True
-    return g
+    reached = [root]
+    for u in reached:
+        reached.extend(kids[u])
+    if len(reached) < n:
+        raise _cyclic(n - len(reached), n, root)
+    return Graph.from_adjacency([row if p < 0 else sorted((p, *row)) for p, row in zip(parent, kids)])
 
 
 @dataclass(frozen=True)
@@ -358,25 +396,22 @@ def _leaf_groups(g: Graph, removed: Iterable[int] = ()) -> tuple[list[int], dict
     out of ``g``; all ids are ``g``'s. Leaves on path components have no
     major vertex and are in no group.
 
-    The walk keeps two values per vertex left: its degree there and the id
-    sum of its removed neighbours. A leaf's one neighbour is its neighbours'
-    id sum less that, and the vertex after a degree-2 vertex is the same less
-    the vertex the walk came from, summed only for the vertices walked.
+    Two array passes over the CSR entries give every vertex left its degree
+    there and the id sum of its neighbours there. A leaf's one neighbour is
+    that sum, and the vertex after a degree-2 vertex is the sum less the
+    vertex the walk came from; only the leaf paths are walked in Python.
     """
-    adjacency = g.adjacency
-    degree = g.degrees()
-    cut = [0] * g.n
-    for v in removed:
-        degree[v] = 0  # only falls from here: never a leaf, never walked
-        for w in adjacency[v]:
-            degree[w] -= 1
-            cut[w] += v
-    leaves = [v for v, d in enumerate(degree) if d == 1]
+    left = np.ones(g.n, dtype=bool)
+    left[np.fromiter(removed, dtype=np.intp)] = False
+    kept = left[g.indices]
+    degree = np.where(left, _row_sums(g, kept), 0)
+    leaves = np.flatnonzero(degree == 1).tolist()
+    degree, nbr_sum = degree.tolist(), _row_sums(g, np.where(kept, g.indices, 0)).tolist()
     groups: dict[int, list[int]] = {}
     for leaf in leaves:
-        prev, cur = leaf, sum(adjacency[leaf]) - cut[leaf]
+        prev, cur = leaf, nbr_sum[leaf]
         while degree[cur] == 2:
-            prev, cur = cur, sum(adjacency[cur]) - cut[cur] - prev
+            prev, cur = cur, nbr_sum[cur] - prev
         if degree[cur] > 2:  # degree 1: the far end of a path component
             groups.setdefault(cur, []).append(leaf)
     return leaves, groups

@@ -1,7 +1,14 @@
-"""Slow references for all-pairs distances, statistics, peeling,
-down-stemming, identification-vector grouping, rooted trees from parent
-arrays, leaf-path walks and the exact tree solver: the straightforward
+"""Slow references for graph building, all-pairs distances, statistics,
+peeling, down-stemming, identification-vector grouping, rooted trees from
+parent arrays, leaf-path walks and the exact tree solver: the straightforward
 versions the library replaced.
+
+The builders make per-vertex adjacency tuples, as the library did before a
+graph was stored as CSR arrays: edge sets and sorted rows for
+``from_edges`` and the edge-list parser, one sort of pair keys turned into
+tuples for integer pair arrays, and a tree's children with the parent
+merged in. The queue peel decrements neighbour degrees vertex by vertex, and
+the cut-sum leaf walk decrements them again for every peeled vertex.
 
 All-pairs distances are one breadth-first search per source, and the
 statistics are read off that matrix. Induced
@@ -18,11 +25,156 @@ maps the witness back to input ids.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Iterable, Iterator
 
 import numpy as np
+import pytest
 
 from relaxmdim import Graph, GraphStats, RootedTree, TreeMDReport
 from relaxmdim.graph import bfs_distances
+
+
+def tuple_edges(adjacency) -> Iterator[tuple[int, int]]:
+    """Each edge of a tuple adjacency once, as (u, v) with u < v, row by row."""
+    for u, nbrs in enumerate(adjacency):
+        for v in nbrs:
+            if u < v:
+                yield u, v
+
+
+def assert_matches_tuples(g: Graph, adjacency) -> None:
+    """``g`` is the graph of the tuple ``adjacency`` in every read: the
+    derived rows (of Python ints), n, m, the degrees, the order of the
+    edges and equality; its CSR arrays are read-only and pass validation."""
+    assert g.adjacency == adjacency
+    assert all(type(w) is int for row in g.adjacency for w in row)
+    assert (g.n, g.m) == (len(adjacency), sum(map(len, adjacency)) // 2)
+    assert g.degrees() == [len(row) for row in adjacency]
+    assert all(type(d) is int for d in g.degrees())
+    assert list(g.edges()) == list(tuple_edges(adjacency))
+    assert g == Graph.from_adjacency(adjacency)
+    for array in (g.indptr, g.indices):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[:1] = 0
+    g.validate()
+
+
+def set_from_edges(n: int, edges) -> tuple[tuple[int, ...], ...]:
+    """The adjacency tuples of the graph on 0..n-1 with ``edges``, built
+    through one neighbour set per vertex; a bad edge raises the same
+    ValueError as ``Graph.from_edges``."""
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    nbrs: list[set[int]] = [set() for _ in range(n)]
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        if v in nbrs[u]:
+            raise ValueError(f"duplicate edge ({u}, {v})")
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    return tuple(tuple(sorted(s)) for s in nbrs)
+
+
+def tuple_graph_from_pairs(n: int, u: np.ndarray, v: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """The adjacency tuples of the graph with the valid edges {u[i], v[i]}:
+    one sort of the keys ``src * n + dst`` in both orientations, cut into
+    rows of Python ints."""
+    src = np.concatenate((u, v)).astype(np.int64)
+    key = np.sort(src * max(n, 1) + np.concatenate((v, u)))
+    rows, cols = np.divmod(key, max(n, 1))
+    ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
+    flat = cols.tolist()
+    return tuple(tuple(flat[a:b]) for a, b in zip([0, *ends], ends))
+
+
+def set_load_edge_list(text: str) -> tuple[tuple[tuple[int, ...], ...], tuple[str, ...], int, int]:
+    """(adjacency tuples, labels, duplicate edges, self-loops) of an edge
+    list, parsed line by line into neighbour sets."""
+    ids: dict[str, int] = {}
+    nbrs: list[set[int]] = []
+    duplicates = loops = 0
+    for raw in text.splitlines():
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        u, v = [ids.setdefault(tok, len(ids)) for tok in tokens]
+        while len(nbrs) < len(ids):
+            nbrs.append(set())
+        if u == v:
+            loops += 1
+        elif v in nbrs[u]:
+            duplicates += 1
+        else:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
+    return tuple(tuple(sorted(s)) for s in nbrs), tuple(ids), duplicates, loops
+
+
+def tuple_tree(parents) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """(adjacency tuples, children tuples) of a valid parent list: each
+    vertex's children in id order, and its row the children with the parent
+    merged in."""
+    kids: list[list[int]] = [[] for _ in parents]
+    for v, p in enumerate(parents):
+        if p >= 0:
+            kids[p].append(v)
+    rows = []
+    for p, c in zip(parents, kids):
+        rows.append(tuple(sorted(c + [p])) if p >= 0 else tuple(c))
+    return tuple(rows), tuple(map(tuple, kids))
+
+
+def queue_peel(g: Graph, rounds: int | None = None) -> list[list[int]]:
+    """The peel of ``peel_degree_le1`` driven by a queue: a round's batch is
+    the vertices whose degree fell to 1 while the one before was removed,
+    found vertex by vertex over the adjacency tuples."""
+    degree = g.degrees()
+    alive = [True] * g.n
+    batch = [v for v, d in enumerate(degree) if d <= 1]
+    removed_per_round: list[list[int]] = []
+    while rounds is None or len(removed_per_round) < rounds:
+        if rounds is None and not batch:
+            break
+        for v in batch:
+            alive[v] = False
+        nxt = []
+        for v in batch:
+            for w in g.adjacency[v]:
+                if alive[w]:
+                    degree[w] -= 1
+                    if degree[w] == 1:  # fell from 2: joins the next batch once
+                        nxt.append(w)
+        removed_per_round.append(batch)
+        nxt.sort()
+        batch = nxt
+    return removed_per_round
+
+
+def cut_sum_leaf_groups(g: Graph, removed: Iterable[int] = ()) -> tuple[list[int], dict[int, list[int]]]:
+    """``trees._leaf_groups`` with its degrees and cut sums updated vertex
+    by vertex: every removed vertex decrements its neighbours' degrees and
+    adds its id to their cut sums."""
+    adjacency = g.adjacency
+    degree = g.degrees()
+    cut = [0] * g.n
+    for v in removed:
+        degree[v] = 0
+        for w in adjacency[v]:
+            degree[w] -= 1
+            cut[w] += v
+    leaves = [v for v, d in enumerate(degree) if d == 1]
+    groups: dict[int, list[int]] = {}
+    for leaf in leaves:
+        prev, cur = leaf, sum(adjacency[leaf]) - cut[leaf]
+        while degree[cur] == 2:
+            prev, cur = cur, sum(adjacency[cur]) - cut[cur] - prev
+        if degree[cur] > 2:
+            groups.setdefault(cur, []).append(leaf)
+    return leaves, groups
 
 
 def bfs_distance_matrix(g: Graph) -> np.ndarray:
@@ -54,7 +206,7 @@ def dict_induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
     adjacency = tuple(
         tuple(index[w] for w in g.adjacency[v] if w in index) for v in keep
     )
-    return Graph(adjacency), tuple(keep)
+    return Graph.from_adjacency(adjacency), tuple(keep)
 
 
 def round_scan_peel(g: Graph, rounds: int | None = None) -> list[list[int]]:
@@ -134,14 +286,10 @@ def dict_brute_force_md(matrix: np.ndarray, k: int) -> tuple[int, tuple[int, ...
 
 def edge_list_rooted_tree(parents, root: int = 0) -> RootedTree:
     """A rooted tree from a parent array that is known to be one, built
-    through ``Graph.from_edges``; children lists are sorted."""
+    through ``Graph.from_edges``."""
     n = len(parents)
     g = Graph.from_edges(n, [(parents[v], v) for v in range(n) if v != root])
-    children: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        if v != root:
-            children[parents[v]].append(v)
-    return RootedTree(g, root, tuple(parents), tuple(tuple(sorted(c)) for c in children))
+    return RootedTree(g, root, tuple(parents))
 
 
 def degree_call_leaf_groups(g: Graph) -> tuple[list[int], dict[int, list[int]]]:

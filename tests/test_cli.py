@@ -275,6 +275,34 @@ class TestGenerate:
         assert proc.stderr.startswith(f"error: a sample of {10**11} vertices needs at least")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS caps the address space on Linux")
+    @pytest.mark.parametrize("n", [20_000, 1_000_000])
+    def test_rgg_refuses_candidates_beyond_memory(self, n):
+        # at this radius one grid cell holds every point, so every pair is a
+        # candidate: 2e8 of them at n = 20 000, 9.6 GB at 48 bytes each, and
+        # 5e11 at n = 10**6; the child's address space is capped at 3 GB
+        need = n * (n - 1) // 2 * 48
+        if need <= graph._physical_memory():
+            pytest.skip("this host's physical memory holds the candidates")
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+        argv = ["generate", "--model", "rgg", "--n", str(n), "--seed", "0", "--radius-factor", "1e6"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "relaxmdim.cli", *argv],
+            capture_output=True,
+            text=True,
+            preexec_fn=cap,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+            timeout=120,
+        )
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.startswith(
+            f"error: a random geometric graph of {n} vertices has {n * (n - 1) // 2} candidate pairs"
+        )
+        assert "Traceback" not in proc.stderr
+
     @pytest.mark.parametrize(
         "argv, message",
         [

@@ -44,12 +44,17 @@ from conftest import (
     star_graph,
 )
 from graph_oracle import (
+    assert_matches_tuples,
     bfs_distance_matrix,
     dict_blocks,
     dict_induced_subgraph,
     dict_is_k_resolved,
     matrix_graph_stats,
+    queue_peel,
     round_scan_peel,
+    set_from_edges,
+    set_load_edge_list,
+    tuple_graph_from_pairs,
 )
 
 # trees, unicyclic and sparse connected graphs, and disconnected sparse
@@ -184,8 +189,8 @@ class TestGraphFromPairs:
 
     def test_no_pairs(self):
         none = np.empty(0, dtype=np.int64)
-        assert graph._graph_from_pairs(0, none, none) == Graph(())
-        assert graph._graph_from_pairs(3, none, none) == Graph(((), (), ()))
+        assert graph._graph_from_pairs(0, none, none) == Graph.from_adjacency(())
+        assert graph._graph_from_pairs(3, none, none) == Graph.from_adjacency(((), (), ()))
 
     def test_refuses_keys_past_int64(self):
         none = np.empty(0, dtype=np.int64)
@@ -199,6 +204,91 @@ def graph_and_vertex_list(draw):
     list with duplicates (maybe empty)."""
     g = draw(ANY_GRAPH)
     return g, draw(st.lists(st.integers(0, g.n - 1), max_size=2 * g.n))
+
+
+LABELS = st.one_of(st.integers(-3, 99).map(str), st.text("abxyz_.-", min_size=1, max_size=3))
+
+
+@st.composite
+def edge_list_texts(draw):
+    """An edge list with integer and string labels, comment and blank lines,
+    inline comments, repeated and reversed edges and self-loops; a label that
+    appears only in loops is an isolated vertex."""
+    labels = draw(st.lists(LABELS, min_size=1, max_size=20, unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(labels), st.sampled_from(labels)), max_size=50))
+    pairs += [(v, u) for u, v in draw(st.lists(st.sampled_from(pairs), max_size=10))] if pairs else []
+    lines = []
+    for u, v in pairs:
+        lines.append(draw(st.sampled_from((f"{u} {v}", f"  {u}\t{v}  # note", f"{u} {v}#"))))
+        lines += draw(st.lists(st.sampled_from(("", "# a comment", "   ", "#")), max_size=1))
+    return "\n".join(lines)
+
+
+class TestCSRStorage:
+    """Every builder of the CSR arrays against the tuple builder it replaced."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(edge_list_texts())
+    def test_parser_matches_the_set_parser(self, text):
+        res = load_edge_list(text)
+        adjacency, labels, duplicates, loops = set_load_edge_list(text)
+        assert_matches_tuples(res.graph, adjacency)
+        assert (res.labels, res.duplicate_edges, res.self_loops) == (labels, duplicates, loops)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(ANY_GRAPH, st.integers(0, 2**32 - 1))
+    def test_pair_builders_match_the_tuple_builders(self, g, seed):
+        rng = random.Random(seed)
+        edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in g.edges()]
+        rng.shuffle(edges)
+        assert_matches_tuples(Graph.from_edges(g.n, edges), set_from_edges(g.n, edges))
+        u, v = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+        assert_matches_tuples(graph._graph_from_pairs(g.n, u, v), tuple_graph_from_pairs(g.n, u, v))
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(graph_and_vertex_list())
+    def test_induced_subgraph_matches_the_dict_relabel(self, case):
+        g, vertices = case
+        assert_matches_tuples(induced_subgraph(g, vertices)[0], dict_induced_subgraph(g, vertices)[0].adjacency)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(ANY_GRAPH)
+    def test_peel_matches_both_oracles_at_every_round_count(self, g):
+        for rounds in [*range(g.n + 1), None]:
+            assert peel_degree_le1(g, rounds) == round_scan_peel(g, rounds) == queue_peel(g, rounds)
+
+    @pytest.mark.parametrize("batch", [1, 8, 10**9], ids=["all-vectorized", "default", "all-scalar"])
+    def test_peel_is_the_same_at_any_scalar_cut(self, batch, monkeypatch):
+        monkeypatch.setattr(graph, "_SCALAR_BATCH", batch)
+        for seed in range(20):
+            g = random_connected_graph(80, seed % 7, seed)
+            for rounds in (None, 1, 3, 80):
+                assert peel_degree_le1(g, rounds) == round_scan_peel(g, rounds)
+
+    def test_adjacency_is_derived_once_from_the_arrays(self):
+        g = Graph.from_edges(4, [(2, 0), (0, 1), (3, 0)])
+        assert g.indptr.tolist() == [0, 3, 4, 5, 6]
+        assert g.indices.tolist() == [1, 2, 3, 0, 0, 0]
+        assert g.adjacency is g.adjacency
+        # one int object per vertex id, shared by every row listing it
+        assert g.adjacency[1][0] is g.adjacency[2][0] is g.adjacency[3][0]
+        assert list(g.edges()) == [(0, 1), (0, 2), (0, 3)]
+
+    @pytest.mark.parametrize(
+        "indptr, indices, message",
+        [
+            ([0, 1, 1], [2], "neighbor 2 of 0 out of range"),
+            ([0, 1, 2], [0, 0], "self-loop at vertex 0"),
+            ([0, 2, 3, 4], [2, 1, 0, 0], "adjacency of 0 not sorted/deduplicated"),
+            ([0, 1, 1], [1], "asymmetric edge (0, 1)"),
+            ([0, 2, 1], [1, 0], "row offsets"),
+        ],
+    )
+    def test_validate_names_the_fault(self, indptr, indices, message):
+        bad = Graph(np.array(indptr, dtype=np.intp), np.array(indices, dtype=np.intp))
+        with pytest.raises(ValueError) as raised:
+            bad.validate()
+        assert str(raised.value).startswith(message)
 
 
 class TestInducedSubgraph:
@@ -216,7 +306,7 @@ class TestInducedSubgraph:
     def test_whole_graph_and_empty_list(self):
         g = random_connected_graph(30, 10, seed=4)
         assert induced_subgraph(g, range(g.n)) == (g, tuple(range(g.n)))
-        assert induced_subgraph(g, []) == (Graph(()), ())
+        assert induced_subgraph(g, []) == (Graph.from_adjacency(()), ())
 
 
 class TestDistances:
@@ -729,6 +819,15 @@ class TestGraphValidation:
     def test_rejects_duplicate(self):
         with pytest.raises(ValueError, match="duplicate"):
             Graph.from_edges(2, [(0, 1), (1, 0)])
+
+    def test_rejects_edges_that_are_not_pairs(self):
+        # read edge by edge: a 3-tuple is never cut into other pairs
+        with pytest.raises(ValueError, match="unpack"):
+            Graph.from_edges(4, [(0, 1, 2), (3, 0, 2)])
+        with pytest.raises(ValueError, match="unpack"):
+            Graph.from_edges(4, [(0, 1), (1, 2, 3)])
+        with pytest.raises(TypeError):
+            Graph.from_edges(2, [("0", "1")])
 
     def test_validate_roundtrip(self):
         g = random_connected_graph(10, 3, seed=2)

@@ -70,7 +70,7 @@ class TestGreedyResolvingSet:
         assert trace.sensors == ()
 
     def test_empty_graph_has_nothing_to_cover(self):
-        g = Graph(())
+        g = Graph.from_adjacency(())
         assert greedy_k_resolving_set(all_pairs_distances(g), 0) == ((), GreedyTrace((), (), ()))
         empty = TwoStepResult(k=0, phase1=(), class_prices=(), worst_class=(), max_s2=0, qstar=0)
         assert two_step_qstar(g, 0) == empty

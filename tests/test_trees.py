@@ -45,11 +45,14 @@ from conftest import (
     unicyclic_graph,
 )
 from graph_oracle import (
+    assert_matches_tuples,
+    cut_sum_leaf_groups,
     degree_call_leaf_groups,
     dict_brute_force_md,
     edge_list_rooted_tree,
     round_scan_down_stem,
     subgraph_exact_tree_md,
+    tuple_tree,
 )
 
 # n = 1, n = 2, stars, paths and spiders: the edge cases of the stem rules
@@ -121,6 +124,17 @@ class TestFromParents:
             assert all(type(v) is int for v in t.parent + t.graph.adjacency[root])
             assert is_tree(t.graph)
 
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(parent_arrays())
+    def test_arrays_match_the_tuple_tree(self, case):
+        parent, root = case
+        t = RootedTree.from_parents(np.array(parent), root)
+        adjacency, children = tuple_tree(parent)
+        assert_matches_tuples(t.graph, adjacency)
+        assert t.children == children
+        assert all(type(c) is int for kids in t.children for c in kids)
+        assert RootedTree.from_graph(t.graph, root).children == children
+
     @pytest.mark.parametrize(
         "parents, root, message",
         [
@@ -153,6 +167,22 @@ class TestFromParents:
         else:
             with pytest.raises(ValueError):
                 RootedTree.from_parents(parent, root)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(st.lists(st.integers(-2, 9), min_size=1, max_size=8), st.data())
+    def test_list_and_array_builds_agree(self, values, data):
+        # from_parents builds trees below trees._ARRAY_TREE_MIN vertices on
+        # lists, the rest on arrays: the same graph or the same error
+        root = data.draw(st.integers(0, len(values) - 1))
+        parent = list(values)
+        parent[root] = -1
+        outcomes = []
+        for build in (trees._list_tree, lambda p, r: trees._array_tree(np.array(p, dtype=np.intp), r)):
+            try:
+                outcomes.append(build(parent, root))
+            except ValueError as error:
+                outcomes.append(str(error))
+        assert outcomes[0] == outcomes[1]
 
 
 # ------------------------------------------------------------------ stemming
@@ -441,6 +471,37 @@ class TestExactTreeMD:
         got_leaves, got_groups = trees._leaf_groups(g, removed)
         assert got_leaves == [to_original[v] for v in leaves]
         assert got_groups == expected_groups
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.one_of(random_trees(), connected_graphs(), sparse_graphs()), st.data())
+    def test_leaf_walk_matches_the_cut_sum_walk(self, g, data):
+        # the array passes give the degrees and neighbour sums that the
+        # former walk kept up to date vertex by vertex
+        depth = data.draw(st.integers(0, g.n))
+        removed = list(chain.from_iterable(peel_degree_le1(g, rounds=depth)))
+        assert trees._leaf_groups(g, removed) == cut_sum_leaf_groups(g, removed)
+
+    def test_sampled_trees_are_solved_on_their_arrays(self):
+        # neither the samplers nor the solver derive the adjacency tuples
+        for g in (uniform_tree(2000, seed=4), RootedTree.from_parents([-1, 0, 0, 1, 1, 2]).graph):
+            for k in range(6):
+                exact_tree_md(g, k)
+            assert "adjacency" not in g.__dict__
+
+    def test_100000_vertex_path_matches_the_subgraph_solver(self):
+        n = 100_000
+        g = path_graph(n)
+        for k in range(4):
+            assert exact_tree_md(g, k) == subgraph_exact_tree_md(g, k), k
+        # the r-stem is the path r .. n - 1 - r, until k reaches the diameter
+        for k in (2_000, 99_997, 99_998, n - 1, n, 10**9):
+            r = k // 2
+            expected = (
+                trees.TreeMDReport(k, r, 2, 0, True, 1, (r,))
+                if k < n - 1
+                else trees.TreeMDReport(k, r, 0, 0, False, 0, ())
+            )
+            assert exact_tree_md(g, k) == expected, k
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(
