@@ -16,9 +16,12 @@ that remain: BFS, components, the pendant forest and the tree metric.
 
 All-pairs distances split each component into its 2-core and the trees
 hanging off it. The core's distances come from a bit-parallel multi-source
-BFS (64 sources per machine word), or from scipy's Dijkstra when the core's
-diameter is too large for it; every other row follows from a parent row in
-one vectorized step. scipy is imported only by that fallback. The matrix is
+BFS (64 sources per machine word), run over blocks of sources so that its
+memory grows with the block and not with the square of the core, or from
+scipy's Dijkstra when the core's diameter is too large for it; each block
+writes its sources' rows straight into the matrix, and every other row
+follows from a parent row in one vectorized step. scipy is imported only by
+that fallback. The matrix is
 stored in the narrowest signed integer dtype that holds an upper bound on
 the diameter. Distances are defined on connected graphs only: a
 disconnected graph, or a matrix larger than physical memory, is refused
@@ -26,8 +29,9 @@ before the matrix is allocated, so every :class:`DistanceMatrix` holds
 finite, nonnegative hop counts.
 
 Statistics need only the sum and the maximum of the distances, so
-:func:`graph_stats` reduces the same core search level by level, or block
-by block, and adds the pendant trees in closed form; it stores no matrix.
+:func:`graph_stats` reduces the same core search block by block of sources
+and level by level, or Dijkstra's rows block by block, and adds the pendant
+trees in closed form; it stores no matrix.
 Partitions and the resolving check read a :class:`Metric`: one key per
 vertex, equal exactly when the identification vectors are, and the diameter
 of each block. A matrix keys a vertex by its row of sensor distances; a
@@ -58,7 +62,7 @@ UNREACHABLE = -1
 #: Dijkstra's O(n * (m + n log n)) once the levels number a few hundred.
 BIT_BFS_MAX_LEVELS = 256
 
-# Rows per block when core distances are unpacked, computed and expanded.
+# Most rows in a block of Dijkstra rows.
 _ROW_BLOCK = 1024
 
 # Largest number of entries in a block of Dijkstra rows (scipy returns them
@@ -204,10 +208,19 @@ def _graph_from_keys(n: int, key: np.ndarray) -> Graph:
     return Graph(indptr, key % max(n, 1))
 
 
-def _row_sums(g: Graph, values: np.ndarray) -> np.ndarray:
-    """The sum of ``values`` (one per CSR entry of ``g``) over each row."""
-    total = np.concatenate(([0], np.cumsum(values)))
-    return total[g.indptr[1:]] - total[g.indptr[:-1]]
+def _row_sums(g: Graph, values: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+    """The sum of ``values`` (one per CSR entry of ``g``: booleans or vertex
+    ids) over each row, of the entries ``keep`` flags if it is given. One
+    cumulative sum, taken in place in the one array of entries it needs."""
+    total = np.zeros(values.size + 1, dtype=np.intp)
+    if keep is None:
+        total[1:] = values
+    else:
+        np.multiply(values, keep, out=total[1:])
+    np.cumsum(total[1:], out=total[1:])
+    ends = total[g.indptr]
+    del total
+    return np.diff(ends)
 
 
 def _graph_from_pairs(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
@@ -510,6 +523,12 @@ def _pendant_forest(g: Graph, rounds: list[list[int]]) -> _PendantForest:
     return _PendantForest(core, parent, depth, anchor, preorder, size)
 
 
+def _core_graph(g: Graph, core: list[int]) -> Graph:
+    """The 2-core ``core`` of ``g`` as a graph: ``g`` itself when no tree
+    hangs off it, with no copy of its arrays."""
+    return g if len(core) == g.n else induced_subgraph(g, core)[0]
+
+
 def _component_distances(g: Graph, out: np.ndarray) -> None:
     """Write the distances of a connected graph with n >= 1 into ``out``,
     whose dtype holds its diameter."""
@@ -520,11 +539,11 @@ def _component_distances(g: Graph, out: np.ndarray) -> None:
         core_ids = np.array(core)
         where = np.empty(n, dtype=np.intp)
         where[core_ids] = np.arange(len(core))
-        anchor_col = where[forest.anchor]
+        # a core row reads column x at x's anchor, plus x's depth
+        blocks = _core_rows(_core_graph(g, core), out.dtype, where[forest.anchor])
         depth_col = np.array(forest.depth, dtype=out.dtype)
-        for rows, block in _core_rows(induced_subgraph(g, core)[0], out.dtype):
-            if len(core) < n:  # core columns are anchor columns plus depth
-                block = block[:, anchor_col]
+        for rows, block in blocks:
+            if len(core) < n:
                 block += depth_col
             out[core_ids[rows]] = block
     else:
@@ -555,34 +574,52 @@ def _needs_dijkstra(core: Graph) -> bool:
     return max(bfs_distances(core, dist.index(max(dist)))) > BIT_BFS_MAX_LEVELS
 
 
-def _core_rows(core: Graph, dtype: np.dtype) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _core_rows(core: Graph, dtype: np.dtype, columns: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Distances of a connected graph of minimum degree >= 2, as blocks of
-    (row ids, rows in ``dtype``)."""
-    if _needs_dijkstra(core):
-        return _dijkstra_rows(core, dtype)
-    return _bit_bfs_rows(core, dtype)
+    (row ids, rows in ``dtype``): entry (i, x) of a block is the distance
+    from vertex ``rows[i]`` to vertex ``columns[x]``."""
+    engine = _dijkstra_rows if _needs_dijkstra(core) else _bit_bfs_rows
+    return engine(core, dtype, columns)
 
 
-def _bit_bfs(core: Graph) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
-    """Multi-source BFS from every vertex at once (Then et al., VLDB 2014).
+# Source words per block of the bit-parallel BFS: 64 * _BLOCK_WORDS sources
+# search together, in bitsets of 32 * n * _BLOCK_WORDS bytes. Fewer words pay
+# the per-level array calls more often; more words leave the cache. On the
+# largest component of rgg(5000, 1.5, seed=7) (48 levels; best of 3 on a
+# 2-core x86-64 host), 4, 8, 16 and 32 words took 0.56, 0.50, 0.46 and 0.55 s
+# for the statistics and 0.57, 0.53, 0.52 and 0.65 s for all-pairs distances:
+# 8 words is about as fast as 16, in half the memory.
+_BLOCK_WORDS = 8
 
-    Returns ``order`` and an iterator over the levels 1, 2, ..., L. Row i
-    belongs to vertex ``order[i]`` and holds two bitsets over the sources,
-    ceil(n/64) uint64 words each (bit s of word s // 64 is source s, and
-    bits past n stay clear): the sources that reached it at the last level
-    (``frontier``) and those that have not reached it yet (``unvisited``).
-    A level is ``next = OR of the neighbours' frontiers, AND unvisited``.
-    With rows sorted by degree, neighbour slot s is one ``take`` and one
-    in-place OR on the prefix of rows of degree > s. Level d yields
-    (``next``, ``unvisited``) before ``next`` leaves ``unvisited``: the
-    sources at distance exactly d, and at distance d or more. Both are
-    overwritten by the next level. Cost: O(L * (n + m) * n / 64) word
-    operations. The four bitset arrays take n * n / 2 bytes; more than
+_Levels = Iterator[tuple[np.ndarray, np.ndarray]]
+
+
+def _bit_bfs(core: Graph) -> tuple[np.ndarray, Iterator[tuple[slice, _Levels]]]:
+    """Multi-source BFS from every vertex (Then et al., VLDB 2014), over
+    blocks of ``_BLOCK_WORDS`` source words, 64 sources a word.
+
+    Returns ``order`` and an iterator over the blocks, each the slice of
+    source words it covers and an iterator over its levels 1, 2, ..., L, L
+    the largest eccentricity of its own sources. Row i of a level belongs to
+    vertex ``order[i]`` and holds two bitsets over the block's sources, one
+    uint64 word per source word: bit t of word j is source 64 * (start + j)
+    + t, so bits stand for vertex ids, and bits past n stay clear. They are
+    the sources that reached the row at the last level (``frontier``) and
+    those that have not reached it yet (``unvisited``). A level is ``next =
+    OR of the neighbours' frontiers, AND unvisited``. With rows sorted by
+    degree, neighbour slot s is one ``take`` and one in-place OR on the
+    prefix of rows of degree > s. Level d yields (``next``, ``unvisited``)
+    before ``next`` leaves ``unvisited``: the sources at distance exactly d,
+    and at distance d or more. Both are overwritten by the next level, and
+    the search drops a block's arrays before it makes the next block's. Cost:
+    O(L * (n + m) * n / 64) word operations. The four bitset arrays of a
+    block take 32 * n * min(_BLOCK_WORDS, ceil(n / 64)) bytes; more than
     physical memory raises :class:`TooLargeError` before they are allocated.
     """
     n = core.n
     words = (n + 63) // 64
-    need = 4 * n * words * 8
+    width = min(_BLOCK_WORDS, words)
+    need = 4 * n * width * 8
     if need > _physical_memory():
         raise TooLargeError(
             f"the bit-parallel BFS of a {n}-vertex 2-core needs {need / 1e9:.1f} GB, "
@@ -597,12 +634,14 @@ def _bit_bfs(core: Graph) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.nda
     above = n - np.cumsum(np.bincount(degree))[:-1]  # rows of degree > s, per slot s
     slots = [rank[indices[starts[:k] + s]] for s, k in enumerate(above.tolist())]
 
-    def levels() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        frontier = np.zeros((n, words), dtype=np.uint64)
-        bit = np.left_shift(np.uint64(1), (order & 63).astype(np.uint64))
-        frontier[np.arange(n), order >> 6] = bit
+    def levels(lo: int, hi: int) -> _Levels:
+        sources = np.arange(64 * lo, min(n, 64 * hi))
+        frontier = np.zeros((n, hi - lo), dtype=np.uint64)
+        bit = np.left_shift(np.uint64(1), (sources & 63).astype(np.uint64))
+        frontier[rank[sources], (sources >> 6) - lo] = bit
         unvisited = ~frontier
-        unvisited[:, -1] &= _source_mask(np.ones(n, dtype=bool))[-1]
+        if hi == words:
+            unvisited[:, -1] &= _source_mask(np.ones(n, dtype=bool))[-1]
         nxt = np.empty_like(frontier)
         scratch = np.empty_like(frontier)
         while True:
@@ -619,7 +658,8 @@ def _bit_bfs(core: Graph) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.nda
             np.bitwise_xor(unvisited, nxt, out=unvisited)
             frontier, nxt = nxt, frontier
 
-    return order, levels()
+    spans = [slice(lo, min(words, lo + width)) for lo in range(0, words, width)]
+    return order, ((span, levels(span.start, span.stop)) for span in spans)
 
 
 def _source_mask(flags: np.ndarray) -> np.ndarray:
@@ -631,42 +671,51 @@ def _source_mask(flags: np.ndarray) -> np.ndarray:
     return packed.view("<u8").astype(np.uint64)
 
 
-def _bit_bfs_rows(core: Graph, dtype: np.dtype) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """All distances of :func:`_bit_bfs` as blocks of rows in ``dtype``.
+def _bit_bfs_rows(core: Graph, dtype: np.dtype, columns: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The distances of :func:`_bit_bfs` as :func:`_core_rows` gives them,
+    64 sources at a time: the sources of one word are a block's rows, and
+    the distances are symmetric, so row s reads column x off BFS row
+    ``columns[x]``, bit s.
 
-    Distances are kept as bit-planes (plane b holds bit b of every
-    distance), unpacked once at the end, byte by byte.
+    A block of the search keeps its distances as bit-planes (plane b holds
+    bit b of every distance) and unpacks them after its last level, word by
+    word and byte by byte, reading only the planes' rows of ``columns``.
     """
     n = core.n
-    order, levels = _bit_bfs(core)
-    planes: list[np.ndarray] = []
-    for level, (_, unvisited) in enumerate(levels, start=1):
-        # bit b of a distance d is the parity of the multiples of 2**b in
-        # 1..d, and d >= level holds exactly on the bits still unvisited, so
-        # plane b flips there at every level that 2**b divides
-        for b in range((level & -level).bit_length()):
-            if b == len(planes):
-                planes.append(unvisited.copy())
-            else:
-                np.bitwise_xor(planes[b], unvisited, out=planes[b])
-    del levels
+    order, blocks = _bit_bfs(core)
+    at = np.empty(n, dtype=np.intp)
+    at[order] = np.arange(n)
+    at = at[columns]  # the BFS row of each column
     width = dtype.itemsize
-    for start in range(0, n, _ROW_BLOCK):
-        stop = min(n, start + _ROW_BLOCK)
-        block = np.zeros((stop - start, n), dtype=dtype)
-        # byte j of every entry: plane b is bit b % 8 of byte b // 8
-        entry_bytes = block.view(np.uint8).reshape(stop - start, n, width)
-        for b, plane in enumerate(planes):
-            bytes_ = plane[start:stop].astype("<u8", copy=False).view(np.uint8)
-            bits = np.unpackbits(bytes_, axis=1, count=n, bitorder="little")
-            np.left_shift(bits, b % 8, out=bits)
-            j = b // 8 if sys.byteorder == "little" else width - 1 - b // 8
-            np.bitwise_or(entry_bytes[:, :, j], bits, out=entry_bytes[:, :, j])
-        yield order[start:stop], block
+    for words, levels in blocks:
+        planes: list[np.ndarray] = []
+        for level, (_, unvisited) in enumerate(levels, start=1):
+            # bit b of a distance d is the parity of the multiples of 2**b in
+            # 1..d, and d >= level holds exactly on the bits still unvisited,
+            # so plane b flips there at every level that 2**b divides
+            for b in range((level & -level).bit_length()):
+                if b == len(planes):
+                    planes.append(unvisited.copy())
+                else:
+                    np.bitwise_xor(planes[b], unvisited, out=planes[b])
+        for j in range(words.stop - words.start):
+            first = 64 * (words.start + j)
+            count = min(64, n - first)
+            block = np.zeros((at.size, count), dtype=dtype)
+            # byte i of every entry: plane b is bit b % 8 of byte b // 8
+            entry_bytes = block.view(np.uint8).reshape(at.size, count, width)
+            for b, plane in enumerate(planes):
+                bytes_ = plane[at, j].astype("<u8", copy=False).view(np.uint8).reshape(at.size, 8)
+                bits = np.unpackbits(bytes_, axis=1, count=count, bitorder="little")
+                np.left_shift(bits, b % 8, out=bits)
+                i = b // 8 if sys.byteorder == "little" else width - 1 - b // 8
+                np.bitwise_or(entry_bytes[:, :, i], bits, out=entry_bytes[:, :, i])
+            yield np.arange(first, first + count), block.T
 
 
-def _dijkstra_rows(core: Graph, dtype: np.dtype) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """scipy's unweighted Dijkstra over blocks of sources (imported lazily)."""
+def _dijkstra_rows(core: Graph, dtype: np.dtype, columns: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """scipy's unweighted Dijkstra over blocks of sources (imported lazily),
+    as :func:`_core_rows` gives them."""
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import shortest_path
 
@@ -678,7 +727,7 @@ def _dijkstra_rows(core: Graph, dtype: np.dtype) -> Iterator[tuple[np.ndarray, n
         rows = np.arange(start, min(n, start + step))
         # the adjacency is symmetric, so the directed search is the undirected one
         dist = shortest_path(adj, method="D", directed=True, unweighted=True, indices=rows)
-        yield rows, dist.astype(dtype)
+        yield rows, dist.astype(dtype)[:, columns]
 
 
 def _check_sensors(n: int, sensors: SensorSet) -> list[int]:
@@ -918,7 +967,7 @@ def _distance_sum_and_diameter(g: Graph, forest: _PendantForest) -> tuple[int, i
         depth_sum = np.bincount(anchor, weights=forest.depth, minlength=n)[ids].astype(np.int64)
         total += 2 * int(depth_sum @ (n - wc))
         core_sum, core_diameter = _core_sum_and_diameter(
-            induced_subgraph(g, forest.core)[0], wc, np.array(height)[ids]
+            _core_graph(g, forest.core), wc, np.array(height)[ids]
         )
         total += core_sum
         diameter = max(diameter, core_diameter)
@@ -931,41 +980,44 @@ def _core_sum_and_diameter(core: Graph, w: np.ndarray, far: np.ndarray) -> tuple
     far[b] over a != b.
 
     Dijkstra's row blocks are reduced as they arrive. The bit-parallel BFS
-    is reduced per level d without unpacking a distance: the sources at
-    distance d or more from a row's vertex are its ``unvisited`` bits, so
-    the sum adds, per row, the row's weight times the weight of those bits,
-    which is sum over j of 2**j * popcount(unvisited & B_j), B_j the sources
-    whose weight has bit j set. The sources at distance exactly d are the
-    row's ``next`` bits; per distinct value f of ``far``, the rows meeting
-    the sources of that value give candidates far[row] + d + f. A value
-    that cannot beat the best so far is skipped.
+    is reduced per block of sources and per level d, without unpacking a
+    distance: the block's sources at distance d or more from a row's vertex
+    are its ``unvisited`` bits, so the sum adds, per row, the row's weight
+    times the weight of those bits, which is sum over j of 2**j *
+    popcount(unvisited & B_j), B_j the sources whose weight has bit j set.
+    The sources at distance exactly d are the row's ``next`` bits; per
+    distinct value f of ``far``, the rows meeting the sources of that value
+    give candidates far[row] + d + f. A value that cannot beat the best so
+    far is skipped. The masks B_j and those of ``far`` are bitsets over all
+    sources, read a block's words at a time.
     """
     if _needs_dijkstra(core):
         total = diameter = 0
-        for rows, block in _dijkstra_rows(core, distance_dtype(core.n)):
+        for rows, block in _dijkstra_rows(core, distance_dtype(core.n), np.arange(core.n)):
             total += int(w[rows] @ (block @ w))
             reach = block + far
             reach[np.arange(rows.size), rows] = -1  # a vertex and itself are no pair
             diameter = max(diameter, int((reach.max(axis=1) + far[rows]).max()))
         return total, diameter
     n = core.n
-    order, levels = _bit_bfs(core)
+    order, blocks = _bit_bfs(core)
     row_w, row_far = w[order], far[order]
     weight_bits = [_source_mask((w >> j) & 1 == 1) for j in range(int(w.max()).bit_length())]
     values = np.unique(far)[::-1].tolist()
     far_masks = [(f, _source_mask(far == f)) for f in values]
     top = values[0]
-    masked = np.empty((n, (n + 63) // 64), dtype=np.uint64)
-    counts = np.empty(masked.shape, dtype=np.uint8)
     total = diameter = 0
-    for level, (reached, unvisited) in enumerate(levels, start=1):
-        for j, mask in enumerate(weight_bits):
-            np.bitwise_count(np.bitwise_and(unvisited, mask, out=masked), out=counts)
-            total += int(counts.sum(axis=1, dtype=np.int64) @ row_w) << j
-        for f, mask in far_masks:  # descending
-            if top + level + f <= diameter:
-                break
-            hit = np.bitwise_and(reached, mask, out=masked).any(axis=1)
-            if hit.any():
-                diameter = max(diameter, int(row_far[hit].max()) + level + f)
+    for words, levels in blocks:
+        masked = np.empty((n, words.stop - words.start), dtype=np.uint64)
+        counts = np.empty(masked.shape, dtype=np.uint8)
+        for level, (reached, unvisited) in enumerate(levels, start=1):
+            for j, mask in enumerate(weight_bits):
+                np.bitwise_count(np.bitwise_and(unvisited, mask[words], out=masked), out=counts)
+                total += int(counts.sum(axis=1, dtype=np.int64) @ row_w) << j
+            for f, mask in far_masks:  # descending
+                if top + level + f <= diameter:
+                    break
+                hit = np.bitwise_and(reached, mask[words], out=masked).any(axis=1)
+                if hit.any():
+                    diameter = max(diameter, int(row_far[hit].max()) + level + f)
     return total, diameter

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .graph import (
     TooLargeError,
     _graph_from_keys,
     _pair_keys,
+    _SCALAR_BATCH,
     _row_sums,
     all_pairs_distances,
     bfs_distances,
@@ -247,20 +248,10 @@ class RootedTree:
         Python ints either way.
 
         Raises ValueError unless the array is a tree on all its vertices;
-        see :func:`_array_tree`, and :func:`_list_tree` for trees of a few
-        vertices, which are often sampled by the thousand. No edge set is
-        built.
+        see :func:`_parent_graph`. No edge set is built.
         """
         parent = np.asarray(parents, dtype=np.intp)
-        n = parent.size
-        if not 0 <= root < n:
-            raise ValueError(f"root {root} out of range for n={n}")
-        if parent[root] != -1:
-            raise ValueError(f"parents[{root}] is {parent[root]}, but the root's parent must be -1")
-        plist = parent.tolist()
-        g = _array_tree(parent, root) if n >= _ARRAY_TREE_MIN else _list_tree(plist, root)
-        g.__dict__[_IS_TREE] = True
-        return cls(g, root, tuple(plist))
+        return cls(_parent_graph(parent, root), root, tuple(parent.tolist()))
 
     def topo_order(self) -> list[int]:
         """Vertices with every parent before its children (BFS from root)."""
@@ -274,6 +265,21 @@ class RootedTree:
 # graph on Python lists: on a few vertices the dozen array calls of the
 # vectorized build cost more than the loops.
 _ARRAY_TREE_MIN = 64
+
+
+def _parent_graph(parent: np.ndarray, root: int) -> Graph:
+    """The graph of an integer parent array, ``parent[root] == -1``, known
+    to be a tree: :func:`_array_tree`, or :func:`_list_tree` for trees of a
+    few vertices, which are often sampled by the thousand. Raises ValueError
+    unless the array is a tree on all its vertices."""
+    n = parent.size
+    if not 0 <= root < n:
+        raise ValueError(f"root {root} out of range for n={n}")
+    if parent[root] != -1:
+        raise ValueError(f"parents[{root}] is {parent[root]}, but the root's parent must be -1")
+    g = _array_tree(parent, root) if n >= _ARRAY_TREE_MIN else _list_tree(parent.tolist(), root)
+    g.__dict__[_IS_TREE] = True
+    return g
 
 
 def _not_a_vertex(parent: int, v: int, n: int) -> ValueError:
@@ -355,10 +361,17 @@ def stem_r(g: Graph, r: int) -> StemResult:
     round); ``r = 0`` is the identity."""
     if r < 0:
         raise ValueError("stemming rounds must be nonnegative")
+    rounds, alive = _stem(g, r)
+    return StemResult(tuple(np.flatnonzero(alive).tolist()), tuple(map(tuple, rounds)))
+
+
+def _stem(g: Graph, r: int) -> tuple[list[list[int]], np.ndarray]:
+    """The rounds of one public ``r``-round peel of ``g``, and the mask of
+    the vertices it leaves."""
     rounds = peel_degree_le1(g, rounds=r)
     alive = np.ones(g.n, dtype=bool)
     alive[np.fromiter(chain.from_iterable(rounds), dtype=np.intp)] = False
-    return StemResult(tuple(np.flatnonzero(alive).tolist()), tuple(map(tuple, rounds)))
+    return rounds, alive
 
 
 def stem(g: Graph) -> StemResult:
@@ -389,32 +402,56 @@ def down_stem_vertices(t: RootedTree, r: int) -> tuple[int, ...]:
     return tuple(v for v in range(t.n) if v == t.root or height[v] >= r)
 
 
-def _leaf_groups(g: Graph, removed: Iterable[int] = ()) -> tuple[list[int], dict[int, list[int]]]:
-    """The leaves (ascending), and the leaves grouped by their closest major
-    vertex (degree >= 3), i.e. by the exterior major vertex owning their leaf
-    path, in the graph left when the distinct vertices ``removed`` are taken
-    out of ``g``; all ids are ``g``'s. Leaves on path components have no
-    major vertex and are in no group.
+def _leaf_owners(g: Graph, alive: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The leaves (ascending) of the graph left when only the vertices
+    ``alive`` (a mask; all when None) are kept of ``g``, and the owner of
+    each: the exterior major vertex (degree >= 3 there) that ends its leaf
+    path, or -1 for a leaf of a path component. All ids are ``g``'s.
 
     Two array passes over the CSR entries give every vertex left its degree
     there and the id sum of its neighbours there. A leaf's one neighbour is
     that sum, and the vertex after a degree-2 vertex is the sum less the
-    vertex the walk came from; only the leaf paths are walked in Python.
+    vertex the walk came from. All the walks step together on arrays until
+    fewer than the peel's ``_SCALAR_BATCH`` are still going; those few go on
+    in Python, as the peel's last rounds do, so the two leaves of a long
+    path walk it in linear time.
     """
-    left = np.ones(g.n, dtype=bool)
-    left[np.fromiter(removed, dtype=np.intp)] = False
-    kept = left[g.indices]
-    degree = np.where(left, _row_sums(g, kept), 0)
-    leaves = np.flatnonzero(degree == 1).tolist()
-    degree, nbr_sum = degree.tolist(), _row_sums(g, np.where(kept, g.indices, 0)).tolist()
-    groups: dict[int, list[int]] = {}
-    for leaf in leaves:
-        prev, cur = leaf, nbr_sum[leaf]
-        while degree[cur] == 2:
-            prev, cur = cur, nbr_sum[cur] - prev
-        if degree[cur] > 2:  # degree 1: the far end of a path component
-            groups.setdefault(cur, []).append(leaf)
-    return leaves, groups
+    if alive is None:
+        degree, nbr_sum = np.diff(g.indptr), _row_sums(g, g.indices)
+    else:
+        kept = alive[g.indices]
+        degree = np.where(alive, _row_sums(g, kept), 0)
+        nbr_sum = _row_sums(g, g.indices, kept)
+    leaves = np.flatnonzero(degree == 1)
+    end = np.empty(leaves.size, dtype=np.intp)  # the first vertex of degree != 2
+    walks = np.arange(leaves.size)
+    prev, cur = leaves, nbr_sum[leaves]
+    while walks.size >= _SCALAR_BATCH:
+        going = degree[cur] == 2
+        done = ~going
+        end[walks[done]] = cur[done]
+        walks, prev, cur = walks[going], cur[going], nbr_sum[cur[going]] - prev[going]
+    # memoryviews read the arrays as Python ints, without a list of them
+    degree_of, sum_of = memoryview(degree), memoryview(nbr_sum)
+    for i, p, c in zip(walks.tolist(), prev.tolist(), cur.tolist()):
+        while degree_of[c] == 2:
+            p, c = c, sum_of[c] - p
+        end[i] = c
+    return leaves, np.where(degree[end] > 2, end, -1)
+
+
+def _exterior_groups(leaves: np.ndarray, owner: np.ndarray) -> tuple[int, np.ndarray]:
+    """The number of exterior major vertices among the leaves' owners, and
+    the witness leaves: all but the smallest-id leaf of each owner,
+    ascending. One sort by (owner, leaf) puts each owner's leaves together,
+    smallest first."""
+    major = owner >= 0
+    leaves, owner = leaves[major], owner[major]
+    order = np.lexsort((leaves, owner))
+    owner = owner[order]
+    first = np.ones(owner.size, dtype=bool)
+    first[1:] = owner[1:] != owner[:-1]
+    return int(np.count_nonzero(first)), np.sort(leaves[order[~first]])
 
 
 def count_sigma_ex(g: Graph) -> tuple[int, int]:
@@ -423,8 +460,8 @@ def count_sigma_ex(g: Graph) -> tuple[int, int]:
     An exterior major vertex has degree >= 3 and at least one attached leaf
     path (a chain of degree-2 vertices ending in a leaf).
     """
-    leaves, groups = _leaf_groups(g)
-    return len(leaves), len(groups)
+    leaves, owner = _leaf_owners(g)
+    return leaves.size, _exterior_groups(leaves, owner)[0]
 
 
 @dataclass(frozen=True)
@@ -477,18 +514,17 @@ def exact_tree_md(g: Graph, k: int) -> TreeMDReport:
     if not is_tree(g):
         raise IncompatibleMethodError("exact_tree_md requires a connected acyclic input")
     r = k // 2
-    st = stem_r(g, min(r, g.n))
-    if len(st.survivors) <= 1 + k % 2:
+    alive = _stem(g, min(r, g.n))[1]  # the rounds' lists are dropped at once
+    if np.count_nonzero(alive) <= 1 + k % 2:
         return TreeMDReport(k, r, 0, 0, False, 0, ())
-    leaves, groups = _leaf_groups(g, chain.from_iterable(st.removed_per_round))
-    sigma, ex = len(leaves), len(groups)
+    leaves, owner = _leaf_owners(g, alive)
+    sigma = leaves.size
+    ex, witness = _exterior_groups(leaves, owner)
     if ex == 0:
-        return TreeMDReport(k, r, sigma, ex, True, 1, (leaves[0],))
-    # groups list their leaves ascending: each group's first is its smallest
-    witness = sorted(leaf for group in groups.values() for leaf in group[1:])
+        return TreeMDReport(k, r, sigma, ex, True, 1, (int(leaves[0]),))
     md = sigma - ex
-    assert md == len(witness)
-    return TreeMDReport(k, r, sigma, ex, False, md, tuple(witness))
+    assert md == witness.size
+    return TreeMDReport(k, r, sigma, ex, False, md, tuple(witness.tolist()))
 
 
 def subtree_property_counts(t: RootedTree, r: int) -> tuple[int, int]:

@@ -11,27 +11,32 @@ merged in. The queue peel decrements neighbour degrees vertex by vertex, and
 the cut-sum leaf walk decrements them again for every peeled vertex.
 
 All-pairs distances are one breadth-first search per source, and the
-statistics are read off that matrix. Induced
+statistics are read off that matrix. The bit-parallel BFS runs every source
+at once, in n x n/64-word bitsets, where the library runs blocks of
+sources. Induced
 subgraphs relabel through a dict. Each peeling
 round rescans every vertex, so peeling a path of n vertices costs
 Theta(n^2); vertices are grouped through a dict keyed by distance-row
 tuples; the resolving check and the brute-force search run on that grouping.
 A parent array becomes a rooted tree through ``Graph.from_edges`` and its set
-checks, and leaf paths are walked through ``Graph.degree`` calls. The exact
-tree solver rebuilds the r-stem as a relabelled subgraph, walks it there and
-maps the witness back to input ids.
+checks, and leaf paths are walked through ``Graph.degree`` calls, or one
+leaf at a time on lists of degrees and neighbour sums. The exact tree solver
+rebuilds the r-stem as a relabelled subgraph, walks it there and maps the
+witness back to input ids, or walks the stem's leaves one at a time in the
+input tree.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+import sys
+from itertools import chain, combinations
 from typing import Iterable, Iterator
 
 import numpy as np
 import pytest
 
-from relaxmdim import Graph, GraphStats, RootedTree, TreeMDReport
-from relaxmdim.graph import bfs_distances
+from relaxmdim import Graph, GraphStats, RootedTree, TreeMDReport, stem_r
+from relaxmdim.graph import _row_sums, _source_mask, bfs_distances
 
 
 def tuple_edges(adjacency) -> Iterator[tuple[int, int]]:
@@ -329,3 +334,132 @@ def subgraph_exact_tree_md(g: Graph, k: int) -> TreeMDReport:
     witness = sorted(to_original[leaf] for group in groups.values() for leaf in group[1:])
     assert sigma - ex == len(witness)
     return TreeMDReport(k, r, sigma, ex, False, sigma - ex, tuple(witness))
+
+
+def list_walk_leaf_groups(g: Graph, removed: Iterable[int] = ()) -> tuple[list[int], dict[int, list[int]]]:
+    """The leaves (ascending) of ``g`` less the distinct vertices
+    ``removed``, and the leaves grouped by the first vertex of degree >= 3
+    on their leaf path; leaves of path components are in no group. The
+    degrees and neighbour id sums come from two array passes, and each leaf
+    path is walked on their lists, one leaf at a time."""
+    left = np.ones(g.n, dtype=bool)
+    left[np.fromiter(removed, dtype=np.intp)] = False
+    kept = left[g.indices]
+    degree = np.where(left, _row_sums(g, kept), 0)
+    leaves = np.flatnonzero(degree == 1).tolist()
+    degree, nbr_sum = degree.tolist(), _row_sums(g, np.where(kept, g.indices, 0)).tolist()
+    groups: dict[int, list[int]] = {}
+    for leaf in leaves:
+        prev, cur = leaf, nbr_sum[leaf]
+        while degree[cur] == 2:
+            prev, cur = cur, nbr_sum[cur] - prev
+        if degree[cur] > 2:  # degree 1: the far end of a path component
+            groups.setdefault(cur, []).append(leaf)
+    return leaves, groups
+
+
+def walk_count_sigma_ex(g: Graph) -> tuple[int, int]:
+    """(leaves, exterior major vertices) from :func:`list_walk_leaf_groups`."""
+    leaves, groups = list_walk_leaf_groups(g)
+    return len(leaves), len(groups)
+
+
+def walk_exact_tree_md(g: Graph, k: int) -> TreeMDReport:
+    """The exact k-relaxed dimension report of a tree, with r = k // 2: the
+    r-stem from ``stem_r``, and its leaves grouped by
+    :func:`list_walk_leaf_groups` on the input tree less the peeled
+    vertices; the witness is all but the smallest leaf of each group, or
+    the smallest leaf of a path stem."""
+    r = k // 2
+    st = stem_r(g, min(r, g.n))
+    if len(st.survivors) <= 1 + k % 2:
+        return TreeMDReport(k, r, 0, 0, False, 0, ())
+    leaves, groups = list_walk_leaf_groups(g, chain.from_iterable(st.removed_per_round))
+    sigma, ex = len(leaves), len(groups)
+    if ex == 0:
+        return TreeMDReport(k, r, sigma, ex, True, 1, (leaves[0],))
+    witness = sorted(leaf for group in groups.values() for leaf in group[1:])
+    return TreeMDReport(k, r, sigma, ex, False, sigma - ex, tuple(witness))
+
+
+def unblocked_bit_bfs(core: Graph) -> tuple[np.ndarray, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """The multi-source BFS of ``graph._bit_bfs`` from every source at once:
+    ``order`` and the levels 1, 2, ..., L of all sources, each (``next``,
+    ``unvisited``) in n x ceil(n/64)-word bitsets (bit s of word s // 64 is
+    source s), so its bitsets grow as n * n."""
+    n = core.n
+    words = (n + 63) // 64
+    indptr, indices = core.indptr, core.indices
+    degree = np.diff(indptr)
+    order = np.argsort(-degree, kind="stable")
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    starts = indptr[order]
+    above = n - np.cumsum(np.bincount(degree))[:-1]  # rows of degree > s, per slot s
+    slots = [rank[indices[starts[:k] + s]] for s, k in enumerate(above.tolist())]
+
+    def levels() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        frontier = np.zeros((n, words), dtype=np.uint64)
+        bit = np.left_shift(np.uint64(1), (order & 63).astype(np.uint64))
+        frontier[np.arange(n), order >> 6] = bit
+        unvisited = ~frontier
+        unvisited[:, -1] &= _source_mask(np.ones(n, dtype=bool))[-1]
+        nxt = np.empty_like(frontier)
+        while True:
+            nxt[:] = frontier[slots[0]]
+            for slot in slots[1:]:
+                nxt[: len(slot)] |= frontier[slot]
+            nxt &= unvisited
+            if not nxt.any():
+                return
+            yield nxt, unvisited
+            unvisited ^= nxt
+            frontier, nxt = nxt, frontier
+
+    return order, levels()
+
+
+def unblocked_bit_bfs_rows(core: Graph, dtype: np.dtype, columns: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``graph._bit_bfs_rows`` on :func:`unblocked_bit_bfs`: every
+    distance kept as bit-planes over all sources until the last level, then
+    unpacked for all rows at once, as core rows read at ``columns``."""
+    n = core.n
+    order, levels = unblocked_bit_bfs(core)
+    planes: list[np.ndarray] = []
+    for level, (_, unvisited) in enumerate(levels, start=1):
+        for b in range((level & -level).bit_length()):
+            if b == len(planes):
+                planes.append(unvisited.copy())
+            else:
+                planes[b] ^= unvisited
+    width = dtype.itemsize
+    block = np.zeros((n, n), dtype=dtype)
+    entry_bytes = block.view(np.uint8).reshape(n, n, width)
+    for b, plane in enumerate(planes):
+        bits = np.unpackbits(plane.astype("<u8").view(np.uint8), axis=1, count=n, bitorder="little")
+        j = b // 8 if sys.byteorder == "little" else width - 1 - b // 8
+        entry_bytes[:, :, j] |= bits << (b % 8)
+    rows = np.empty_like(block)
+    rows[order] = block  # row i of the search is vertex order[i]
+    yield np.arange(n), rows[:, columns]
+
+
+def unblocked_core_sum_and_diameter(core: Graph, w: np.ndarray, far: np.ndarray) -> tuple[int, int]:
+    """``graph._core_sum_and_diameter`` reduced level by level from
+    :func:`unblocked_bit_bfs`, with no early exit: the sum of w[a] * w[b] *
+    d(a, b) over ordered pairs, and the largest far[a] + d(a, b) + far[b]
+    over a != b."""
+    order, levels = unblocked_bit_bfs(core)
+    row_w, row_far = w[order], far[order]
+    weight_bits = [_source_mask((w >> j) & 1 == 1) for j in range(int(w.max()).bit_length())]
+    far_masks = [(int(f), _source_mask(far == f)) for f in np.unique(far)]
+    total = diameter = 0
+    for level, (reached, unvisited) in enumerate(levels, start=1):
+        for j, mask in enumerate(weight_bits):
+            counts = np.bitwise_count(unvisited & mask).sum(axis=1, dtype=np.int64)
+            total += int(counts @ row_w) << j
+        for f, mask in far_masks:
+            hit = (reached & mask).any(axis=1)
+            if hit.any():
+                diameter = max(diameter, int(row_far[hit].max()) + level + f)
+    return total, diameter

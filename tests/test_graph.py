@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import random
+import tracemalloc
 from contextlib import contextmanager
 from typing import Iterator
 
@@ -22,6 +23,7 @@ from relaxmdim import (
     is_k_relaxed_resolving,
     largest_connected_component,
     load_edge_list,
+    rgg,
 )
 from relaxmdim import graph
 from relaxmdim.graph import (
@@ -55,6 +57,8 @@ from graph_oracle import (
     set_from_edges,
     set_load_edge_list,
     tuple_graph_from_pairs,
+    unblocked_bit_bfs_rows,
+    unblocked_core_sum_and_diameter,
 )
 
 # trees, unicyclic and sparse connected graphs, and disconnected sparse
@@ -380,6 +384,101 @@ def _long_cycle_with_pendant() -> Graph:
     return _with_edges(cycle_graph(600), 603, [(5, 600), (600, 601), (600, 602)])
 
 
+@st.composite
+def cores_with_pendant_trees(draw) -> Graph:
+    """A cycle of 3 to 260 vertices (up to five words of sources) with
+    random chords as the 2-core, and trees of different sizes and depths
+    hanging off some of its vertices: paths, or trees whose vertices join
+    any earlier one. The ids are shuffled, so the core's weights and
+    heights are neither uniform nor ordered by id."""
+    c = draw(st.integers(3, 260))
+    edges = {(min(i, (i + 1) % c), max(i, (i + 1) % c)) for i in range(c)}
+    for _ in range(draw(st.integers(0, c // 8))):
+        u, v = draw(st.lists(st.integers(0, c - 1), min_size=2, max_size=2, unique=True))
+        edges.add((min(u, v), max(u, v)))
+    n = c
+    for _ in range(draw(st.integers(1, 6))):
+        members = [draw(st.integers(0, c - 1))]
+        deep = draw(st.booleans())
+        for _ in range(draw(st.integers(1, 40))):
+            parent = members[-1] if deep else members[draw(st.integers(0, len(members) - 1))]
+            edges.add((parent, n))
+            members.append(n)
+            n += 1
+    ids = draw(st.permutations(range(n)))
+    return Graph.from_edges(n, sorted((ids[u], ids[v]) for u, v in edges))
+
+
+# one word per block, an odd count that splits five words 3 + 2, and one
+# block of every word
+BLOCK_WORDS = (1, 3, 10**6)
+
+
+class TestBlockedBitBFS:
+    """The bit-parallel BFS over blocks of sources against the unblocked
+    engine, and the memory it takes."""
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(cores_with_pendant_trees())
+    def test_statistics_match_the_unblocked_engine(self, g):
+        engine = graph._core_sum_and_diameter
+        cores = []
+
+        def compare(core, w, far):
+            expected = unblocked_core_sum_and_diameter(core, w, far)
+            for words in BLOCK_WORDS:
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(graph, "_BLOCK_WORDS", words)
+                    assert engine(core, w, far) == expected, words
+            cores.append(core.n)
+            return expected
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "_core_sum_and_diameter", compare)
+            graph_stats(g)
+        assert len(cores) == 1
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(cores_with_pendant_trees())
+    def test_distances_match_the_unblocked_engine(self, g):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "_bit_bfs_rows", unblocked_bit_bfs_rows)
+            expected = all_pairs_distances(g).matrix
+        for words in BLOCK_WORDS:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(graph, "_BLOCK_WORDS", words)
+                assert np.array_equal(all_pairs_distances(g).matrix, expected), words
+
+    @staticmethod
+    def rgg_component() -> Graph:
+        g, _ = largest_connected_component(rgg(4000, 1.5, seed=1))
+        assert g.n - graph_stats(g).shell1_size >= 2000  # the core searched
+        return g  # keeps its adjacency tuples, derived by that first call
+
+    @staticmethod
+    def traced_peak(fn, *args) -> tuple[object, int]:
+        tracemalloc.start()
+        try:
+            result = fn(*args)
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_statistics_peak_grows_with_the_block_not_the_core(self):
+        # at most 12 words per vertex and block word, plus 1 MB; the
+        # unblocked bitsets alone took n * n / 2 bytes, 8 MB here
+        g = self.rgg_component()
+        _, peak = self.traced_peak(graph_stats, g)
+        assert peak <= 12 * 8 * g.n * graph._BLOCK_WORDS + (1 << 20), peak
+
+    def test_distances_peak_at_the_result_plus_10_mb(self):
+        # each 64 sources' rows go straight into the matrix; every bit-plane
+        # of every source took about as much as the int8 result
+        g = self.rgg_component()
+        dm, peak = self.traced_peak(all_pairs_distances, g)
+        assert peak <= dm.matrix.nbytes + 10 * 2**20, peak - dm.matrix.nbytes
+
+
 class TestAllPairsDistances:
     """The peel, the bit-parallel BFS or Dijkstra on the 2-core and the row
     recurrence, against one BFS per source."""
@@ -450,12 +549,12 @@ class TestAllPairsDistances:
         seen = set()
         inner = getattr(graph, engine)
 
-        def spy(core, dtype):
-            for rows, block in inner(core, dtype):
+        def spy(core, dtype, columns):
+            for rows, block in inner(core, dtype, columns):
                 seen.add(block.dtype)
                 yield rows, block
 
-        def refuse(core, dtype):
+        def refuse(core, dtype, columns):
             raise AssertionError(f"{refused} run")
 
         monkeypatch.setattr(graph, engine, spy)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from itertools import chain
 
 import networkx as nx
@@ -50,9 +51,12 @@ from graph_oracle import (
     degree_call_leaf_groups,
     dict_brute_force_md,
     edge_list_rooted_tree,
+    list_walk_leaf_groups,
     round_scan_down_stem,
     subgraph_exact_tree_md,
     tuple_tree,
+    walk_count_sigma_ex,
+    walk_exact_tree_md,
 )
 
 # n = 1, n = 2, stars, paths and spiders: the edge cases of the stem rules
@@ -69,11 +73,31 @@ SMALL_TREES = [
 ]
 
 
+# spiders whose equal legs walk in step, more of them than the scalar cut
+EQUAL_LEG_SPIDERS = [spider_graph([legs] * count) for legs, count in ((1, 9), (2, 8), (3, 12), (6, 10))]
+
+
 def relabelled(g: Graph, rng) -> Graph:
     """``g`` with its vertex ids shuffled."""
     ids = list(range(g.n))
     rng.shuffle(ids)
     return Graph.from_edges(g.n, [(ids[u], ids[v]) for u, v in g.edges()])
+
+
+def leaf_groups(g: Graph, removed=None) -> tuple[list[int], dict[int, list[int]]]:
+    """``trees._leaf_owners`` on ``g`` less ``removed`` (nothing removed
+    when None), as the oracles give it: the leaves, and each owner's leaves
+    in ascending order."""
+    alive = None
+    if removed is not None:
+        alive = np.ones(g.n, dtype=bool)
+        alive[np.array(removed, dtype=np.intp)] = False
+    leaves, owner = trees._leaf_owners(g, alive)
+    groups: dict[int, list[int]] = {}
+    for leaf, major in zip(leaves.tolist(), owner.tolist()):
+        if major >= 0:
+            groups.setdefault(major, []).append(leaf)
+    return leaves.tolist(), groups
 
 
 @st.composite
@@ -450,7 +474,7 @@ class TestExactTreeMD:
     @settings(derandomize=True, deadline=None, max_examples=150)
     @given(st.one_of(random_trees(), connected_graphs(), sparse_graphs()))
     def test_leaf_walk_matches_degree_calls(self, g):
-        assert trees._leaf_groups(g) == degree_call_leaf_groups(g)
+        assert leaf_groups(g) == degree_call_leaf_groups(g)
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(st.one_of(random_trees(), connected_graphs(), sparse_graphs()), st.data())
@@ -468,7 +492,7 @@ class TestExactTreeMD:
         expected_groups = {
             to_original[major]: [to_original[v] for v in group] for major, group in groups.items()
         }
-        got_leaves, got_groups = trees._leaf_groups(g, removed)
+        got_leaves, got_groups = leaf_groups(g, removed)
         assert got_leaves == [to_original[v] for v in leaves]
         assert got_groups == expected_groups
 
@@ -479,7 +503,19 @@ class TestExactTreeMD:
         # former walk kept up to date vertex by vertex
         depth = data.draw(st.integers(0, g.n))
         removed = list(chain.from_iterable(peel_degree_le1(g, rounds=depth)))
-        assert trees._leaf_groups(g, removed) == cut_sum_leaf_groups(g, removed)
+        assert leaf_groups(g, removed) == cut_sum_leaf_groups(g, removed)
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(st.one_of(random_trees(), connected_graphs(), sparse_graphs()), st.data())
+    def test_array_walk_matches_the_list_walk_at_any_scalar_cut(self, g, data):
+        # every walk on arrays, the default cut, and every walk in Python
+        depth = data.draw(st.integers(0, g.n))
+        removed = list(chain.from_iterable(peel_degree_le1(g, rounds=depth)))
+        expected = list_walk_leaf_groups(g, removed)
+        for cut in (1, trees._SCALAR_BATCH, 10**9):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(trees, "_SCALAR_BATCH", cut)
+                assert leaf_groups(g, removed) == expected, cut
 
     def test_sampled_trees_are_solved_on_their_arrays(self):
         # neither the samplers nor the solver derive the adjacency tuples
@@ -519,6 +555,47 @@ class TestExactTreeMD:
     def test_report_matches_the_subgraph_solver_on_small_trees(self, g):
         for k in range(tree_diameter(g) + 2):
             assert exact_tree_md(g, k) == subgraph_exact_tree_md(g, k), k
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(
+        st.one_of(
+            random_trees(120),
+            st.builds(uniform_tree, st.integers(2, 300), st.integers(0, 2**32 - 1)),
+            st.builds(
+                relabelled,
+                st.sampled_from(SMALL_TREES + EQUAL_LEG_SPIDERS),
+                st.randoms(use_true_random=False),
+            ),
+        )
+    )
+    def test_array_solve_matches_the_walk_oracle(self, g):
+        # every field, witness included, at every k up to one past the
+        # diameter, with the walks on arrays, at the default cut and in Python
+        expected = [walk_exact_tree_md(g, k) for k in range(tree_diameter(g) + 2)]
+        for cut in (1, trees._SCALAR_BATCH, 10**9):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(trees, "_SCALAR_BATCH", cut)
+                assert [exact_tree_md(g, k) for k in range(len(expected))] == expected, cut
+                assert count_sigma_ex(g) == walk_count_sigma_ex(g), cut
+
+    @pytest.mark.parametrize("g", SMALL_TREES + EQUAL_LEG_SPIDERS)
+    def test_array_solve_matches_the_walk_oracle_on_small_trees(self, g):
+        for k in range(tree_diameter(g) + 2):
+            assert exact_tree_md(g, k) == walk_exact_tree_md(g, k), k
+        assert count_sigma_ex(g) == walk_count_sigma_ex(g)
+
+    def test_100000_vertex_uniform_tree_solves_in_little_memory(self):
+        # the stem's mask, degrees and neighbour sums are arrays: no list
+        # of per-vertex ints is held beside the peel's rounds
+        g = uniform_tree(100_000, seed=5)
+        for k in (0, 2, 4, 8, 16):
+            tracemalloc.start()
+            try:
+                exact_tree_md(g, k)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 6_000_000, (k, peak)
 
     def test_report_json_schema(self):
         d = exact_tree_md(path_graph(4), 0).as_dict()
