@@ -10,9 +10,9 @@ and the concatenated neighbour lists) and nothing else. The parser, the
 samplers' integer pair arrays and parent arrays (in ``trees``) and induced
 subgraphs write the two arrays from one sort of pair keys or one gather;
 :meth:`Graph.from_edges` checks a hand-written edge list edge by edge into
-neighbour sets first. The peel works on the arrays a round at a time.
-Per-vertex adjacency tuples are derived on first read, for the Python loops
-that remain: BFS, components, the pendant forest and the tree metric.
+neighbour sets first. The peel works on the arrays a round at a time, and
+the Python loops (BFS, components and the pendant-forest walk) read them
+through memoryviews.
 
 All-pairs distances split each component into its 2-core and the trees
 hanging off it. The core's distances come from a bit-parallel multi-source
@@ -85,12 +85,10 @@ class Graph:
     """Undirected simple graph stored as one sorted, read-only CSR pair.
 
     The neighbours of vertex v are ``indices[indptr[v]:indptr[v + 1]]``,
-    ascending. The two intp arrays are the only stored form: equality, ``m``,
-    :meth:`degrees` and :meth:`edges` read them, and ``adjacency`` (one
-    tuple of neighbours per vertex) is derived on first read for the Python
-    loops that walk the graph vertex by vertex. Invariants: adjacency is
-    symmetric, has no self-loops and no duplicate neighbors. Use
-    :meth:`from_edges` to construct with validation.
+    ascending. The two intp arrays are the only stored form, and every read
+    of the graph goes to them. Invariants: adjacency is symmetric, has no
+    self-loops and no duplicate neighbors. Use :meth:`from_edges` to
+    construct with validation.
     """
 
     indptr: np.ndarray
@@ -119,15 +117,6 @@ class Graph:
     @property
     def m(self) -> int:
         return self.indices.size // 2
-
-    @cached_property
-    def adjacency(self) -> tuple[tuple[int, ...], ...]:
-        """Each vertex's neighbours as a tuple of Python ints. Every row that
-        lists a vertex shares one int object for it: an int per entry, as
-        ``indices.tolist()`` makes, costs 32 more bytes each."""
-        flat = np.array(range(self.n), dtype=object)[self.indices].tolist()
-        bounds = self.indptr.tolist()
-        return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
 
     def degree(self, v: int) -> int:
         return int(self.indptr[v + 1] - self.indptr[v])
@@ -290,16 +279,16 @@ def load_edge_list(source: str | TextIO) -> LoadResult:
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
     """Hop counts from ``source`` to every vertex (UNREACHABLE if none)."""
+    indptr, indices = memoryview(g.indptr), memoryview(g.indices)
     dist = [UNREACHABLE] * g.n
     dist[source] = 0
     queue = deque([source])
-    adjacency = g.adjacency
     while queue:
         u = queue.popleft()
-        du = dist[u]
-        for w in adjacency[u]:
+        du = dist[u] + 1
+        for w in indices[indptr[u] : indptr[u + 1]]:
             if dist[w] == UNREACHABLE:
-                dist[w] = du + 1
+                dist[w] = du
                 queue.append(w)
     return dist
 
@@ -307,8 +296,8 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
 def connected_components(g: Graph) -> list[list[int]]:
     """Vertex lists of the connected components, each sorted ascending,
     ordered by smallest contained vertex."""
+    indptr, indices = memoryview(g.indptr), memoryview(g.indices)
     seen = [False] * g.n
-    adjacency = g.adjacency
     components = []
     for start in range(g.n):
         if seen[start]:
@@ -316,7 +305,7 @@ def connected_components(g: Graph) -> list[list[int]]:
         seen[start] = True
         comp = [start]
         for u in comp:  # the list is the BFS queue
-            for w in adjacency[u]:
+            for w in indices[indptr[u] : indptr[u + 1]]:
                 if not seen[w]:
                     seen[w] = True
                     comp.append(w)
@@ -476,14 +465,15 @@ def _eccentricity_of_0(g: Graph) -> int:
 
 @dataclass(frozen=True)
 class _PendantForest:
-    """A connected graph split into its 2-core and the trees hanging off it.
+    """A connected graph split into its 2-core and the trees hanging off it,
+    or a tree rooted at one vertex.
 
     ``core`` lists the core vertices ascending (empty for a tree). Every
     other vertex x has a parent one step closer to the core, a depth h(x)
     and an anchor a(x), the core vertex its tree hangs from; core vertices
-    are their own anchors at depth 0. A tree without a core hangs from
-    vertex 0. ``preorder`` lists the non-core vertices in DFS preorder, so
-    each subtree is a contiguous run of ``size`` vertices.
+    and a tree's root are their own anchors at depth 0. ``preorder`` is a
+    DFS preorder in which each core vertex comes before the trees hanging
+    from it, so every subtree is a contiguous run of ``size`` vertices.
     """
 
     core: list[int]
@@ -491,36 +481,53 @@ class _PendantForest:
     depth: list[int]
     anchor: list[int]
     preorder: list[int]
-    size: list[int]
+
+    @cached_property
+    def size(self) -> list[int]:
+        """Each subtree's vertex count, summed on first read (the tree
+        metric reads none)."""
+        size, parent = [1] * len(self.parent), self.parent
+        for v in reversed(self.preorder):
+            if parent[v] >= 0:
+                size[parent[v]] += size[v]
+        return size
 
 
-def _pendant_forest(g: Graph, rounds: list[list[int]]) -> _PendantForest:
-    """The forest of the vertices a full peel removed, in ``rounds``."""
+def _pendant_forest(g: Graph, core: list[int], root: int = 0) -> _PendantForest:
+    """The one rooted walk: from the 2-core ``core`` of a connected graph
+    into the trees hanging off it, or from ``root`` of a tree when ``core``
+    is empty. Each vertex is marked as it is pushed, so on a graph with a
+    cycle off the core the walk ends early, its preorder short."""
     n = g.n
-    adjacency = g.adjacency
-    alive = [True] * n
-    for batch in rounds:
-        for v in batch:
-            alive[v] = False
-    core = [v for v in range(n) if alive[v]]
+    indptr, indices = memoryview(g.indptr), memoryview(g.indices)
     parent = [-1] * n
     depth = [0] * n
-    anchor = list(range(n))
+    anchor = [-1] * n
+    seen = [False] * n
+    stack = list(core) or [root]
+    for v in stack:
+        seen[v] = True
+        anchor[v] = v
     preorder: list[int] = []
-    stack = [(w, u) for u in core for w in adjacency[u] if not alive[w]] if core else [(0, -1)]
     while stack:
-        v, p = stack.pop()
+        v = stack.pop()
         preorder.append(v)
-        if p >= 0:
-            parent[v] = p
-            depth[v] = depth[p] + 1
-            anchor[v] = anchor[p]
-        stack.extend((w, v) for w in adjacency[v] if w != p and not alive[w])
-    size = [1] * n
-    for v in reversed(preorder):
-        if parent[v] >= 0 and not alive[parent[v]]:
-            size[parent[v]] += size[v]
-    return _PendantForest(core, parent, depth, anchor, preorder, size)
+        d, a = depth[v] + 1, anchor[v]
+        for w in indices[indptr[v] : indptr[v + 1]]:
+            if not seen[w]:
+                seen[w] = True
+                parent[w] = v
+                depth[w] = d
+                anchor[w] = a
+                stack.append(w)
+    return _PendantForest(core, parent, depth, anchor, preorder)
+
+
+def _unpeeled(n: int, rounds: list[list[int]]) -> list[int]:
+    """The vertices of 0..n-1 that no round of a peel removed, ascending."""
+    alive = np.ones(n, dtype=bool)
+    alive[np.fromiter(chain.from_iterable(rounds), dtype=np.intp)] = False
+    return np.flatnonzero(alive).tolist()
 
 
 def _core_graph(g: Graph, core: list[int]) -> Graph:
@@ -533,7 +540,7 @@ def _component_distances(g: Graph, out: np.ndarray) -> None:
     """Write the distances of a connected graph with n >= 1 into ``out``,
     whose dtype holds its diameter."""
     n = g.n
-    forest = _pendant_forest(g, _peel(g, None))
+    forest = _pendant_forest(g, _unpeeled(n, _peel(g, None)))
     core = forest.core
     if core:
         core_ids = np.array(core)
@@ -570,8 +577,15 @@ def _needs_dijkstra(core: Graph) -> bool:
     with e <= L <= 2e that is usually exact; above BIT_BFS_MAX_LEVELS the
     core goes to scipy's Dijkstra.
     """
-    dist = bfs_distances(core, 0)
-    return max(bfs_distances(core, dist.index(max(dist)))) > BIT_BFS_MAX_LEVELS
+    return _double_sweep(core) > BIT_BFS_MAX_LEVELS
+
+
+def _double_sweep(g: Graph) -> int:
+    """The eccentricity of the vertex farthest from vertex 0 of a nonempty
+    connected graph: at least half its diameter, and on a tree the
+    diameter itself."""
+    dist = bfs_distances(g, 0)
+    return max(bfs_distances(g, dist.index(max(dist))))
 
 
 def _core_rows(core: Graph, dtype: np.dtype, columns: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -838,6 +852,8 @@ def _peel(g: Graph, rounds: int | None) -> list[list[int]]:
     """The peel behind :func:`peel_degree_le1`. All-pairs distances call it
     directly to find the 2-core, so the benchmark's traced count of the public
     function's rounds covers only explicit peels."""
+    if rounds == 0:
+        return []
     degree = np.diff(g.indptr)
     nbr_sum = _row_sums(g, g.indices)
     alive = np.ones(g.n, dtype=bool)
@@ -929,7 +945,7 @@ def graph_stats(g: Graph) -> GraphStats:
     n = g.n
     _eccentricity_of_0(g)
     rounds = peel_degree_le1(g)
-    total, diameter = _distance_sum_and_diameter(g, _pendant_forest(g, rounds))
+    total, diameter = _distance_sum_and_diameter(g, _pendant_forest(g, _unpeeled(n, rounds)))
     return GraphStats(
         n=n,
         m=g.m,

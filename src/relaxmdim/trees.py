@@ -6,9 +6,7 @@ dimension of a tree with a constructive witness, a tree metric that
 partitions and verifies sensor sets without the n x n distance matrix,
 per-vertex subtree property counters, and an exhaustive brute-force oracle
 for small graphs. Stems are vertex sets of the input graph: every vertex id
-here is an input id, and no stem is rebuilt as a graph of its own. The exact
-solver reads only the graph's CSR arrays, so a tree from a parent array is
-solved without building a per-vertex tuple.
+here is an input id, and no stem is rebuilt as a graph of its own.
 """
 
 from __future__ import annotations
@@ -28,6 +26,8 @@ from .graph import (
     _graph_from_keys,
     _pair_keys,
     _SCALAR_BATCH,
+    _double_sweep,
+    _pendant_forest,
     _row_sums,
     all_pairs_distances,
     bfs_distances,
@@ -70,8 +70,7 @@ def tree_diameter(g: Graph) -> int:
     """Diameter of a tree via double BFS (undefined on non-trees)."""
     if g.n == 0:
         raise ValueError("empty graph")
-    dist = bfs_distances(g, 0)
-    return max(bfs_distances(g, dist.index(max(dist))))
+    return _double_sweep(g)
 
 
 class TreeMetric:
@@ -82,9 +81,11 @@ class TreeMetric:
     :class:`~relaxmdim.graph.Metric`), so ``equivalence_partition`` and
     ``is_k_relaxed_resolving`` take either.
 
-    One DFS from vertex 0 gives the preorder, the parents and the depths. It
-    is the tree check: a non-tree raises :class:`IncompatibleMethodError`,
-    and a tree keeps the answer for :func:`is_tree`, which then runs no BFS.
+    The one rooted walk (``graph._pendant_forest``) from vertex 0 gives the
+    preorder, the parents and the depths. It is the tree check: a graph of
+    n - 1 edges is a tree iff the walk reaches all n vertices. A non-tree
+    raises :class:`IncompatibleMethodError`, and a tree keeps the answer
+    for :func:`is_tree`, which then runs no BFS.
 
     * Profile keys come from T_S, the smallest subtree holding the sensors
       S: two vertices have the same identification vector iff they have the
@@ -108,32 +109,18 @@ class TreeMetric:
     def __init__(self, g: Graph) -> None:
         n = g.n
         refusal = "a tree metric needs a connected acyclic graph"
-        if n == 0 or g.m != n - 1:
+        if g.m != n - 1:  # the empty graph too
             raise IncompatibleMethodError(refusal)
-        adjacency = g.adjacency
-        parent = [-1] * n
-        depth = [0] * n
-        seen = [True] + [False] * (n - 1)
-        preorder: list[int] = []
-        stack = [0]
-        while stack:
-            v = stack.pop()
-            preorder.append(v)
-            for w in adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = v
-                    depth[w] = depth[v] + 1
-                    stack.append(w)
-        if len(preorder) < n:  # n - 1 edges but disconnected: a cycle elsewhere
+        walk = _pendant_forest(g, [], 0)
+        if len(walk.preorder) < n:  # n - 1 edges but disconnected: a cycle elsewhere
             raise IncompatibleMethodError(refusal)
         g.__dict__[_IS_TREE] = True
         self.n = n
-        self._preorder = preorder
-        self._parent = parent
+        self._preorder = walk.preorder
+        self._parent = walk.parent
         self._pre = np.empty(n, dtype=np.intp)
-        self._pre[preorder] = np.arange(n)
-        self._depth = np.array(depth, dtype=np.intp)
+        self._pre[walk.preorder] = np.arange(n)
+        self._depth = np.array(walk.depth, dtype=np.intp)
 
     def profile_keys(self, sensors: Sequence[int]) -> np.ndarray:
         """p * n + a for each vertex, where p is its nearest vertex on the
@@ -229,17 +216,7 @@ class RootedTree:
             raise ValueError("input graph is not a tree")
         if not 0 <= root < g.n:
             raise ValueError(f"root {root} out of range")
-        parent = [-1] * g.n
-        order = [root]
-        seen = [False] * g.n
-        seen[root] = True
-        for u in order:
-            for w in g.adjacency[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    parent[w] = u
-                    order.append(w)
-        return cls(g, root, tuple(parent))
+        return cls(g, root, tuple(_pendant_forest(g, [], root).parent))
 
     @classmethod
     def from_parents(cls, parents: Sequence[int], root: int = 0) -> "RootedTree":

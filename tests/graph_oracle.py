@@ -4,7 +4,8 @@ parent arrays, leaf-path walks and the exact tree solver: the straightforward
 versions the library replaced.
 
 The builders make per-vertex adjacency tuples, as the library did before a
-graph was stored as CSR arrays: edge sets and sorted rows for
+graph was stored as CSR arrays, and the other references read a graph's
+rows as such tuples (:func:`rows`): edge sets and sorted rows for
 ``from_edges`` and the edge-list parser, one sort of pair keys turned into
 tuples for integer pair arrays, and a tree's children with the parent
 merged in. The queue peel decrements neighbour degrees vertex by vertex, and
@@ -18,6 +19,10 @@ subgraphs relabel through a dict. Each peeling
 round rescans every vertex, so peeling a path of n vertices costs
 Theta(n^2); vertices are grouped through a dict keyed by distance-row
 tuples; the resolving check and the brute-force search run on that grouping.
+The rooted walks are the three the library had before one walk replaced
+them: the tree metric's DFS from vertex 0, the rooted tree's BFS from its
+root, and the DFS of the pendant trees that steps to every neighbour but the
+one it came from.
 A parent array becomes a rooted tree through ``Graph.from_edges`` and its set
 checks, and leaf paths are walked through ``Graph.degree`` calls, or one
 leaf at a time on lists of degrees and neighbour sums. The exact tree solver
@@ -39,6 +44,13 @@ from relaxmdim import Graph, GraphStats, RootedTree, TreeMDReport, stem_r
 from relaxmdim.graph import _row_sums, _source_mask, bfs_distances
 
 
+def rows(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """Each vertex's neighbours as a tuple of Python ints, cut from the CSR
+    arrays."""
+    bounds, flat = g.indptr.tolist(), g.indices.tolist()
+    return tuple(tuple(flat[a:b]) for a, b in zip(bounds, bounds[1:]))
+
+
 def tuple_edges(adjacency) -> Iterator[tuple[int, int]]:
     """Each edge of a tuple adjacency once, as (u, v) with u < v, row by row."""
     for u, nbrs in enumerate(adjacency):
@@ -48,11 +60,11 @@ def tuple_edges(adjacency) -> Iterator[tuple[int, int]]:
 
 
 def assert_matches_tuples(g: Graph, adjacency) -> None:
-    """``g`` is the graph of the tuple ``adjacency`` in every read: the
-    derived rows (of Python ints), n, m, the degrees, the order of the
+    """``g`` is the graph of the tuple ``adjacency`` in every read: its
+    rows, n, m, the degrees and the edges (of Python ints), the order of the
     edges and equality; its CSR arrays are read-only and pass validation."""
-    assert g.adjacency == adjacency
-    assert all(type(w) is int for row in g.adjacency for w in row)
+    assert rows(g) == adjacency
+    assert all(type(w) is int for edge in g.edges() for w in edge)
     assert (g.n, g.m) == (len(adjacency), sum(map(len, adjacency)) // 2)
     assert g.degrees() == [len(row) for row in adjacency]
     assert all(type(d) is int for d in g.degrees())
@@ -137,6 +149,7 @@ def queue_peel(g: Graph, rounds: int | None = None) -> list[list[int]]:
     """The peel of ``peel_degree_le1`` driven by a queue: a round's batch is
     the vertices whose degree fell to 1 while the one before was removed,
     found vertex by vertex over the adjacency tuples."""
+    adjacency = rows(g)
     degree = g.degrees()
     alive = [True] * g.n
     batch = [v for v, d in enumerate(degree) if d <= 1]
@@ -148,7 +161,7 @@ def queue_peel(g: Graph, rounds: int | None = None) -> list[list[int]]:
             alive[v] = False
         nxt = []
         for v in batch:
-            for w in g.adjacency[v]:
+            for w in adjacency[v]:
                 if alive[w]:
                     degree[w] -= 1
                     if degree[w] == 1:  # fell from 2: joins the next batch once
@@ -163,7 +176,7 @@ def cut_sum_leaf_groups(g: Graph, removed: Iterable[int] = ()) -> tuple[list[int
     """``trees._leaf_groups`` with its degrees and cut sums updated vertex
     by vertex: every removed vertex decrements its neighbours' degrees and
     adds its id to their cut sums."""
-    adjacency = g.adjacency
+    adjacency = rows(g)
     degree = g.degrees()
     cut = [0] * g.n
     for v in removed:
@@ -208,8 +221,9 @@ def dict_induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:
     through a dict. Returns (subgraph, new-id -> original-id map)."""
     keep = sorted(set(vertices))
     index = {v: i for i, v in enumerate(keep)}
+    nbrs = rows(g)
     adjacency = tuple(
-        tuple(index[w] for w in g.adjacency[v] if w in index) for v in keep
+        tuple(index[w] for w in nbrs[v] if w in index) for v in keep
     )
     return Graph.from_adjacency(adjacency), tuple(keep)
 
@@ -221,6 +235,7 @@ def round_scan_peel(g: Graph, rounds: int | None = None) -> list[list[int]]:
     an explicit count records exactly that many rounds (possibly empty).
     """
     n = g.n
+    adjacency = rows(g)
     degree = g.degrees()
     alive = [True] * n
     removed_per_round: list[list[int]] = []
@@ -232,7 +247,7 @@ def round_scan_peel(g: Graph, rounds: int | None = None) -> list[list[int]]:
         for v in batch:
             alive[v] = False
         for v in batch:
-            for w in g.adjacency[v]:
+            for w in adjacency[v]:
                 if alive[w]:
                     degree[w] -= 1
         removed_per_round.append(batch)
@@ -244,6 +259,7 @@ def round_scan_down_stem(t: RootedTree, r: int) -> tuple[int, ...]:
     """Survivors of ``r`` rounds that each remove the non-root vertices of
     degree <= 1, found by a full scan."""
     g = t.graph
+    adjacency = rows(g)
     degree = g.degrees()
     alive = [True] * g.n
     for _ in range(r):
@@ -253,7 +269,7 @@ def round_scan_down_stem(t: RootedTree, r: int) -> tuple[int, ...]:
         for v in batch:
             alive[v] = False
         for v in batch:
-            for w in g.adjacency[v]:
+            for w in adjacency[v]:
                 if alive[w]:
                     degree[w] -= 1
     return tuple(v for v in range(g.n) if alive[v])
@@ -301,12 +317,13 @@ def degree_call_leaf_groups(g: Graph) -> tuple[list[int], dict[int, list[int]]]:
     """The leaves (ascending), and the leaves grouped by the first vertex of
     degree >= 3 on their leaf path; leaves of path components are in no
     group."""
+    adjacency = rows(g)
     leaves = [v for v in range(g.n) if g.degree(v) == 1]
     groups: dict[int, list[int]] = {}
     for leaf in leaves:
         prev, cur = -1, leaf
         while g.degree(cur) <= 2:
-            nxt = [w for w in g.adjacency[cur] if w != prev]
+            nxt = [w for w in adjacency[cur] if w != prev]
             if not nxt:
                 cur = -1  # ran off the far end: component is a path
                 break
@@ -463,3 +480,75 @@ def unblocked_core_sum_and_diameter(core: Graph, w: np.ndarray, far: np.ndarray)
             if hit.any():
                 diameter = max(diameter, int(row_far[hit].max()) + level + f)
     return total, diameter
+
+
+def dfs_tree_walk(g: Graph, root: int = 0) -> tuple[list[int], list[int], list[int]]:
+    """(preorder, parent, depth) of the tree metric's DFS from ``root``:
+    each vertex marked as it is pushed, its neighbours pushed in ascending
+    order."""
+    adjacency = rows(g)
+    parent = [-1] * g.n
+    depth = [0] * g.n
+    seen = [False] * g.n
+    seen[root] = True
+    preorder: list[int] = []
+    stack = [root]
+    while stack:
+        v = stack.pop()
+        preorder.append(v)
+        for w in adjacency[v]:
+            if not seen[w]:
+                seen[w] = True
+                parent[w] = v
+                depth[w] = depth[v] + 1
+                stack.append(w)
+    return preorder, parent, depth
+
+
+def bfs_parents(g: Graph, root: int) -> list[int]:
+    """Every vertex's parent in a tree rooted at ``root``, by a BFS."""
+    adjacency = rows(g)
+    parent = [-1] * g.n
+    order = [root]
+    seen = [False] * g.n
+    seen[root] = True
+    for u in order:
+        for w in adjacency[u]:
+            if not seen[w]:
+                seen[w] = True
+                parent[w] = u
+                order.append(w)
+    return parent
+
+
+def pendant_dfs(g: Graph, rounds, root: int = 0) -> tuple[list[int], ...]:
+    """(core, parent, depth, anchor, preorder, size) of the trees a full
+    peel removed, in ``rounds``: a DFS from the core's edges into them, or
+    from ``root`` when nothing is left, that steps to every neighbour but
+    the one it came from. ``preorder`` lists the non-core vertices only,
+    and a core vertex's size is 1."""
+    n = g.n
+    adjacency = rows(g)
+    alive = [True] * n
+    for batch in rounds:
+        for v in batch:
+            alive[v] = False
+    core = [v for v in range(n) if alive[v]]
+    parent = [-1] * n
+    depth = [0] * n
+    anchor = list(range(n))
+    preorder: list[int] = []
+    stack = [(w, u) for u in core for w in adjacency[u] if not alive[w]] if core else [(root, -1)]
+    while stack:
+        v, p = stack.pop()
+        preorder.append(v)
+        if p >= 0:
+            parent[v] = p
+            depth[v] = depth[p] + 1
+            anchor[v] = anchor[p]
+        stack.extend((w, v) for w in adjacency[v] if w != p and not alive[w])
+    size = [1] * n
+    for v in reversed(preorder):
+        if parent[v] >= 0 and not alive[parent[v]]:
+            size[parent[v]] += size[v]
+    return core, parent, depth, anchor, preorder, size

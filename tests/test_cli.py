@@ -519,7 +519,7 @@ def test_each_method_calls_its_solver_through_the_cli_binding(method, solver, pa
     ids=["mdim", "sweep"],
 )
 def test_exact_tree_commands_run_no_bfs(argv, path_file, monkeypatch, capsys):
-    # TreeMetric's DFS is the tree check, and the graph keeps its answer
+    # the TreeMetric's walk is the tree check, and the graph keeps its answer
     calls = []
     real = trees.bfs_distances
 

@@ -15,17 +15,22 @@ from hypothesis import strategies as st
 
 from relaxmdim import (
     Graph,
+    RootedTree,
     TooLargeError,
+    TreeMetric,
     all_pairs_distances,
     equivalence_partition,
     graph_stats,
     identification_vector,
     is_k_relaxed_resolving,
+    ba_tree,
+    configuration_model,
     largest_connected_component,
     load_edge_list,
     rgg,
+    uniform_tree,
 )
-from relaxmdim import graph
+from relaxmdim import graph, trees
 from relaxmdim.graph import (
     UNREACHABLE,
     DistanceMatrix,
@@ -48,12 +53,16 @@ from conftest import (
 from graph_oracle import (
     assert_matches_tuples,
     bfs_distance_matrix,
+    bfs_parents,
+    dfs_tree_walk,
     dict_blocks,
     dict_induced_subgraph,
     dict_is_k_resolved,
     matrix_graph_stats,
+    pendant_dfs,
     queue_peel,
     round_scan_peel,
+    rows,
     set_from_edges,
     set_load_edge_list,
     tuple_graph_from_pairs,
@@ -166,8 +175,8 @@ class TestGraphFromPairs:
         rng.shuffle(edges)
         pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
         got = graph._graph_from_pairs(g.n, pairs[:, 0], pairs[:, 1])
-        assert got.adjacency == Graph.from_edges(g.n, edges).adjacency
-        assert all(type(w) is int for nbrs in got.adjacency for w in nbrs)
+        assert got == Graph.from_edges(g.n, edges)
+        assert all(type(w) is int for edge in got.edges() for w in edge)
 
     @pytest.mark.parametrize(
         "n, pairs, message",
@@ -253,7 +262,7 @@ class TestCSRStorage:
     @given(graph_and_vertex_list())
     def test_induced_subgraph_matches_the_dict_relabel(self, case):
         g, vertices = case
-        assert_matches_tuples(induced_subgraph(g, vertices)[0], dict_induced_subgraph(g, vertices)[0].adjacency)
+        assert_matches_tuples(induced_subgraph(g, vertices)[0], rows(dict_induced_subgraph(g, vertices)[0]))
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(ANY_GRAPH)
@@ -269,14 +278,27 @@ class TestCSRStorage:
             for rounds in (None, 1, 3, 80):
                 assert peel_degree_le1(g, rounds) == round_scan_peel(g, rounds)
 
-    def test_adjacency_is_derived_once_from_the_arrays(self):
+    def test_rows_are_read_off_the_arrays(self):
         g = Graph.from_edges(4, [(2, 0), (0, 1), (3, 0)])
         assert g.indptr.tolist() == [0, 3, 4, 5, 6]
         assert g.indices.tolist() == [1, 2, 3, 0, 0, 0]
-        assert g.adjacency is g.adjacency
-        # one int object per vertex id, shared by every row listing it
-        assert g.adjacency[1][0] is g.adjacency[2][0] is g.adjacency[3][0]
         assert list(g.edges()) == [(0, 1), (0, 2), (0, 3)]
+
+    def test_graphs_keep_only_their_arrays(self):
+        # every reader walks the CSR arrays and caches no second form; a
+        # tree keeps its tree check beside them
+        only = {"indptr", "indices", trees._IS_TREE}
+        for g in (rgg(400, 1.5, seed=2), configuration_model(300, seed=1), uniform_tree(300, seed=3)):
+            sub = largest_connected_component(g)[0]
+            all_pairs_distances(sub)
+            graph_stats(sub)
+            assert set(g.__dict__) <= only and set(sub.__dict__) <= only
+        tree = ba_tree(300, seed=5)
+        TreeMetric(tree)
+        RootedTree.from_graph(tree, 7)
+        all_pairs_distances(tree)
+        graph_stats(tree)
+        assert set(tree.__dict__) == only
 
     @pytest.mark.parametrize(
         "indptr, indices, message",
@@ -302,10 +324,10 @@ class TestInducedSubgraph:
         g, vertices = case
         sub, mapping = induced_subgraph(g, vertices)
         ref_sub, ref_mapping = dict_induced_subgraph(g, vertices)
-        assert sub.adjacency == ref_sub.adjacency
+        assert sub == ref_sub
         assert mapping == ref_mapping
         assert all(type(v) is int for v in mapping)
-        assert all(type(w) is int for nbrs in sub.adjacency for w in nbrs)
+        assert all(type(w) is int for edge in sub.edges() for w in edge)
 
     def test_whole_graph_and_empty_list(self):
         g = random_connected_graph(30, 10, seed=4)
@@ -453,7 +475,7 @@ class TestBlockedBitBFS:
     def rgg_component() -> Graph:
         g, _ = largest_connected_component(rgg(4000, 1.5, seed=1))
         assert g.n - graph_stats(g).shell1_size >= 2000  # the core searched
-        return g  # keeps its adjacency tuples, derived by that first call
+        return g
 
     @staticmethod
     def traced_peak(fn, *args) -> tuple[object, int]:
@@ -902,12 +924,80 @@ class TestPeeling:
         for rounds in (None, 0, 1, 2, 5, 50):
             assert peel_degree_le1(g, rounds) == round_scan_peel(g, rounds)
 
+    def test_no_rounds_build_no_arrays(self):
+        # exact_tree_md asks for zero rounds at k = 0 and 1; the degree and
+        # neighbour-sum arrays of a 100 000-vertex tree took 3.2 MB
+        g = uniform_tree(100_000, seed=1)
+        tracemalloc.start()
+        try:
+            assert peel_degree_le1(g, 0) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 500_000
+
     def test_long_path_peels_from_both_ends(self):
         # 10001 rounds: a rescan of all 20001 vertices per round took seconds
         rounds = peel_degree_le1(path_graph(20001))
         assert len(rounds) == 10001
         assert rounds[-1] == [10000]
         assert all(batch == [i, 20000 - i] for i, batch in enumerate(rounds[:-1]))
+
+
+class TestRootedWalk:
+    """graph._pendant_forest, the one rooted walk, against the three walks
+    it replaced: the tree metric's DFS, the rooted tree's BFS and the
+    pendant DFS of all-pairs distances and the statistics."""
+
+    @staticmethod
+    def check(g: Graph, root: int = 0) -> None:
+        rounds = round_scan_peel(g)
+        core = graph._unpeeled(g.n, rounds)
+        walk = graph._pendant_forest(g, core, root)
+        core_, parent, depth, anchor, preorder, size = pendant_dfs(g, rounds, root)
+        assert (walk.core, walk.parent, walk.depth, walk.anchor) == (core_, parent, depth, anchor)
+        # the walk lists each core vertex before the trees hanging from it
+        in_core = set(core)
+        assert [v for v in walk.preorder if v not in in_core] == preorder
+        assert sorted(walk.preorder) == list(range(g.n))
+        assert [walk.size[v] for v in preorder] == [size[v] for v in preorder]
+        assert all(walk.size[a] == anchor.count(a) for a in core)
+        if not core:
+            assert (walk.preorder, walk.parent, walk.depth) == dfs_tree_walk(g, root)
+            assert walk.parent == bfs_parents(g, root)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(random_trees(), st.data())
+    def test_trees_from_any_root(self, g, data):
+        self.check(g, data.draw(st.integers(0, g.n - 1)))
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(cores_with_pendant_trees())
+    def test_cores_with_pendant_trees(self, g):
+        self.check(g)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_ba_trees_with_chords(self, seed):
+        rng = random.Random(seed)
+        edges = set(ba_tree(300, seed).edges())
+        for _ in range(seed):  # seed 0 keeps the tree
+            u, v = sorted(rng.sample(range(300), 2))
+            edges.add((u, v))
+        self.check(Graph.from_edges(300, sorted(edges)))
+
+    @pytest.mark.parametrize("n", [60, 800])
+    def test_configuration_model_components(self, n):
+        for seed in range(4):
+            self.check(largest_connected_component(configuration_model(n, seed))[0])
+
+    @pytest.mark.parametrize(
+        "g",
+        [path_graph(1), path_graph(2), path_graph(9), star_graph(6)],
+        ids=["n1", "n2", "path", "star"],
+    )
+    def test_small_trees_from_every_root(self, g):
+        for root in range(g.n):
+            self.check(g, root)
 
 
 class TestGraphValidation:

@@ -145,7 +145,7 @@ class TestFromParents:
         for given_as in (parent, np.array(parent)):
             t = RootedTree.from_parents(given_as, root)
             assert t == edge_list_rooted_tree(parent, root)
-            assert all(type(v) is int for v in t.parent + t.graph.adjacency[root])
+            assert all(type(v) is int for v in t.parent + tuple(chain.from_iterable(t.graph.edges())))
             assert is_tree(t.graph)
 
     @settings(derandomize=True, deadline=None, max_examples=200)
@@ -518,11 +518,11 @@ class TestExactTreeMD:
                 assert leaf_groups(g, removed) == expected, cut
 
     def test_sampled_trees_are_solved_on_their_arrays(self):
-        # neither the samplers nor the solver derive the adjacency tuples
+        # neither the samplers nor the solver keep a second form of the graph
         for g in (uniform_tree(2000, seed=4), RootedTree.from_parents([-1, 0, 0, 1, 1, 2]).graph):
             for k in range(6):
                 exact_tree_md(g, k)
-            assert "adjacency" not in g.__dict__
+            assert set(g.__dict__) == {"indptr", "indices", trees._IS_TREE}
 
     def test_100000_vertex_path_matches_the_subgraph_solver(self):
         n = 100_000
@@ -647,8 +647,13 @@ class TestTreeMetric:
 
     @pytest.mark.parametrize(
         "g",
-        [cycle_graph(4), Graph.from_edges(4, [(0, 1), (1, 2), (2, 0)]), Graph.from_edges(0, [])],
-        ids=["cycle", "triangle-and-isolated-vertex", "empty"],
+        [
+            cycle_graph(4),
+            Graph.from_edges(4, [(0, 1), (1, 2), (2, 0)]),
+            Graph.from_edges(4, [(1, 2), (2, 3), (1, 3)]),
+            Graph.from_edges(0, []),
+        ],
+        ids=["cycle", "triangle-and-isolated-vertex", "isolated-root-and-triangle", "empty"],
     )
     def test_refuses_non_trees(self, g):
         with pytest.raises(ValueError, match="connected acyclic"):
