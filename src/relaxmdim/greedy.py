@@ -15,20 +15,27 @@ candidate. With the pairs listed, each gain is counted once; after a pick,
 the pairs it separated are subtracted, or, if they were more than half, the
 rest are recounted, so a listed pair is read O(1) times per candidate.
 Gains are counted in cache-sized blocks: splits as uint16 per-block counts
-into reused buffers, pairs left together as (sum of squared counts - m) / 2,
-and pairs are listed as int32 indices a block of rows at a time.
+into reused buffers, pairs left together as (sum of squared counts - m) / 2
+over keys added into one reused intp workspace. Pairs are counted, then
+listed as int32 indices a block of rows at a time; the close pairs are never
+listed when round one lists the open ones. So working memory is the pair
+list (8 bytes a pair, refused beyond physical memory before it is made) and
+one block: the ranks are the matrix itself, viewed as unsigned, and
+greedy_resolve_within gathers its targets' rows once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .graph import DistanceMatrix, _check_sensors
+from . import graph
+from .graph import DistanceMatrix, TooLargeError, _check_sensors
 
 _BATCH_ELEMENTS = 1 << 18  # entries per block: a block's buffers stay in cache
+_Mask = Callable[[int, int], np.ndarray]  # (lo, hi) -> rows lo..hi - 1 of an m x m boolean mask
 
 
 @dataclass(frozen=True)
@@ -47,20 +54,22 @@ class GreedyTrace:
 
 
 def _dense_ranks(block: np.ndarray) -> tuple[np.ndarray, int]:
-    """Keys in [0, width): BFS distances (< n) as they are, others by rank."""
-    if block.size and block.max() < block.shape[0]:
-        keys, width = block, int(block.max()) + 1
-    else:
-        values, keys = np.unique(block, return_inverse=True)
-        keys, width = keys.reshape(block.shape), max(1, values.size)
-    return keys.astype(np.min_scalar_type(width - 1)), width
+    """Keys in [0, width): BFS distances (< n) viewed, without a copy, as the
+    unsigned integers of their width; other values by rank."""
+    top = int(block.max()) if block.size else 0
+    if block.dtype.kind in "iu" and top < block.shape[0]:
+        return block.view(f"u{block.itemsize}"), top + 1
+    values, keys = np.unique(block, return_inverse=True)
+    width = max(1, values.size)
+    return keys.reshape(block.shape).astype(np.min_scalar_type(width - 1)), width
 
 
 def _pairs_left_together(keys: np.ndarray, bins: int) -> np.ndarray:
-    """Per row of ``keys`` (values in [0, bins)), the pairs of equal entries."""
+    """Per row of the intp ``keys`` (values in [0, bins)), the pairs of equal
+    entries. ``keys`` is a workspace: each row is offset in place."""
     rows, m = keys.shape
-    counts = np.bincount((keys + np.arange(rows)[:, None] * bins).ravel(), minlength=rows * bins)
-    counts = counts.reshape(rows, bins)
+    keys += np.arange(0, rows * bins, bins)[:, None]
+    counts = np.bincount(keys.ravel(), minlength=rows * bins).reshape(rows, bins)
     return (np.einsum("ij,ij->i", counts, counts) - m) // 2  # sum of c(c-1)/2 over the bins
 
 
@@ -81,42 +90,63 @@ def _split(columns: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return split
 
 
-def _upper_pairs(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The pairs i < j with ``mask[i, j]``, in row-major order, as int32
-    arrays, listed a block of rows at a time (one empty block if m = 0)."""
-    m = max(1, mask.shape[0])
-    step = max(1, _BATCH_ELEMENTS // m)
-    u, v = [], []
-    for lo in range(0, m, step):
-        r, c = np.nonzero(np.triu(mask[lo : lo + step], lo + 1))
-        u.append((r + lo).astype(np.int32))
-        v.append(c.astype(np.int32))
-    return np.concatenate(u), np.concatenate(v)
+def _count_pairs(mask: _Mask, m: int) -> int:
+    """How many pairs i < j < m the mask holds, built a block of rows at a time."""
+    step = max(1, _BATCH_ELEMENTS // max(1, m))
+    return sum(int(np.count_nonzero(np.triu(mask(lo, lo + step), lo + 1))) for lo in range(0, m, step))
+
+
+def _upper_pairs(mask: _Mask, m: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``count`` pairs the mask holds, in row-major order, as int32 arrays
+    filled a block of rows at a time: :class:`TooLargeError` before they are
+    allocated if they and a block's workspace exceed physical memory."""
+    need, limit = 8 * (count + _BATCH_ELEMENTS), graph._physical_memory()
+    if need > limit:
+        raise TooLargeError(
+            f"greedy's {count} vertex pairs need {need / 1e9:.1f} GB, more than the "
+            f"{limit / 1e9:.1f} GB of physical memory"
+        )
+    u, v = np.empty(count, dtype=np.int32), np.empty(count, dtype=np.int32)
+    step, at = max(1, _BATCH_ELEMENTS // max(1, m)), 0
+    for lo in range(0, m if count else 0, step):
+        r, c = np.nonzero(np.triu(mask(lo, lo + step), lo + 1))
+        u[at : at + r.size], v[at : at + r.size] = r + lo, c
+        at += r.size
+    return u, v
 
 
 def _greedy(dm: DistanceMatrix, active: np.ndarray | None, k: int) -> GreedyTrace:
     """Cover the pairs of ``active`` vertices (None: all) more than k apart."""
-    block = dm.matrix if active is None else dm.matrix[:, active]  # candidate rows
-    local = block if active is None else block[active]
-    n, m = block.shape
-    ranks, width = _dense_ranks(block)
-    columns = np.ascontiguousarray(ranks.T)  # a pair reads two rows of this
-    labels = np.zeros(m, dtype=np.int64)  # class of each active vertex
+    # the active vertices' rows (by symmetry, their columns), gathered once
+    rows, cols = (dm.matrix, slice(None)) if active is None else (dm.matrix[active], active)
+    ranks, width = _dense_ranks(rows.T)  # candidate rows
+    columns = np.ascontiguousarray(ranks.T)  # a pair reads two rows of this: ``rows`` unless ranked
+    ranks = columns if active is None else ranks  # symmetric: candidate rows in memory order
+    n, m = ranks.shape
+    labels = np.zeros(m, dtype=np.intp)  # class of each active vertex
     bins, same = width, m * (m - 1) // 2  # (class, rank) keys; same-class pairs
-    u, v = _upper_pairs(local <= k)  # the close same-class pairs...
+    close = lambda lo, hi: rows[lo:hi, cols] <= k
+    size, u, v = _count_pairs(close, m), None, None  # the close same-class pairs, listed when used...
     listed = False  # ...or, once listed, the open ones
-    open_count = last = same - u.size
+    open_count = last = same - size
     trace: tuple[list[int], ...] = ([], [], [])  # sensor, gain, pairs left
     while open_count > 0:
-        work = u.size + m + bins  # per candidate, the cost of a partition round
+        work = size + m + bins  # per candidate, the cost of a partition round
         if not listed and (open_count < work or work >= 2 * last):
-            u, v = _upper_pairs((labels[:, None] == labels) & (local > k))
+            open_pairs = lambda lo, hi: (labels[lo:hi, None] == labels) & ~close(lo, hi)
+            u, v = _upper_pairs(open_pairs, m, open_count)
             listed, gain = True, _split(columns, u, v)
         elif not listed:
+            # a block's intp keys and counts take at most 2 * _BATCH_ELEMENTS bytes
+            keys, step = labels * width, max(1, _BATCH_ELEMENTS // (4 * (m + bins)))
+            if u is None:  # bins only grow, so the first round's blocks are the largest
+                u, v = _upper_pairs(close, m, size)
+                workspace = np.empty((min(n, step), m), dtype=np.intp)
             gain = same - _split(columns, u, v)
-            keys, step = labels * width, max(1, _BATCH_ELEMENTS // (m + bins))
             for j in range(0, n, step):
-                gain[j : j + step] -= _pairs_left_together(keys + ranks[j : j + step], bins)
+                block = workspace[: min(step, n - j)]
+                np.add(keys, ranks[j : j + step], out=block)
+                gain[j : j + step] -= _pairs_left_together(block, bins)
         best = int(np.argmax(gain))  # the first maximum: ties go to the smallest id
         last = int(gain[best])
         assert last > 0  # any open pair {u, v} is covered by u itself
@@ -134,7 +164,8 @@ def _greedy(dm: DistanceMatrix, active: np.ndarray | None, k: int) -> GreedyTrac
             sizes = np.bincount(labels)
             bins, same = sizes.size * width, int((sizes * (sizes - 1)).sum()) // 2
         u, v = u[keep], v[keep]
-        assert open_count == (u.size if listed else same - u.size), "gain disagrees with the partition"
+        size = u.size
+        assert open_count == (size if listed else same - size), "gain disagrees with the partition"
     return GreedyTrace(*map(tuple, trace))
 
 

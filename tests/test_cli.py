@@ -146,6 +146,12 @@ class TestMdim:
         assert main(["mdim", path_file, "--k", "0", "--method", "greedy"]) == 4
         assert "physical memory" in capsys.readouterr().err
 
+    def test_greedy_pair_list_above_physical_memory_exits_4(self, path_file, monkeypatch, capsys):
+        # 9-vertex path: the 81-byte int8 matrix fits, a list of its 36 pairs at 8 bytes does not
+        monkeypatch.setattr(graph, "_physical_memory", lambda: 200)
+        assert main(["mdim", path_file, "--k", "0", "--method", "greedy"]) == 4
+        assert "physical memory" in capsys.readouterr().err
+
     @pytest.mark.parametrize("method", ["exact-tree", "greedy", "brute"])
     def test_negative_k_rejected_before_distances(self, path_file, tmp_path, capsys, no_distances, method):
         out = tmp_path / "mdim.json"
