@@ -34,16 +34,9 @@ from .graph import (
     largest_connected_component,
     load_edge_list,
 )
-from .greedy import greedy_k_resolving_set
 from .gw import OffspringDistribution, gw_sequence
 from .localization import _RESOLVERS, SWEEP_CSV_HEADER, qstar_curve, sweep_metrics
-from .trees import (
-    BRUTE_FORCE_MAX_N,
-    IncompatibleMethodError,
-    TreeMetric,
-    brute_force_md,
-    exact_tree_md,
-)
+from .trees import BRUTE_FORCE_MAX_N, IncompatibleMethodError, brute_force_md
 from . import generators
 
 EXIT_OK = 0
@@ -120,24 +113,17 @@ def _json_text(payload: dict) -> str:
 Results = list[tuple[str, str]]
 
 
-def _greedy_fields(g: Graph, dm: DistanceMatrix, k: int) -> dict:
-    sensors, trace = greedy_k_resolving_set(dm, k)
-    return {"k": k, "size": len(sensors), "witness": list(sensors), "trace": trace.rows()}
-
-
 def _brute_fields(g: Graph, dm: DistanceMatrix | None, k: int) -> dict:
     md, witness = brute_force_md(g, k, dm)
     return {"k": k, "md": md, "witness": list(witness)}
 
 
-# Each mdim method: the metric its witness is verified on, and the fields it
-# reports from a solve at k. Both look the library's names up when called,
-# so a wrapped or patched binding sees every call. TreeMetric refuses a
-# cyclic input and brute force one above BRUTE_FORCE_MAX_N vertices, each
-# before any distance is computed.
+# Each mdim method: the sweep's resolvers (see localization), and brute
+# force, which only mdim offers. TreeMetric refuses a cyclic input and brute
+# force one above BRUTE_FORCE_MAX_N vertices, each before any distance is
+# computed.
 METHODS = {
-    "exact-tree": (lambda g: TreeMetric(g), lambda g, metric, k: exact_tree_md(g, k).as_dict()),
-    "greedy": (lambda g: all_pairs_distances(g), _greedy_fields),
+    **_RESOLVERS,
     "brute": (lambda g: all_pairs_distances(g) if g.n <= BRUTE_FORCE_MAX_N else None, _brute_fields),
 }
 

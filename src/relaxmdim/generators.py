@@ -21,8 +21,9 @@ import numpy as np
 from .graph import (
     Graph,
     TooLargeError,
+    _erase_loops_and_repeats,
     _graph_from_pairs,
-    _physical_memory,
+    _refuse_beyond_memory,
     largest_connected_component,
 )
 from .gw import OffspringDistribution
@@ -30,16 +31,11 @@ from .trees import RootedTree, _parent_graph
 
 log = logging.getLogger(__name__)
 
-def _refuse_beyond_memory(n: int, bytes_per_vertex: int) -> None:
-    """Raise :class:`TooLargeError` when a sample of n vertices needs more
-    than physical memory at ``bytes_per_vertex``, a lower bound on what the
-    sampler's own arrays hold per vertex."""
-    need, limit = n * bytes_per_vertex, _physical_memory()
-    if need > limit:
-        raise TooLargeError(
-            f"a sample of {n} vertices needs at least {need / 1e9:.1f} GB, "
-            f"more than the {limit / 1e9:.1f} GB of physical memory"
-        )
+
+def _refuse_sample(n: int, bytes_per_vertex: int) -> None:
+    """Refuse a sample of n vertices at ``bytes_per_vertex``, a lower bound
+    on what the sampler's own arrays hold per vertex."""
+    _refuse_beyond_memory(n * bytes_per_vertex, f"a sample of {n} vertices needs at least")
 
 
 def ba_tree(n: int, seed: int) -> Graph:
@@ -51,7 +47,7 @@ def ba_tree(n: int, seed: int) -> Graph:
     as :meth:`RootedTree.from_parents` does."""
     if n < 2:
         raise ValueError("need at least two vertices")
-    _refuse_beyond_memory(n, 24)  # the parent list and two stubs, 8 bytes each
+    _refuse_sample(n, 24)  # the parent list and two stubs, 8 bytes each
     rng = np.random.default_rng(seed)
     parent = [-1, 0]
     stubs = [0, 1]  # one entry per unit of degree
@@ -78,7 +74,7 @@ def uniform_tree(n: int, seed: int) -> Graph:
     """
     if n < 2:
         raise ValueError("need at least two vertices")
-    _refuse_beyond_memory(n, 16)  # the int64 codes and their counts
+    _refuse_sample(n, 16)  # the int64 codes and their counts
     rng = np.random.default_rng(seed)
     seq = rng.integers(0, n, size=n - 2)
     degree = (np.bincount(seq, minlength=n) + 1).tolist()
@@ -227,7 +223,7 @@ def gw_tree_conditioned(n: int, xi: OffspringDistribution, seed: int) -> RootedT
     """
     if n < 1:
         raise ValueError("need at least one vertex")
-    _refuse_beyond_memory(n, 16)  # a row of float64 uniforms and its int64 counts
+    _refuse_sample(n, 16)  # a row of float64 uniforms and its int64 counts
     rng = np.random.default_rng(seed)
     if n == 1:
         return RootedTree.from_parents([-1])
@@ -266,14 +262,13 @@ def configuration_model(n: int, seed: int) -> Graph:
     """Configuration model with iid degrees 2 + Zipf(2.5), uniform stub
     matching, self-loops and multi-edges erased, largest component returned.
 
-    An odd degree total is repaired by resampling the last degree only. Each
-    matched pair is keyed ``min * n + max``; the loops are the pairs with
-    equal ends, and keeping the distinct keys of the others, sorted, erases
-    the multi-edges.
+    An odd degree total is repaired by resampling the last degree only. The
+    matched pairs' loops and multi-edges are erased as the edge-list parser
+    erases them (``graph._erase_loops_and_repeats``).
     """
     if n < 4:
         raise ValueError("need at least four vertices")
-    _refuse_beyond_memory(n, 24)  # the Zipf table's support, weights and cdf
+    _refuse_sample(n, 24)  # the Zipf table's support, weights and cdf
     rng = np.random.default_rng(seed)
     draw = _zipf_sampler(n)
     degrees = 2 + draw(rng, n)
@@ -281,23 +276,14 @@ def configuration_model(n: int, seed: int) -> Graph:
         degrees[-1] = 2 + int(draw(rng, 1)[0])
     stubs = np.repeat(np.arange(n), degrees)
     rng.shuffle(stubs)
-    pairs = stubs.reshape(-1, 2)
-    lo = pairs.min(axis=1)
-    hi = pairs.max(axis=1)
-    proper = lo != hi
-    n_loops = int((~proper).sum())
-    keys = np.sort(lo[proper] * n + hi[proper])
-    # the distinct keys, as np.unique gives them; np.unique would import
-    # numpy.ma (about 1 MB) into every process that samples this model
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    n_multi = int(proper.sum()) - keys.size
+    g, n_loops, n_multi = _erase_loops_and_repeats(n, stubs[0::2], stubs[1::2])
     if n_loops or n_multi:
         log.debug(
             "configuration model erased %d self-loops and %d multi-edges",
             n_loops,
             n_multi,
         )
-    component, _ = largest_connected_component(_graph_from_pairs(n, *np.divmod(keys, n)))
+    component, _ = largest_connected_component(g)
     return component
 
 
@@ -326,7 +312,7 @@ def rgg(n: int, radius_factor: float, seed: int) -> Graph:
         raise ValueError("need at least two vertices")
     if not radius_factor >= 0:
         raise ValueError("radius_factor must be nonnegative")
-    _refuse_beyond_memory(n, 16)  # two float64 coordinates per point
+    _refuse_sample(n, 16)  # two float64 coordinates per point
     rng = np.random.default_rng(seed)
     points = rng.random((n, 2))
     radius = radius_factor * math.sqrt(math.log(n) / (n * math.pi))
@@ -349,7 +335,9 @@ def rgg(n: int, radius_factor: float, seed: int) -> Graph:
     lo = np.stack([pos + 1] + [start[key + step] for step in (1, width - 1, width, width + 1)])
     hi = np.stack([start[key + step + 1] for step in (0, 1, width - 1, width, width + 1)])
     count = hi - lo
-    _refuse_candidates(n, int(count.sum()))
+    candidates = int(count.sum())
+    what = f"a random geometric graph of {n} vertices has {candidates} candidate pairs, which need"
+    _refuse_beyond_memory(candidates * _CANDIDATE_BYTES, what)
     near_i, near_j = [], []
     for a in range(0, n, _RGG_CHUNK):
         b = min(n, a + _RGG_CHUNK)
@@ -377,14 +365,3 @@ _RGG_CHUNK = 512
 # them. Candidates are tested a chunk at a time, so this is now the
 # worst-case cost of the pairs kept, when every candidate is kept.
 _CANDIDATE_BYTES = 48
-
-
-def _refuse_candidates(n: int, candidates: int) -> None:
-    """Raise :class:`TooLargeError` when testing ``candidates`` pairs at
-    ``_CANDIDATE_BYTES`` each needs more than physical memory."""
-    need, limit = candidates * _CANDIDATE_BYTES, _physical_memory()
-    if need > limit:
-        raise TooLargeError(
-            f"a random geometric graph of {n} vertices has {candidates} candidate pairs, "
-            f"which need {need / 1e9:.1f} GB, more than the {limit / 1e9:.1f} GB of physical memory"
-        )

@@ -232,6 +232,18 @@ def _graph_from_pairs(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
     return _graph_from_keys(n, key)
 
 
+def _erase_loops_and_repeats(n: int, u: np.ndarray, v: np.ndarray) -> tuple[Graph, int, int]:
+    """The graph on vertices 0..n-1 with the undirected edges {u[i], v[i]},
+    self-loops and repeated pairs erased, and how many of each were erased.
+    One sort of the pair keys (see :func:`_pair_keys`) puts each row in
+    order and counts the rest: a loop's keys are the multiples of n + 1, and
+    a repeated pair repeats its two keys."""
+    key = _pair_keys(n, u, v)
+    proper = key[key % (n + 1) != 0]
+    distinct = proper[np.concatenate(([True], proper[1:] != proper[:-1]))] if proper.size else proper
+    return _graph_from_keys(n, distinct), (key.size - proper.size) // 2, (proper.size - distinct.size) // 2
+
+
 @dataclass(frozen=True)
 class LoadResult:
     """Outcome of parsing an edge list: the graph, the id-to-label mapping and
@@ -251,10 +263,8 @@ def load_edge_list(source: str | TextIO) -> LoadResult:
     first-appearance order. Duplicate edges and self-loops are dropped and
     counted. A malformed line raises ValueError with its line number.
 
-    A dict maps the tokens to ids; one sort of the pair keys, both
-    orientations of every line, then puts each row in order and counts the
-    rest: a loop's keys are the multiples of n + 1, and a repeated edge
-    repeats its two keys.
+    A dict maps the tokens to ids, and :func:`_erase_loops_and_repeats`
+    builds the graph.
     """
     text = source.read() if hasattr(source, "read") else source
     ends: list[str] = []
@@ -268,13 +278,8 @@ def load_edge_list(source: str | TextIO) -> LoadResult:
             raise ValueError(f"line {lineno}: expected two endpoint tokens, got {len(tokens)}")
     ids: dict[str, int] = {}
     flat = np.array([ids.setdefault(tok, len(ids)) for tok in ends], dtype=np.int64)
-    n = len(ids)
-    key = _pair_keys(n, flat[0::2], flat[1::2])
-    proper = key[key % (n + 1) != 0]
-    distinct = proper[np.concatenate(([True], proper[1:] != proper[:-1]))] if proper.size else proper
-    graph = _graph_from_keys(n, distinct)
-    loops = (key.size - proper.size) // 2
-    return LoadResult(graph, tuple(ids), (proper.size - distinct.size) // 2, loops)
+    graph, loops, repeats = _erase_loops_and_repeats(len(ids), flat[0::2], flat[1::2])
+    return LoadResult(graph, tuple(ids), repeats, loops)
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
@@ -428,12 +433,7 @@ def all_pairs_distances(g: Graph) -> DistanceMatrix:
     """
     n = g.n
     dtype = distance_dtype(2 * _eccentricity_of_0(g) if n else 0)
-    limit = _physical_memory()
-    if n * n * dtype.itemsize > limit:
-        raise TooLargeError(
-            f"all-pairs distances of {n} vertices need {n * n * dtype.itemsize / 1e9:.1f} GB "
-            f"as {dtype}, more than the {limit / 1e9:.1f} GB of physical memory"
-        )
+    _refuse_beyond_memory(n * n * dtype.itemsize, f"all-pairs distances of {n} vertices as {dtype} need")
     out = np.empty((n, n), dtype=dtype)
     if n:
         _component_distances(g, out)
@@ -447,8 +447,18 @@ def distance_dtype(bound: int) -> np.dtype:
 
 
 def _physical_memory() -> int:
-    """Bytes of physical memory: the largest distance matrix allocated."""
+    """Bytes of physical memory: the most any one refused allocation may take."""
     return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
+
+def _refuse_beyond_memory(need: int, what: str) -> None:
+    """Raise :class:`TooLargeError` when ``need`` bytes exceed physical
+    memory, read at the call, so a patched :func:`_physical_memory` reaches
+    every caller: the distance matrix, the BFS bitsets, greedy's pair list
+    and the samplers. ``what`` opens the message and names the bytes."""
+    limit = _physical_memory()
+    if need > limit:
+        raise TooLargeError(f"{what} {need / 1e9:.1f} GB, more than the {limit / 1e9:.1f} GB of physical memory")
 
 
 def _eccentricity_of_0(g: Graph) -> int:
@@ -523,11 +533,16 @@ def _pendant_forest(g: Graph, core: list[int], root: int = 0) -> _PendantForest:
     return _PendantForest(core, parent, depth, anchor, preorder)
 
 
-def _unpeeled(n: int, rounds: list[list[int]]) -> list[int]:
-    """The vertices of 0..n-1 that no round of a peel removed, ascending."""
+def _unpeeled_mask(n: int, rounds: list[list[int]]) -> np.ndarray:
+    """The mask of the vertices of 0..n-1 that no round of a peel removed."""
     alive = np.ones(n, dtype=bool)
     alive[np.fromiter(chain.from_iterable(rounds), dtype=np.intp)] = False
-    return np.flatnonzero(alive).tolist()
+    return alive
+
+
+def _unpeeled(n: int, rounds: list[list[int]]) -> list[int]:
+    """The vertices of 0..n-1 that no round of a peel removed, ascending."""
+    return np.flatnonzero(_unpeeled_mask(n, rounds)).tolist()
 
 
 def _core_graph(g: Graph, core: list[int]) -> Graph:
@@ -633,12 +648,7 @@ def _bit_bfs(core: Graph) -> tuple[np.ndarray, Iterator[tuple[slice, _Levels]]]:
     n = core.n
     words = (n + 63) // 64
     width = min(_BLOCK_WORDS, words)
-    need = 4 * n * width * 8
-    if need > _physical_memory():
-        raise TooLargeError(
-            f"the bit-parallel BFS of a {n}-vertex 2-core needs {need / 1e9:.1f} GB, "
-            f"more than the {_physical_memory() / 1e9:.1f} GB of physical memory"
-        )
+    _refuse_beyond_memory(4 * n * width * 8, f"the bit-parallel BFS of a {n}-vertex 2-core needs")
     indptr, indices = core.indptr, core.indices
     degree = np.diff(indptr)
     order = np.argsort(-degree, kind="stable")

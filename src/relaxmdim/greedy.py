@@ -31,8 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import graph
-from .graph import DistanceMatrix, TooLargeError, _check_sensors
+from .graph import DistanceMatrix, _check_sensors, _refuse_beyond_memory
 
 _BATCH_ELEMENTS = 1 << 18  # entries per block: a block's buffers stay in cache
 _Mask = Callable[[int, int], np.ndarray]  # (lo, hi) -> rows lo..hi - 1 of an m x m boolean mask
@@ -100,12 +99,7 @@ def _upper_pairs(mask: _Mask, m: int, count: int) -> tuple[np.ndarray, np.ndarra
     """The ``count`` pairs the mask holds, in row-major order, as int32 arrays
     filled a block of rows at a time: :class:`TooLargeError` before they are
     allocated if they and a block's workspace exceed physical memory."""
-    need, limit = 8 * (count + _BATCH_ELEMENTS), graph._physical_memory()
-    if need > limit:
-        raise TooLargeError(
-            f"greedy's {count} vertex pairs need {need / 1e9:.1f} GB, more than the "
-            f"{limit / 1e9:.1f} GB of physical memory"
-        )
+    _refuse_beyond_memory(8 * (count + _BATCH_ELEMENTS), f"greedy's {count} vertex pairs need")
     u, v = np.empty(count, dtype=np.int32), np.empty(count, dtype=np.int32)
     step, at = max(1, _BATCH_ELEMENTS // max(1, m)), 0
     for lo in range(0, m if count else 0, step):

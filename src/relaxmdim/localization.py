@@ -48,12 +48,18 @@ class SweepRecord:
         )
 
 
-# Each resolver: the metric a sweep's partitions read, and the sensors it
-# places at k. Both look this module's names up when called, so a wrapped
-# binding here sees every call.
+def _greedy_fields(g: Graph, dm: DistanceMatrix, k: int) -> dict:
+    sensors, trace = greedy_k_resolving_set(dm, k)
+    return {"k": k, "size": len(sensors), "witness": list(sensors), "trace": trace.rows()}
+
+
+# Each resolver: the metric its partitions and its witness check read, and
+# the fields it reports from a solve at k (the sensors are "witness"). Both
+# look this module's names up when called, so a wrapped or patched binding
+# here sees every call, from a sweep and from the command line's mdim.
 _RESOLVERS = {
-    "exact-tree": (lambda g: TreeMetric(g), lambda g, metric, k: exact_tree_md(g, k).witness),
-    "greedy": (lambda g: all_pairs_distances(g), lambda g, dm, k: greedy_k_resolving_set(dm, k)[0]),
+    "exact-tree": (lambda g: TreeMetric(g), lambda g, metric, k: exact_tree_md(g, k).as_dict()),
+    "greedy": (lambda g: all_pairs_distances(g), _greedy_fields),
 }
 
 
@@ -77,7 +83,7 @@ def sweep_metrics(
     metric = metric_of(g)
     records = []
     for k in k_values:
-        sensors = solve(g, metric, k)
+        sensors = solve(g, metric, k)["witness"]
         part = equivalence_partition(metric, sensors)
         records.append(
             SweepRecord(

@@ -29,6 +29,8 @@ from .graph import (
     _double_sweep,
     _pendant_forest,
     _row_sums,
+    _unpeeled,
+    _unpeeled_mask,
     all_pairs_distances,
     bfs_distances,
     distance_dtype,
@@ -338,17 +340,8 @@ def stem_r(g: Graph, r: int) -> StemResult:
     round); ``r = 0`` is the identity."""
     if r < 0:
         raise ValueError("stemming rounds must be nonnegative")
-    rounds, alive = _stem(g, r)
-    return StemResult(tuple(np.flatnonzero(alive).tolist()), tuple(map(tuple, rounds)))
-
-
-def _stem(g: Graph, r: int) -> tuple[list[list[int]], np.ndarray]:
-    """The rounds of one public ``r``-round peel of ``g``, and the mask of
-    the vertices it leaves."""
     rounds = peel_degree_le1(g, rounds=r)
-    alive = np.ones(g.n, dtype=bool)
-    alive[np.fromiter(chain.from_iterable(rounds), dtype=np.intp)] = False
-    return rounds, alive
+    return StemResult(tuple(_unpeeled(g.n, rounds)), tuple(map(tuple, rounds)))
 
 
 def stem(g: Graph) -> StemResult:
@@ -491,7 +484,7 @@ def exact_tree_md(g: Graph, k: int) -> TreeMDReport:
     if not is_tree(g):
         raise IncompatibleMethodError("exact_tree_md requires a connected acyclic input")
     r = k // 2
-    alive = _stem(g, min(r, g.n))[1]  # the rounds' lists are dropped at once
+    alive = _unpeeled_mask(g.n, peel_degree_le1(g, rounds=min(r, g.n)))  # the rounds are dropped at once
     if np.count_nonzero(alive) <= 1 + k % 2:
         return TreeMDReport(k, r, 0, 0, False, 0, ())
     leaves, owner = _leaf_owners(g, alive)

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from relaxmdim import cli, graph, trees
+from relaxmdim import cli, graph, localization, trees
 from relaxmdim.cli import METHODS, MODELS, build_parser, main
 from relaxmdim.generators import rgg, uniform_tree
 from relaxmdim.localization import _RESOLVERS
@@ -500,20 +500,27 @@ def test_mdim_accepts_exactly_the_methods(path_file):
 
 
 @pytest.mark.parametrize(
-    "method, solver",
-    [("exact-tree", "exact_tree_md"), ("greedy", "greedy_k_resolving_set"), ("brute", "brute_force_md")],
+    "method, module, solver",
+    [
+        ("exact-tree", localization, "exact_tree_md"),
+        ("greedy", localization, "greedy_k_resolving_set"),
+        ("brute", cli, "brute_force_md"),
+    ],
+    ids=["exact-tree-exact_tree_md", "greedy-greedy_k_resolving_set", "brute-brute_force_md"],
 )
-def test_each_method_calls_its_solver_through_the_cli_binding(method, solver, path_file, monkeypatch, capsys):
+def test_each_method_calls_its_solver_through_its_table(
+    method, module, solver, path_file, monkeypatch, capsys
+):
     # the benchmark's tracer wraps module attributes, so a table that held
     # the solver objects from import time would hide these calls
     calls = []
-    real = getattr(cli, solver)
+    real = getattr(module, solver)
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, solver, counted)
+    monkeypatch.setattr(module, solver, counted)
     assert main(["mdim", path_file, "--k", "1", "--method", method]) == 0
     assert len(calls) == 1
     assert json.loads(capsys.readouterr().out)["method"] == method

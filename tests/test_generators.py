@@ -23,7 +23,7 @@ from relaxmdim import (
     rgg,
     uniform_tree,
 )
-from relaxmdim import generators
+from relaxmdim import generators, graph
 from relaxmdim.generators import (
     _MAX_COUNTED_THRESHOLDS,
     _critical_tilt,
@@ -32,7 +32,7 @@ from relaxmdim.generators import (
     _tilted_cdf,
     _zipf_sampler,
 )
-from relaxmdim.graph import bfs_distances
+from relaxmdim.graph import TooLargeError, bfs_distances
 
 from generators_oracle import (
     batched_gw_tree_conditioned,
@@ -405,3 +405,31 @@ def test_trees_peel_away_entirely():
 
     for g in (ba_tree(500, seed=0), uniform_tree(500, seed=0)):
         assert sum(len(b) for b in peel_degree_le1(g)) == 500
+
+
+class TestMemoryRefusal:
+    """The samplers refuse through the one rule in ``graph``, so a limit
+    patched there reaches them as it reaches all-pairs distances."""
+
+    @pytest.mark.parametrize(
+        "sample",
+        [
+            lambda: ba_tree(50, 0),
+            lambda: uniform_tree(50, 1),
+            lambda: gw_tree_conditioned(50, OffspringDistribution.poisson(1.0), 0),
+            lambda: configuration_model(50, 0),
+            lambda: rgg(50, 1.5, 0),
+        ],
+        ids=["ba-tree", "uniform-tree", "gw-tree", "config-model", "rgg"],
+    )
+    def test_each_sampler_refuses_beyond_a_patched_limit(self, sample, monkeypatch):
+        monkeypatch.setattr(graph, "_physical_memory", lambda: 0)
+        with pytest.raises(TooLargeError, match="physical memory"):
+            sample()
+
+    def test_rgg_candidates_refused_beyond_a_patched_limit(self, monkeypatch):
+        # 50 points pass the 16-byte-a-point bound; at this radius all 1225
+        # pairs are candidates, 48 bytes each
+        monkeypatch.setattr(graph, "_physical_memory", lambda: 50 * 16)
+        with pytest.raises(TooLargeError, match="1225 candidate pairs, .* physical memory"):
+            rgg(50, 1e6, 0)
