@@ -74,26 +74,36 @@ def uniform_tree(n: int, seed: int) -> Graph:
     """
     if n < 2:
         raise ValueError("need at least two vertices")
-    _refuse_sample(n, 16)  # the int64 codes and their counts
+    _refuse_sample(n, 24)  # the int64 codes, their counts and the parents
     rng = np.random.default_rng(seed)
-    seq = rng.integers(0, n, size=n - 2)
-    degree = (np.bincount(seq, minlength=n) + 1).tolist()
-    parent = [-1] * n
-    ptr = leaf = degree.index(1)
-    for x in seq.tolist():
-        parent[leaf] = x
-        degree[x] -= 1
-        if degree[x] == 1 and x < ptr:
+    return _parent_graph(_pruefer_parents(rng.integers(0, n, size=n - 2)), n - 1)
+
+
+def _pruefer_parents(seq: np.ndarray) -> np.ndarray:
+    """The parent array, rooted at n - 1, of the Pruefer code ``seq`` of a
+    tree on n = len(seq) + 2 vertices, by the linear-time decode of
+    :func:`uniform_tree`. Memoryviews read and write the arrays as Python
+    ints, so no list of per-vertex ints is made, and they go with this
+    call's frame."""
+    n = seq.size + 2
+    degree = np.bincount(seq, minlength=n)
+    degree += 1
+    parent = np.empty(n, dtype=np.intp)
+    degree_of, parent_of = memoryview(degree), memoryview(parent)
+    ptr = leaf = int(np.argmax(degree == 1))
+    for x in memoryview(seq):
+        parent_of[leaf] = x
+        degree_of[x] -= 1
+        if degree_of[x] == 1 and x < ptr:
             leaf = x
         else:
             ptr += 1
-            while degree[ptr] != 1:
+            while degree_of[ptr] != 1:
                 ptr += 1
             leaf = ptr
-    parent[leaf] = n - 1
-    del seq, degree
-    parent = np.array(parent, dtype=np.intp)  # the list's ints go before the graph is built
-    return _parent_graph(parent, n - 1)
+    parent_of[leaf] = n - 1
+    parent_of[n - 1] = -1
+    return parent
 
 
 def _critical_tilt(pmf: np.ndarray) -> np.ndarray:
@@ -350,14 +360,23 @@ def rgg(n: int, radius_factor: float, seed: int) -> Graph:
         near = dx * dx + dy * dy <= radius * radius
         near_i.append(i[near])
         near_j.append(j[near])
-    return _graph_from_pairs(n, order[np.concatenate(near_i)], order[np.concatenate(near_j)])
+    # the candidate tables and each list of kept pairs go before the next
+    # array is made: the graph's build is the sampler's peak
+    del lo, hi, count
+    u = order[np.concatenate(near_i)]
+    del near_i
+    v = order[np.concatenate(near_j)]
+    del near_j
+    return _graph_from_pairs(n, u, v)
 
 
 # Sorted points whose candidate pairs are listed and tested together: only
 # one chunk's candidates are held at a time, beside the pairs kept so far.
-# rgg(5000, 1.5) peaks at 5.0 MB under tracemalloc with 512, against 8.5 MB
-# for all candidates at once; chunks of 256 to 4096 points took equal time.
-_RGG_CHUNK = 512
+# rgg(5000, 1.5) (about 28 candidates a point) peaks under tracemalloc at
+# 1.9, 2.0 and 2.4 MB with chunks of 128, 256 and 512 points, and takes
+# 5.4, 4.9 and 4.8 ms (median of 15 on a 2-core x86-64 host): 256 holds
+# little more than 128, at the speed of 512.
+_RGG_CHUNK = 256
 
 
 # Bytes per RGG candidate pair: the two int64 positions, the two float64

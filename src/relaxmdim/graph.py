@@ -42,11 +42,13 @@ no distance columns at all.
 
 from __future__ import annotations
 
+import io
 import os
 import sys
+from array import array
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import accumulate, chain
 from typing import Iterable, Iterator, Protocol, Sequence, TextIO
 
@@ -61,6 +63,10 @@ UNREACHABLE = -1
 #: level costs O((n + m) * n / 64) word operations, so the BFS loses to
 #: Dijkstra's O(n * (m + n log n)) once the levels number a few hundred.
 BIT_BFS_MAX_LEVELS = 256
+
+# CSR entries per block of Graph.edges(): a block's row ids, flags and two
+# lists of Python ints take about 80 bytes an entry, 1.3 MB in all.
+_EDGE_BLOCK = 1 << 14
 
 # Most rows in a block of Dijkstra rows.
 _ROW_BLOCK = 1024
@@ -126,10 +132,23 @@ class Graph:
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Each undirected edge once, as (u, v) with u < v, ordered by u and
-        then by v."""
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        up = rows < self.indices
-        return zip(rows[up].tolist(), self.indices[up].tolist())
+        then by v. The pairs are made a block of rows at a time, so only one
+        block's lists of Python ints are held."""
+        return chain.from_iterable(self._edge_blocks())
+
+    def _edge_blocks(self) -> Iterator[Iterator[tuple[int, int]]]:
+        """The edges of :meth:`edges`, one block of rows at a time: as many
+        rows as hold at most ``_EDGE_BLOCK`` entries together, or one row
+        alone if it holds more."""
+        indptr, indices = self.indptr, self.indices
+        lo = 0
+        while lo < self.n:
+            hi = max(lo + 1, int(np.searchsorted(indptr, indptr[lo] + _EDGE_BLOCK, side="right")) - 1)
+            rows = np.repeat(np.arange(lo, hi), np.diff(indptr[lo : hi + 1]))
+            nbrs = indices[indptr[lo] : indptr[hi]]
+            up = rows < nbrs
+            yield zip(rows[up].tolist(), nbrs[up].tolist())
+            lo = hi
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
@@ -178,38 +197,42 @@ class Graph:
 
 def _pair_keys(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The keys ``src * n + dst`` of the pairs {u[i], v[i]} in both
-    orientations, sorted: row src of a graph, in order, with its entries."""
+    orientations, sorted: row src of a graph, in order, with its entries.
+    They are made and sorted in one int64 buffer, with no second array of
+    the same length."""
     if n * n >= 1 << 63:  # past int64
         raise TooLargeError(f"pair keys of {n} vertices overflow int64")
-    u = np.asarray(u, dtype=np.int64)
-    v = np.asarray(v, dtype=np.int64)
-    key = np.concatenate((u, v))
+    m = len(u)
+    key = np.empty(2 * m, dtype=np.int64)
+    key[:m], key[m:] = u, v
     key *= max(n, 1)
-    key += np.concatenate((v, u))
+    key[:m] += v
+    key[m:] += u
     key.sort()
     return key
 
 
 def _graph_from_keys(n: int, key: np.ndarray) -> Graph:
     """The graph on vertices 0..n-1 whose directed pairs have the sorted,
-    distinct keys ``src * n + dst`` (see :func:`_pair_keys`)."""
+    distinct keys ``src * n + dst`` (see :func:`_pair_keys`). The buffer
+    ``key`` becomes the graph's ``indices``, overwritten in place."""
     indptr = np.searchsorted(key, np.arange(0, n * n + 1, max(n, 1)))
-    return Graph(indptr, key % max(n, 1))
+    np.remainder(key, max(n, 1), out=key)
+    return Graph(indptr, key)
 
 
-def _row_sums(g: Graph, values: np.ndarray, keep: np.ndarray | None = None) -> np.ndarray:
+def _row_sums(g: Graph, values: np.ndarray) -> np.ndarray:
     """The sum of ``values`` (one per CSR entry of ``g``: booleans or vertex
-    ids) over each row, of the entries ``keep`` flags if it is given. One
-    cumulative sum, taken in place in the one array of entries it needs."""
-    total = np.zeros(values.size + 1, dtype=np.intp)
-    if keep is None:
-        total[1:] = values
-    else:
-        np.multiply(values, keep, out=total[1:])
-    np.cumsum(total[1:], out=total[1:])
-    ends = total[g.indptr]
-    del total
-    return np.diff(ends)
+    ids) over each row, as intp: one ``reduceat`` at the rows' starts, with
+    no array as long as the entries made. The rows that start at the end of
+    the entries are left out of it, and every empty row reads 0."""
+    indptr = g.indptr
+    sums = np.zeros(g.n, dtype=np.intp)
+    inside = int(np.searchsorted(indptr[:-1], values.size))  # rows that start before the end
+    if inside:
+        np.add.reduceat(values, indptr[:inside], dtype=np.intp, out=sums[:inside])
+        sums[indptr[1:] == indptr[:-1]] = 0  # reduceat reads one entry of an empty row
+    return sums
 
 
 def _graph_from_pairs(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
@@ -225,8 +248,7 @@ def _graph_from_pairs(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
     key = _pair_keys(n, u, v)
     u = np.asarray(u)
     v = np.asarray(v)
-    ends = np.concatenate((u, v))
-    outside = ends.size and (int(ends.min()) < 0 or int(ends.max()) >= n)
+    outside = u.size and (min(int(u.min()), int(v.min())) < 0 or max(int(u.max()), int(v.max())) >= n)
     if outside or bool((u == v).any()) or bool((key[1:] == key[:-1]).any()):
         Graph.from_edges(n, zip(u.tolist(), v.tolist()))
     return _graph_from_keys(n, key)
@@ -237,11 +259,36 @@ def _erase_loops_and_repeats(n: int, u: np.ndarray, v: np.ndarray) -> tuple[Grap
     self-loops and repeated pairs erased, and how many of each were erased.
     One sort of the pair keys (see :func:`_pair_keys`) puts each row in
     order and counts the rest: a loop's keys are the multiples of n + 1, and
-    a repeated pair repeats its two keys."""
+    a repeated pair repeats its two keys. The kept keys are moved to the
+    front of the same buffer a block at a time, and the buffer is cut to
+    them, so no second array of keys is made."""
     key = _pair_keys(n, u, v)
-    proper = key[key % (n + 1) != 0]
-    distinct = proper[np.concatenate(([True], proper[1:] != proper[:-1]))] if proper.size else proper
-    return _graph_from_keys(n, distinct), (key.size - proper.size) // 2, (proper.size - distinct.size) // 2
+    at = loops = 0
+    for lo in range(0, key.size, _KEY_BLOCK):
+        part = key[lo : lo + _KEY_BLOCK]
+        proper = part % (n + 1) != 0
+        loops += part.size - int(np.count_nonzero(proper))
+        # the first of each run of equal keys; runs may cross the block's start
+        proper[1:] &= part[1:] != part[:-1]
+        if lo:
+            proper[0] &= part[0] != key[lo - 1]
+        part = part[proper]
+        key[at : at + part.size] = part
+        at += part.size
+    size = key.size
+    if at < size:
+        key.resize(at, refcheck=False)  # only this function holds the buffer
+    return _graph_from_keys(n, key), loops // 2, (size - loops - at) // 2
+
+
+# Characters of whole lines the parser reads and splits at a time: one
+# str.splitlines per batch, not per line, parses as fast as splitting the
+# whole text, in about 0.5 MB.
+_PARSE_BATCH = 1 << 16
+
+# Keys per block of the in-place erasure: its remainders, flags and kept
+# keys take at most 18 bytes a key, about 1.2 MB.
+_KEY_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -263,23 +310,32 @@ def load_edge_list(source: str | TextIO) -> LoadResult:
     first-appearance order. Duplicate edges and self-loops are dropped and
     counted. A malformed line raises ValueError with its line number.
 
-    A dict maps the tokens to ids, and :func:`_erase_loops_and_repeats`
-    builds the graph.
+    A stream is read in batches of whole lines of about ``_PARSE_BATCH``
+    characters, and a string as a stream over it; each batch is split by
+    ``str.splitlines``, so lines end where the whole text's ``splitlines``
+    would end them. A dict maps the tokens to ids, which go into one array
+    of 8 bytes an endpoint: no token list and no whole text is held.
+    :func:`_erase_loops_and_repeats` builds the graph after the dict is
+    dropped.
     """
-    text = source.read() if hasattr(source, "read") else source
-    ends: list[str] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    stream = source if hasattr(source, "read") else io.StringIO(source)
+    batches = iter(partial(stream.readlines, _PARSE_BATCH), [])
+    ids: dict[str, int] = {}
+    ends = array("q")
+    for lineno, raw in enumerate(chain.from_iterable("".join(b).splitlines() for b in batches), start=1):
         if "#" in raw:
             raw = raw[: raw.index("#")]
         tokens = raw.split()
         if len(tokens) == 2:
-            ends += tokens
+            ends.append(ids.setdefault(tokens[0], len(ids)))
+            ends.append(ids.setdefault(tokens[1], len(ids)))
         elif tokens:
             raise ValueError(f"line {lineno}: expected two endpoint tokens, got {len(tokens)}")
-    ids: dict[str, int] = {}
-    flat = np.array([ids.setdefault(tok, len(ids)) for tok in ends], dtype=np.int64)
-    graph, loops, repeats = _erase_loops_and_repeats(len(ids), flat[0::2], flat[1::2])
-    return LoadResult(graph, tuple(ids), repeats, loops)
+    labels = tuple(ids)
+    del ids
+    flat = np.frombuffer(ends, dtype=np.int64)
+    graph, loops, repeats = _erase_loops_and_repeats(len(labels), flat[0::2], flat[1::2])
+    return LoadResult(graph, labels, repeats, loops)
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
@@ -533,16 +589,11 @@ def _pendant_forest(g: Graph, core: list[int], root: int = 0) -> _PendantForest:
     return _PendantForest(core, parent, depth, anchor, preorder)
 
 
-def _unpeeled_mask(n: int, rounds: list[list[int]]) -> np.ndarray:
-    """The mask of the vertices of 0..n-1 that no round of a peel removed."""
-    alive = np.ones(n, dtype=bool)
-    alive[np.fromiter(chain.from_iterable(rounds), dtype=np.intp)] = False
-    return alive
-
-
 def _unpeeled(n: int, rounds: list[list[int]]) -> list[int]:
     """The vertices of 0..n-1 that no round of a peel removed, ascending."""
-    return np.flatnonzero(_unpeeled_mask(n, rounds)).tolist()
+    alive = np.ones(n, dtype=bool)
+    alive[np.fromiter(chain.from_iterable(rounds), dtype=np.intp)] = False
+    return np.flatnonzero(alive).tolist()
 
 
 def _core_graph(g: Graph, core: list[int]) -> Graph:
@@ -555,7 +606,7 @@ def _component_distances(g: Graph, out: np.ndarray) -> None:
     """Write the distances of a connected graph with n >= 1 into ``out``,
     whose dtype holds its diameter."""
     n = g.n
-    forest = _pendant_forest(g, _unpeeled(n, _peel(g, None)))
+    forest = _pendant_forest(g, np.flatnonzero(_peel(g, None)[0]).tolist())
     core = forest.core
     if core:
         core_ids = np.array(core)
@@ -795,27 +846,35 @@ class EquivalencePartition:
         return hist
 
 
-def _profile_blocks(dm: Metric, sensors: list[int]) -> list[tuple[int, ...]]:
-    """Vertices grouped by identification vector: each block ascending, blocks
-    ordered by smallest member. One stable sort of the metric's keys puts
-    equal vectors next to each other, in vertex order."""
+def _profile_runs(dm: Metric, sensors: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices grouped by identification vector: every vertex, ordered so
+    that each group is one ascending run, and the length of each run. One
+    stable sort of the metric's keys puts equal vectors next to each other,
+    in vertex order."""
     n = dm.n
     if not sensors:
-        return [tuple(range(n))] if n else []
+        return np.arange(n), np.array([n] if n else [], dtype=np.intp)
     keys = dm.profile_keys(sensors)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    cuts = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
-    order = order.tolist()
-    blocks = [tuple(order[a:b]) for a, b in zip([0] + cuts, cuts + [n])]
-    blocks.sort()  # by first, i.e. smallest, member
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return order, np.diff(starts, append=n)
+
+
+def _runs_as_blocks(order: np.ndarray, sizes: np.ndarray) -> list[tuple[int, ...]]:
+    """The runs of ``order`` of lengths ``sizes`` as tuples of Python ints,
+    ordered by smallest (first) member."""
+    members = order.tolist()
+    ends = list(accumulate(sizes.tolist()))
+    blocks = [tuple(members[a:b]) for a, b in zip([0, *ends[:-1]], ends)]
+    blocks.sort()
     return blocks
 
 
 def equivalence_partition(dm: Metric, sensors: SensorSet) -> EquivalencePartition:
     """Group vertices by identification vector with respect to ``sensors``.
     ``dm`` is a :class:`DistanceMatrix` or a ``trees.TreeMetric``."""
-    blocks = tuple(_profile_blocks(dm, _check_sensors(dm.n, sensors)))
+    blocks = tuple(_runs_as_blocks(*_profile_runs(dm, _check_sensors(dm.n, sensors))))
     if not blocks:
         return EquivalencePartition((), 0, 0)
     alpha = max(len(b) for b in blocks)
@@ -826,10 +885,13 @@ def equivalence_partition(dm: Metric, sensors: SensorSet) -> EquivalencePartitio
 def is_k_relaxed_resolving(dm: Metric, sensors: SensorSet, k: int) -> bool:
     """True iff any two vertices sharing an identification vector are within
     graph distance ``k``; ``dm`` (a :class:`DistanceMatrix` or a
-    ``trees.TreeMetric``) is connected by construction."""
+    ``trees.TreeMetric``) is connected by construction. Only the groups of
+    two or more vertices are made into blocks."""
     if k < 0:
         raise ValueError("relaxation parameter k must be nonnegative")
-    blocks = [b for b in _profile_blocks(dm, _check_sensors(dm.n, sensors)) if len(b) > 1]
+    order, sizes = _profile_runs(dm, _check_sensors(dm.n, sensors))
+    shared = sizes > 1
+    blocks = _runs_as_blocks(order[np.repeat(shared, sizes)], sizes[shared])
     return all(d <= k for d in dm.block_diameters(blocks))
 
 
@@ -848,47 +910,48 @@ def peel_degree_le1(g: Graph, rounds: int | None = None) -> list[list[int]]:
     neighbour, and removing the batch updates both arrays at those
     neighbours only.
     """
-    return _peel(g, rounds)
+    if rounds == 0:
+        return []
+    removed_per_round: list[list[int]] = []
+    _peel(g, rounds, removed_per_round)
+    if rounds is not None:
+        removed_per_round += [[] for _ in range(rounds - len(removed_per_round))]
+    return removed_per_round
 
 
 # From the first peel round of fewer vertices than this, the peel goes on one
-# vertex at a time on Python lists: a vectorized round costs a dozen array
-# calls, as much as a Python step for each of this many vertices, so long
-# thin tails (a path peels two vertices a round) stay linear in Python.
+# vertex at a time in Python: a vectorized round costs a dozen array calls, as
+# much as a Python step for each of this many vertices, so long thin tails (a
+# path peels two vertices a round) stay linear in Python.
 _SCALAR_BATCH = 8
 
 
-def _peel(g: Graph, rounds: int | None) -> list[list[int]]:
-    """The peel behind :func:`peel_degree_le1`. All-pairs distances call it
-    directly to find the 2-core, so the benchmark's traced count of the public
-    function's rounds covers only explicit peels."""
-    if rounds == 0:
-        return []
+def _peel(
+    g: Graph, rounds: int | None, removed_per_round: list[list[int]] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The peel behind :func:`peel_degree_le1`, for at most ``rounds``
+    rounds (to the fixpoint when None). Returns the mask of the vertices
+    left and two intp arrays that are exact at those vertices: the degree
+    and the neighbours' id sum in the graph they induce. Each non-empty
+    round's batch is appended to ``removed_per_round`` if one is given;
+    without it no per-round list is made. All-pairs distances and the exact
+    tree solve call it directly, so the benchmark's traced count of the
+    public function's rounds covers only explicit peels.
+
+    The Python tail reads and writes the arrays through memoryviews, so no
+    list of per-vertex ints is made."""
     degree = np.diff(g.indptr)
     nbr_sum = _row_sums(g, g.indices)
     alive = np.ones(g.n, dtype=bool)
     batch = np.flatnonzero(degree <= 1)
-    removed_per_round: list[list[int]] = []
-    scalar = False
-    while len(batch) and (rounds is None or len(removed_per_round) < rounds):
-        if not scalar and len(batch) < _SCALAR_BATCH:
-            scalar = True
-            degree, nbr_sum, alive, batch = degree.tolist(), nbr_sum.tolist(), alive.tolist(), batch.tolist()
-        if scalar:
-            removed_per_round.append(batch)
-            for v in batch:
-                alive[v] = False
-            nxt = []
-            for v in batch:
-                w = nbr_sum[v]
-                if degree[v] == 1 and alive[w]:  # a neighbour in the batch goes with it
-                    degree[w] -= 1
-                    nbr_sum[w] -= v
-                    if degree[w] == 1:  # fell from 2: joins the next batch once
-                        nxt.append(w)
-            batch = sorted(nxt)
-            continue
-        removed_per_round.append(batch.tolist())
+    done = 0
+    while len(batch) and (rounds is None or done < rounds):
+        if len(batch) < _SCALAR_BATCH:
+            left = None if rounds is None else rounds - done
+            _peel_tail(degree, nbr_sum, alive, batch.tolist(), left, removed_per_round)
+            break
+        if removed_per_round is not None:
+            removed_per_round.append(batch.tolist())
         alive[batch] = False
         leaf = batch[degree[batch] == 1]
         nbr = nbr_sum[leaf]
@@ -899,9 +962,38 @@ def _peel(g: Graph, rounds: int | None) -> list[list[int]]:
         nbr = nbr[degree[nbr] <= 1]
         nbr.sort()
         batch = nbr[np.concatenate(([True], nbr[1:] != nbr[:-1]))] if nbr.size else nbr
-    if rounds is not None:
-        removed_per_round += [[] for _ in range(rounds - len(removed_per_round))]
-    return removed_per_round
+        done += 1
+    return alive, degree, nbr_sum
+
+
+def _peel_tail(
+    degree: np.ndarray,
+    nbr_sum: np.ndarray,
+    alive: np.ndarray,
+    batch: list[int],
+    rounds: int | None,
+    removed_per_round: list[list[int]] | None,
+) -> None:
+    """The rounds of :func:`_peel` from a batch below ``_SCALAR_BATCH`` on,
+    at most ``rounds`` of them, one vertex at a time on memoryviews of its
+    arrays."""
+    degree_of, sum_of, alive_at = memoryview(degree), memoryview(nbr_sum), memoryview(alive)
+    while batch and rounds != 0:
+        if rounds is not None:
+            rounds -= 1
+        if removed_per_round is not None:
+            removed_per_round.append(batch)
+        for v in batch:
+            alive_at[v] = False
+        nxt = []
+        for v in batch:
+            w = sum_of[v]
+            if degree_of[v] == 1 and alive_at[w]:  # a neighbour in the batch goes with it
+                degree_of[w] -= 1
+                sum_of[w] -= v
+                if degree_of[w] == 1:  # fell from 2: joins the next batch once
+                    nxt.append(w)
+        batch = sorted(nxt)
 
 
 @dataclass(frozen=True)

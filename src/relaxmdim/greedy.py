@@ -149,15 +149,16 @@ def _greedy(dm: DistanceMatrix, active: np.ndarray | None, k: int) -> GreedyTrac
             column.append(value)
         row = columns[:, best]
         keep = row[u] == row[v]
-        if listed and 2 * last > u.size:  # it separated most listed pairs: recount the rest
-            gain = _split(columns, u[keep], v[keep])
-        elif listed:  # subtract the pairs it separated
+        recount = listed and 2 * last > u.size  # it separated most listed pairs
+        if listed and not recount:  # subtract the pairs it separated
             gain -= _split(columns, u[~keep], v[~keep])
-        else:
+        elif not listed:
             labels = np.unique(labels * width + row, return_inverse=True)[1].reshape(m)
             sizes = np.bincount(labels)
             bins, same = sizes.size * width, int((sizes * (sizes - 1)).sum()) // 2
         u, v = u[keep], v[keep]
+        if recount:  # count the rest afresh, on the list compacted once
+            gain = _split(columns, u, v)
         size = u.size
         assert open_count == (size if listed else same - size), "gain disagrees with the partition"
     return GreedyTrace(*map(tuple, trace))

@@ -27,12 +27,18 @@ from typing import TextIO
 import numpy as np
 
 
+#: The largest tail mass a truncated pmf may discard: :meth:`OffspringDistribution.poisson`
+#: and :meth:`~OffspringDistribution.geometric` stop once the tail left is
+#: below it, and a pmf whose mass falls short of 1 by more is refused.
+TAIL_BOUND = 1e-12
+
+
 @dataclass(frozen=True)
 class OffspringDistribution:
-    """Truncated offspring pmf p_0..p_J with a bound on the discarded tail."""
+    """Truncated offspring pmf p_0..p_J, discarding a tail of at most
+    ``TAIL_BOUND``."""
 
     pmf: tuple[float, ...]
-    tail_bound: float = 1e-12
 
     def __post_init__(self) -> None:
         if not self.pmf:
@@ -40,9 +46,9 @@ class OffspringDistribution:
         if any(p < 0 for p in self.pmf):
             raise ValueError("pmf values must be nonnegative")
         total = sum(self.pmf)
-        if not (1.0 - self.tail_bound - 1e-9 <= total <= 1.0 + 1e-9):
+        if not (1.0 - TAIL_BOUND - 1e-9 <= total <= 1.0 + 1e-9):
             raise ValueError(
-                f"pmf mass {total} outside [1 - tail_bound, 1]"
+                f"pmf mass {total} outside [1 - {TAIL_BOUND}, 1]"
             )
 
     @cached_property
@@ -63,9 +69,9 @@ class OffspringDistribution:
         return acc
 
     @classmethod
-    def poisson(cls, lam: float = 1.0, tail_bound: float = 1e-12) -> "OffspringDistribution":
+    def poisson(cls, lam: float = 1.0) -> "OffspringDistribution":
         """Poisson(lam) truncated where the remaining tail mass drops below
-        ``tail_bound``."""
+        ``TAIL_BOUND``."""
         if not lam > 0:
             raise ValueError("lam must be positive")
         probs = [math.exp(-lam)]
@@ -73,28 +79,28 @@ class OffspringDistribution:
             raise ValueError(f"lam must be positive with exp(-lam) > 0, but lam {lam} is too large")
         total = probs[0]
         j = 0
-        while 1.0 - total > tail_bound and j < 10_000:
+        while 1.0 - total > TAIL_BOUND and j < 10_000:
             j += 1
             probs.append(probs[-1] * lam / j)
             total += probs[-1]
-        return cls(tuple(probs), tail_bound)
+        return cls(tuple(probs))
 
     @classmethod
-    def geometric(cls, p: float, tail_bound: float = 1e-12) -> "OffspringDistribution":
+    def geometric(cls, p: float) -> "OffspringDistribution":
         """Geometric on {0, 1, ...} with success probability ``p``; the mean is
         (1-p)/p, so p = 1/2 is critical."""
         if not 0 < p < 1:
             raise ValueError("p must be in (0, 1)")
         probs = [p]
         total = p
-        while 1.0 - total > tail_bound and len(probs) < 100_000:
+        while 1.0 - total > TAIL_BOUND and len(probs) < 100_000:
             probs.append(probs[-1] * (1.0 - p))
             total += probs[-1]
-        return cls(tuple(probs), tail_bound)
+        return cls(tuple(probs))
 
     @classmethod
-    def from_pmf(cls, values, tail_bound: float = 1e-12) -> "OffspringDistribution":
-        return cls(tuple(float(v) for v in values), tail_bound)
+    def from_pmf(cls, values) -> "OffspringDistribution":
+        return cls(tuple(float(v) for v in values))
 
 
 @dataclass(frozen=True)

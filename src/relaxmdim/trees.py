@@ -27,10 +27,9 @@ from .graph import (
     _pair_keys,
     _SCALAR_BATCH,
     _double_sweep,
+    _peel,
     _pendant_forest,
-    _row_sums,
     _unpeeled,
-    _unpeeled_mask,
     all_pairs_distances,
     bfs_distances,
     distance_dtype,
@@ -293,6 +292,7 @@ def _array_tree(parent: np.ndarray, root: int) -> Graph:
         for _ in range(n.bit_length()):
             ancestor = ancestor[ancestor]
         lost = int(np.count_nonzero(ancestor != root))
+        del ancestor  # before the pair keys are made
         if lost:
             raise _cyclic(lost, n, root)
     return _graph_from_keys(n, _pair_keys(n, up, child))
@@ -372,27 +372,21 @@ def down_stem_vertices(t: RootedTree, r: int) -> tuple[int, ...]:
     return tuple(v for v in range(t.n) if v == t.root or height[v] >= r)
 
 
-def _leaf_owners(g: Graph, alive: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The leaves (ascending) of the graph left when only the vertices
-    ``alive`` (a mask; all when None) are kept of ``g``, and the owner of
+def _leaf_owners(alive: np.ndarray, degree: np.ndarray, nbr_sum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The leaves (ascending) of the graph a peel left (see ``graph._peel``,
+    which gives the three arrays: the mask ``alive`` of the vertices left,
+    and each one's degree and neighbours' id sum there), and the owner of
     each: the exterior major vertex (degree >= 3 there) that ends its leaf
-    path, or -1 for a leaf of a path component. All ids are ``g``'s.
+    path, or -1 for a leaf of a path component. All ids are the input's.
 
-    Two array passes over the CSR entries give every vertex left its degree
-    there and the id sum of its neighbours there. A leaf's one neighbour is
-    that sum, and the vertex after a degree-2 vertex is the sum less the
-    vertex the walk came from. All the walks step together on arrays until
-    fewer than the peel's ``_SCALAR_BATCH`` are still going; those few go on
-    in Python, as the peel's last rounds do, so the two leaves of a long
-    path walk it in linear time.
+    A leaf's one neighbour is its neighbour sum, and the vertex after a
+    degree-2 vertex is the sum less the vertex the walk came from. All the
+    walks step together on arrays until fewer than the peel's
+    ``_SCALAR_BATCH`` are still going; those few go on in Python, as the
+    peel's last rounds do, so the two leaves of a long path walk it in
+    linear time.
     """
-    if alive is None:
-        degree, nbr_sum = np.diff(g.indptr), _row_sums(g, g.indices)
-    else:
-        kept = alive[g.indices]
-        degree = np.where(alive, _row_sums(g, kept), 0)
-        nbr_sum = _row_sums(g, g.indices, kept)
-    leaves = np.flatnonzero(degree == 1)
+    leaves = np.flatnonzero((degree == 1) & alive)
     end = np.empty(leaves.size, dtype=np.intp)  # the first vertex of degree != 2
     walks = np.arange(leaves.size)
     prev, cur = leaves, nbr_sum[leaves]
@@ -430,7 +424,7 @@ def count_sigma_ex(g: Graph) -> tuple[int, int]:
     An exterior major vertex has degree >= 3 and at least one attached leaf
     path (a chain of degree-2 vertices ending in a leaf).
     """
-    leaves, owner = _leaf_owners(g)
+    leaves, owner = _leaf_owners(*_peel(g, 0))
     return leaves.size, _exterior_groups(leaves, owner)[0]
 
 
@@ -471,8 +465,9 @@ def exact_tree_md(g: Graph, k: int) -> TreeMDReport:
     stemming rounds matter. The witness keeps, for every exterior major
     vertex of the r-stem, all but the smallest-id leaf of its leaf paths; for
     a path stem (the only trees without an exterior major vertex) it is the
-    smaller-id endpoint. One walk of the stem's leaf paths, on the input
-    tree less the peeled vertices, gives all of it in input ids.
+    smaller-id endpoint. One walk of the stem's leaf paths, on the degrees
+    and neighbour sums the peel leaves, gives all of it in input ids; the
+    peel keeps only its mask and those two arrays.
 
     The r-stem of a tree of diameter D has diameter D - 2r, or is empty, so
     k >= D (and md = 0) exactly when the stem has at most 1 + k % 2
@@ -484,10 +479,10 @@ def exact_tree_md(g: Graph, k: int) -> TreeMDReport:
     if not is_tree(g):
         raise IncompatibleMethodError("exact_tree_md requires a connected acyclic input")
     r = k // 2
-    alive = _unpeeled_mask(g.n, peel_degree_le1(g, rounds=min(r, g.n)))  # the rounds are dropped at once
+    alive, degree, nbr_sum = _peel(g, min(r, g.n))
     if np.count_nonzero(alive) <= 1 + k % 2:
         return TreeMDReport(k, r, 0, 0, False, 0, ())
-    leaves, owner = _leaf_owners(g, alive)
+    leaves, owner = _leaf_owners(alive, degree, nbr_sum)
     sigma = leaves.size
     ex, witness = _exterior_groups(leaves, owner)
     if ex == 0:

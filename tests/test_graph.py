@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import random
+import sys
 import tracemalloc
 from contextlib import contextmanager
 from typing import Iterator
@@ -65,6 +66,7 @@ from graph_oracle import (
     rows,
     set_from_edges,
     set_load_edge_list,
+    tuple_edges,
     tuple_graph_from_pairs,
     unblocked_bit_bfs_rows,
     unblocked_core_sum_and_diameter,
@@ -140,6 +142,63 @@ class TestLoadEdgeList:
     def test_accepts_stream(self):
         res = load_edge_list(io.StringIO("0 1\n1 2"))
         assert res.graph.n == 3
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(st.data())
+    def test_a_string_and_a_file_parse_alike(self, data):
+        # labels, duplicate and loop counts, comments and every separator
+        # str.splitlines knows, read in batches of any size; a malformed
+        # line, if drawn, is named by the same number from both, the one
+        # the whole text's splitlines gives it
+        batch = data.draw(st.sampled_from([1, 2, 7, graph._PARSE_BATCH]))
+        lines = data.draw(edge_list_texts()).split("\n")
+        if data.draw(st.booleans()):
+            lines.insert(data.draw(st.integers(0, len(lines))), data.draw(st.sampled_from(("x", "1 2 3", "a b c # d"))))
+        ends = data.draw(st.lists(st.sampled_from(LINE_BREAKS), min_size=len(lines), max_size=len(lines)))
+        text = "".join(line + end for line, end in zip(lines, ends))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "_PARSE_BATCH", batch)
+            got = [parse_or_error(text), parse_or_error(file_of(text))]
+        assert got[0] == got[1]
+        if isinstance(got[0], str):
+            sizes = [len(raw.split("#")[0].split()) for raw in text.splitlines()]
+            bad = 1 + next(i for i, size in enumerate(sizes) if size not in (0, 2))
+            assert got[0].startswith(f"line {bad}:")
+        else:
+            adjacency, labels, duplicates, loops = set_load_edge_list(text)
+            assert got[0] == (adjacency, labels, duplicates, loops)
+
+    def test_a_file_on_disk_parses_as_its_text(self, tmp_path):
+        text = "a b\r\nb c\rc a # back\x0cd d\n\n# done\x85a b\u2028e a"
+        path = tmp_path / "edges.txt"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8") as handle:
+            assert parse_or_error(handle) == parse_or_error(text)
+        assert parse_or_error(text) == (((1, 2, 4), (0, 2), (0, 1), (), (0,)), ("a", "b", "c", "d", "e"), 1, 1)
+        path.write_bytes(b"a b\r\n\x0cb c d\n")
+        with open(path, encoding="utf-8") as handle, pytest.raises(ValueError, match="^line 3:"):
+            load_edge_list(handle)
+
+    def test_a_file_peak_holds_no_token_list_and_no_text(self, tmp_path):
+        # beyond the result (labels and arrays), the parse holds the dict
+        # of labels, 16 bytes of ids a line and one batch of lines; a list
+        # of both tokens of every line took about 126 bytes a line more,
+        # and the whole text 14 more (29.4 MB at 100 000 lines, against an
+        # 8.7 MB result)
+        lines = 100_000
+        path = tmp_path / "path.txt"
+        path.write_text("".join(f"v{i} v{i + 1}\n" for i in range(lines)), encoding="utf-8")
+        with open(path, encoding="utf-8") as handle:
+            tracemalloc.start()
+            try:
+                res = load_edge_list(handle)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        kept = sys.getsizeof(res.labels) + sum(map(sys.getsizeof, res.labels))
+        kept += res.graph.indptr.nbytes + res.graph.indices.nbytes
+        assert res.graph.m == lines
+        assert peak < kept + 80 * lines, (peak, kept)
 
 
 class TestLargestComponent:
@@ -221,6 +280,24 @@ def graph_and_vertex_list(draw):
 
 LABELS = st.one_of(st.integers(-3, 99).map(str), st.text("abxyz_.-", min_size=1, max_size=3))
 
+# every line boundary of str.splitlines, and the two-character "\r\n"
+LINE_BREAKS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+def file_of(text: str) -> io.TextIOWrapper:
+    """``text`` as ``open(path, encoding="utf-8")`` would read it from a
+    file: a text stream over its bytes, newlines translated."""
+    return io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8")
+
+
+def parse_or_error(source) -> tuple | str:
+    """(rows, labels, duplicates, loops) of a parse, or its error message."""
+    try:
+        res = load_edge_list(source)
+    except ValueError as exc:
+        return str(exc)
+    return rows(res.graph), res.labels, res.duplicate_edges, res.self_loops
+
 
 @st.composite
 def edge_list_texts(draw):
@@ -277,6 +354,50 @@ class TestCSRStorage:
             g = random_connected_graph(80, seed % 7, seed)
             for rounds in (None, 1, 3, 80):
                 assert peel_degree_le1(g, rounds) == round_scan_peel(g, rounds)
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(edge_list_texts(), st.sampled_from([1, 2, 3, 7]))
+    def test_parser_erases_alike_in_blocks_of_any_size(self, text, block):
+        # a run of equal keys may cross from one block into the next
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "_KEY_BLOCK", block)
+            res = load_edge_list(text)
+        adjacency, labels, duplicates, loops = set_load_edge_list(text)
+        assert_matches_tuples(res.graph, adjacency)
+        assert (res.labels, res.duplicate_edges, res.self_loops) == (labels, duplicates, loops)
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(ANY_GRAPH, st.sampled_from([1, 2, 3, 7, 1 << 14]))
+    def test_edges_come_alike_in_blocks_of_any_size(self, g, block):
+        # a row with more entries than a block is a block of its own
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "_EDGE_BLOCK", block)
+            edges = list(g.edges())
+        assert edges == list(tuple_edges(rows(g)))
+        assert all(type(w) is int for edge in edges for w in edge)
+
+    @pytest.mark.parametrize("m", [10_000, 200_000])
+    def test_edges_peak_at_one_block(self, m):
+        # all the pairs as two lists of Python ints took 10.6 MB at 100 000
+        # edges; a block of _EDGE_BLOCK entries takes about 80 bytes each
+        g = graph._graph_from_pairs(m + 1, np.arange(m), np.arange(1, m + 1))
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in g.edges())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count == m
+        assert peak < 100 * graph._EDGE_BLOCK, peak
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(ANY_GRAPH)
+    def test_row_sums_match_the_rows(self, g):
+        # empty rows at the start, inside and at the end read 0
+        ids, flags = graph._row_sums(g, g.indices), graph._row_sums(g, g.indices % 2 == 1)
+        assert ids.dtype == flags.dtype == np.intp
+        assert ids.tolist() == [sum(row) for row in rows(g)]
+        assert flags.tolist() == [sum(w % 2 for w in row) for row in rows(g)]
 
     def test_rows_are_read_off_the_arrays(self):
         g = Graph.from_edges(4, [(2, 0), (0, 1), (3, 0)])
@@ -925,8 +1046,8 @@ class TestPeeling:
             assert peel_degree_le1(g, rounds) == round_scan_peel(g, rounds)
 
     def test_no_rounds_build_no_arrays(self):
-        # exact_tree_md asks for zero rounds at k = 0 and 1; the degree and
-        # neighbour-sum arrays of a 100 000-vertex tree took 3.2 MB
+        # the degree and neighbour-sum arrays of a 100 000-vertex tree took
+        # 3.2 MB
         g = uniform_tree(100_000, seed=1)
         tracemalloc.start()
         try:
@@ -935,6 +1056,38 @@ class TestPeeling:
         finally:
             tracemalloc.stop()
         assert peak < 500_000
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(ANY_GRAPH, st.sampled_from([None, 0, 1, 2, 3, 5]), st.sampled_from([1, 8, 10**9]))
+    def test_peel_hands_over_the_degrees_and_sums_of_what_is_left(self, g, rounds, cut):
+        # at every vertex left, the degree and neighbour id sum in the
+        # graph the survivors induce, at any scalar cut
+        expected = round_scan_peel(g, rounds)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "_SCALAR_BATCH", cut)
+            recorded: list[list[int]] = []
+            alive, degree, nbr_sum = graph._peel(g, rounds, recorded)
+            assert all(np.array_equal(a, b) for a, b in zip(graph._peel(g, rounds), (alive, degree, nbr_sum)))
+        assert recorded == [batch for batch in expected if batch]
+        left = set(graph._unpeeled(g.n, expected))
+        assert np.flatnonzero(alive).tolist() == sorted(left)
+        for v in left:
+            nbrs = [w for w in rows(g)[v] if w in left]
+            assert (degree[v], nbr_sum[v]) == (len(nbrs), sum(nbrs))
+
+    @pytest.mark.parametrize("g", [path_graph(100_000), uniform_tree(100_000, seed=1)], ids=["path", "uniform"])
+    def test_full_peel_holds_its_arrays_and_no_lists(self, g):
+        # the mask, degrees and neighbour sums, 17 bytes a vertex, and one
+        # round's arrays; the Python tail's three lists of per-vertex ints
+        # took 9.6 MB on the path and 11.3 MB on the uniform tree
+        tracemalloc.start()
+        try:
+            alive = graph._peel(g, None)[0]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not alive.any()
+        assert peak < 36 * g.n, peak
 
     def test_long_path_peels_from_both_ends(self):
         # 10001 rounds: a rescan of all 20001 vertices per round took seconds

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from relaxmdim import gw
 from relaxmdim import (
     OffspringDistribution,
     gw_sequence,
@@ -91,9 +92,12 @@ class TestRecursion:
         constants = gw_sequence(OffspringDistribution.poisson(1.0), 50)
         assert constants.d[50] > 0.95
 
-    def test_truncation_robustness(self):
-        coarse = gw_sequence(OffspringDistribution.poisson(1.0, tail_bound=1e-12), 9)
-        fine = gw_sequence(OffspringDistribution.poisson(1.0, tail_bound=1e-15), 9)
+    def test_truncation_robustness(self, monkeypatch):
+        coarse_xi = OffspringDistribution.poisson(1.0)  # the tail past TAIL_BOUND = 1e-12 dropped
+        monkeypatch.setattr(gw, "TAIL_BOUND", 1e-15)
+        fine_xi = OffspringDistribution.poisson(1.0)
+        assert len(fine_xi.pmf) > len(coarse_xi.pmf)
+        coarse, fine = gw_sequence(coarse_xi, 9), gw_sequence(fine_xi, 9)
         for a, b in zip(coarse.c, fine.c):
             assert abs(a - b) < 1e-11
 
@@ -119,9 +123,10 @@ class TestRecursion:
 
 
 class TestClosedForm:
-    def test_matches_truncated_recursion(self):
+    def test_matches_truncated_recursion(self, monkeypatch):
         closed = poisson_closed_form(9)
-        truncated = gw_sequence(OffspringDistribution.poisson(1.0, tail_bound=1e-15), 9)
+        monkeypatch.setattr(gw, "TAIL_BOUND", 1e-15)
+        truncated = gw_sequence(OffspringDistribution.poisson(1.0), 9)
         for field in ("d", "l", "s", "e", "c"):
             for a, b in zip(getattr(closed, field), getattr(truncated, field)):
                 assert abs(a - b) < 1e-10

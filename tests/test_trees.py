@@ -32,7 +32,7 @@ from relaxmdim import (
     uniform_tree,
 )
 from relaxmdim import trees
-from relaxmdim.graph import bfs_distances, induced_subgraph, peel_degree_le1
+from relaxmdim.graph import _row_sums, bfs_distances, induced_subgraph, peel_degree_le1
 
 from conftest import (
     connected_graphs,
@@ -87,12 +87,14 @@ def relabelled(g: Graph, rng) -> Graph:
 def leaf_groups(g: Graph, removed=None) -> tuple[list[int], dict[int, list[int]]]:
     """``trees._leaf_owners`` on ``g`` less ``removed`` (nothing removed
     when None), as the oracles give it: the leaves, and each owner's leaves
-    in ascending order."""
-    alive = None
+    in ascending order. The degrees and neighbour sums there come from two
+    passes over the CSR entries, so ``removed`` may be any vertex set."""
+    alive = np.ones(g.n, dtype=bool)
     if removed is not None:
-        alive = np.ones(g.n, dtype=bool)
         alive[np.array(removed, dtype=np.intp)] = False
-    leaves, owner = trees._leaf_owners(g, alive)
+    kept = alive[g.indices]
+    degree = np.where(alive, _row_sums(g, kept), 0)
+    leaves, owner = trees._leaf_owners(alive, degree, _row_sums(g, np.where(kept, g.indices, 0)))
     groups: dict[int, list[int]] = {}
     for leaf, major in zip(leaves.tolist(), owner.tolist()):
         if major >= 0:
@@ -382,13 +384,14 @@ class TestExactTreeMD:
 
     def test_huge_k_peels_at_most_n_rounds(self, monkeypatch):
         asked = []
+        peel = trees._peel
 
-        def bounded_peel(g, rounds=None):
+        def bounded_peel(g, rounds, *args):
             asked.append(rounds)
             assert rounds <= g.n, f"{rounds} peel rounds asked of {g.n} vertices"
-            return peel_degree_le1(g, rounds)
+            return peel(g, rounds, *args)
 
-        monkeypatch.setattr(trees, "peel_degree_le1", bounded_peel)
+        monkeypatch.setattr(trees, "_peel", bounded_peel)
         rep = exact_tree_md(uniform_tree(1000, seed=3), 10**9)
         assert (rep.r, rep.md, rep.witness) == (5 * 10**8, 0, ())
         assert asked == [1000]
@@ -596,6 +599,21 @@ class TestExactTreeMD:
             finally:
                 tracemalloc.stop()
             assert peak < 6_000_000, (k, peak)
+
+    @pytest.mark.parametrize("k", [0, 16])
+    def test_solve_walks_the_peels_own_arrays(self, k):
+        # the peel keeps no rounds and hands its degrees and neighbour sums
+        # to the walk, which makes no pass of its own over the CSR entries:
+        # 3.5 MB at k = 0 and 3.2 MB at k = 16, against 3.7 and 5.0 MB with
+        # the rounds listed and two more passes
+        g = uniform_tree(100_000, seed=5)
+        tracemalloc.start()
+        try:
+            exact_tree_md(g, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * g.n, peak
 
     def test_report_json_schema(self):
         d = exact_tree_md(path_graph(4), 0).as_dict()
