@@ -21,6 +21,7 @@ import io
 import json
 import sys
 import time
+from itertools import chain
 from typing import Sequence
 
 from . import __version__
@@ -203,15 +204,16 @@ def cmd_two_step(args: argparse.Namespace) -> Results:
 
 
 def cmd_generate(args: argparse.Namespace) -> Results:
-    header = [f"# relaxmdim generate model={args.model} n={args.n} seed={args.seed}"]
+    header = [f"# relaxmdim generate model={args.model} n={args.n} seed={args.seed}\n"]
     sampled = MODELS[args.model](args)
     if isinstance(sampled, Graph):
         g = sampled
     else:
         g = sampled.graph
-        header.append(f"# root {sampled.root}")
-    lines = header + [f"{u} {v}" for u, v in g.edges()]
-    return [("", "\n".join(lines) + "\n")]
+        header.append(f"# root {sampled.root}\n")
+    # one block of edges' lines at a time: no str per edge outlives its block
+    blocks = ("".join(f"{u} {v}\n" for u, v in block) for block in g._edge_blocks())
+    return [("", "".join(chain(header, blocks)))]
 
 
 def cmd_gw_constants(args: argparse.Namespace) -> Results:

@@ -10,9 +10,9 @@ and the concatenated neighbour lists) and nothing else. The parser, the
 samplers' integer pair arrays and parent arrays (in ``trees``) and induced
 subgraphs write the two arrays from one sort of pair keys or one gather;
 :meth:`Graph.from_edges` checks a hand-written edge list edge by edge into
-neighbour sets first. The peel works on the arrays a round at a time, and
-the Python loops (BFS, components and the pendant-forest walk) read them
-through memoryviews.
+neighbour sets first. The peel and the component labels work on the arrays
+a round at a time, and the Python loops (BFS and the pendant-forest walk)
+read them through memoryviews.
 
 All-pairs distances split each component into its 2-core and the trees
 hanging off it. The core's distances come from a bit-parallel multi-source
@@ -137,17 +137,20 @@ class Graph:
         return chain.from_iterable(self._edge_blocks())
 
     def _edge_blocks(self) -> Iterator[Iterator[tuple[int, int]]]:
-        """The edges of :meth:`edges`, one block of rows at a time: as many
-        rows as hold at most ``_EDGE_BLOCK`` entries together, or one row
-        alone if it holds more."""
+        """The edges of :meth:`edges`, one block of rows at a time."""
+        for rows, nbrs in self._entry_blocks():
+            up = rows < nbrs
+            yield zip(rows[up].tolist(), nbrs[up].tolist())
+
+    def _entry_blocks(self) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """The CSR entries as arrays of (row ids, neighbours), one block of
+        rows at a time: as many rows as hold at most ``_EDGE_BLOCK`` entries
+        together, or one row alone if it holds more."""
         indptr, indices = self.indptr, self.indices
         lo = 0
         while lo < self.n:
             hi = max(lo + 1, int(np.searchsorted(indptr, indptr[lo] + _EDGE_BLOCK, side="right")) - 1)
-            rows = np.repeat(np.arange(lo, hi), np.diff(indptr[lo : hi + 1]))
-            nbrs = indices[indptr[lo] : indptr[hi]]
-            up = rows < nbrs
-            yield zip(rows[up].tolist(), nbrs[up].tolist())
+            yield np.repeat(np.arange(lo, hi), np.diff(indptr[lo : hi + 1])), indices[indptr[lo] : indptr[hi]]
             lo = hi
 
     @classmethod
@@ -354,31 +357,78 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     return dist
 
 
+def _component_labels(g: Graph) -> np.ndarray:
+    """Each vertex's component, named by its smallest vertex, as an intp
+    array: hooking and pointer jumping (Shiloach & Vishkin 1982) on arrays.
+
+    The labels form a forest in which every vertex points at a smaller
+    vertex or at itself, a root. The first round reads the CSR rows: each
+    vertex hooks onto its smallest neighbour, the first of its sorted row,
+    when that one is smaller, and pointer jumping makes every tree a star.
+    The edges between two stars are then listed once, as (smaller root,
+    larger root), a block of rows at a time. Each later round hooks the
+    larger root of every pair onto the smaller one (any one of them, when a
+    root is in several pairs), jumps the hooked roots to their new roots and
+    drops the pairs that now lie in one tree, until none is left. A last
+    jump takes every vertex to its root. A component's smallest vertex
+    never hooks, so it is the root.
+    """
+    indptr, indices = g.indptr, g.indices
+    label = np.arange(g.n)
+    rows = np.flatnonzero(indptr[1:] > indptr[:-1])
+    smallest = indices[indptr[rows]]
+    hooked = smallest < rows
+    rows = rows[hooked]
+    label[rows] = smallest[hooked]
+    _jump(label, rows)
+    small_parts, large_parts = [], []
+    for rows, nbrs in g._entry_blocks():
+        a, b = label[rows], label[nbrs]
+        cross = a < b  # each edge between two stars once
+        small_parts.append(a[cross])
+        large_parts.append(b[cross])
+    small = np.concatenate(small_parts) if small_parts else label[:0]
+    large = np.concatenate(large_parts) if large_parts else label[:0]
+    del small_parts, large_parts
+    while small.size:
+        label[large] = small
+        _jump(label, large)
+        a, b = label[small], label[large]
+        cross = a != b
+        a, b = a[cross], b[cross]
+        small, large = np.minimum(a, b), np.maximum(a, b)
+    _jump(label, np.flatnonzero(label[label] != label))
+    return label
+
+
+def _jump(label: np.ndarray, moving: np.ndarray) -> None:
+    """Pointer jumping on the vertices ``moving`` of a label forest, in
+    place: each one's label is replaced by its label's label, and a vertex
+    leaves once it points at a root. A moving vertex ends at its root when
+    every vertex on its chain that is not moving points at a root."""
+    while moving.size:
+        up = label[moving]
+        top = label[up]
+        label[moving] = top
+        moving = moving[top != up]
+
+
 def connected_components(g: Graph) -> list[list[int]]:
     """Vertex lists of the connected components, each sorted ascending,
-    ordered by smallest contained vertex."""
-    indptr, indices = memoryview(g.indptr), memoryview(g.indices)
-    seen = [False] * g.n
-    components = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        comp = [start]
-        for u in comp:  # the list is the BFS queue
-            for w in indices[indptr[u] : indptr[u + 1]]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-        components.append(sorted(comp))
-    return components
+    ordered by smallest contained vertex: the vertices in order of their
+    labels (see :func:`_component_labels`), cut at each label's count."""
+    label = _component_labels(g)
+    members = np.argsort(label, kind="stable").tolist()
+    sizes = np.bincount(label)
+    ends = list(accumulate(sizes[sizes > 0].tolist()))
+    return [members[a:b] for a, b in zip([0, *ends[:-1]], ends)]
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, tuple[int, ...]]:
     """Subgraph induced by ``vertices``, relabeled to 0..len-1 in ascending
     original-id order. Returns (subgraph, new-id -> original-id map)."""
     index = np.full(g.n, -1, dtype=np.intp)
-    index[np.fromiter(vertices, dtype=np.intp)] = 0
+    index[np.asarray(vertices, dtype=np.intp)] = 0
     keep = np.flatnonzero(index == 0)
     index[keep] = np.arange(keep.size)
     starts = g.indptr[keep]
@@ -396,12 +446,16 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, tuple[in
 
 def largest_connected_component(g: Graph) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph on the largest component (ties: smallest contained
-    original id), relabeled contiguously. Returns (subgraph, relabel map)."""
+    original id), relabeled contiguously. Returns (subgraph, relabel map);
+    a connected graph is its own largest component."""
     if g.n == 0:
         raise ValueError("empty graph has no connected component")
-    components = connected_components(g)
-    best = max(components, key=len)  # first maximal one: smallest min-id
-    return induced_subgraph(g, best)
+    label = _component_labels(g)
+    if not label.any():
+        return g, tuple(range(g.n))
+    sizes = np.bincount(label)
+    best = np.flatnonzero(sizes == sizes.max())[0]  # the first largest: smallest min-id
+    return induced_subgraph(g, np.flatnonzero(label == best))
 
 
 @dataclass(frozen=True)
@@ -522,11 +576,16 @@ def _eccentricity_of_0(g: Graph) -> int:
     raises ValueError naming the way out."""
     dist = bfs_distances(g, 0)
     if UNREACHABLE in dist:
-        raise ValueError(
-            "graph is not connected; distances are defined on connected graphs "
-            "only: apply largest_connected_component first (--lcc on the command line)"
-        )
+        raise _disconnected()
     return max(dist)
+
+
+def _disconnected() -> ValueError:
+    """The refusal of a disconnected graph, naming the way out."""
+    return ValueError(
+        "graph is not connected; distances are defined on connected graphs "
+        "only: apply largest_connected_component first (--lcc on the command line)"
+    )
 
 
 @dataclass(frozen=True)
@@ -1022,9 +1081,11 @@ class GraphStats:
 def graph_stats(g: Graph) -> GraphStats:
     """Exact statistics of a connected graph, without a distance matrix.
 
-    A disconnected graph raises ValueError naming largest_connected_component.
-    One full :func:`peel_degree_le1` gives the 1-shell and leaves the 2-core;
-    the shell hangs off the core as trees. For a core vertex a, write w(a)
+    A disconnected graph (one with a nonzero component label, see
+    :func:`_component_labels`) raises ValueError naming
+    largest_connected_component. The peel to the fixpoint (:func:`_peel`,
+    with no per-round lists) leaves the 2-core, and the 1-shell, every
+    other vertex, hangs off it as trees. For a core vertex a, write w(a)
     for the number of vertices of its tree (a included), H(a) for the sum
     of their depths and D(a) for the largest. Over ordered pairs, the
     distances sum to
@@ -1045,16 +1106,17 @@ def graph_stats(g: Graph) -> GraphStats:
     if g.n == 0:
         raise ValueError("statistics of the empty graph are undefined")
     n = g.n
-    _eccentricity_of_0(g)
-    rounds = peel_degree_le1(g)
-    total, diameter = _distance_sum_and_diameter(g, _pendant_forest(g, _unpeeled(n, rounds)))
+    if _component_labels(g).any():
+        raise _disconnected()
+    core = np.flatnonzero(_peel(g, None)[0]).tolist()
+    total, diameter = _distance_sum_and_diameter(g, _pendant_forest(g, core))
     return GraphStats(
         n=n,
         m=g.m,
         avg_degree=2.0 * g.m / n,
         diameter=diameter,
         avg_spl=0.0 if n == 1 else float(total) / (n * (n - 1)),
-        shell1_size=sum(map(len, rounds)),
+        shell1_size=n - len(core),
     )
 
 

@@ -19,19 +19,18 @@ from typing import Sequence
 import numpy as np
 
 from .graph import (
-    UNREACHABLE,
     DistanceMatrix,
     Graph,
     TooLargeError,
     _graph_from_keys,
     _pair_keys,
     _SCALAR_BATCH,
+    _component_labels,
     _double_sweep,
     _peel,
     _pendant_forest,
     _unpeeled,
     all_pairs_distances,
-    bfs_distances,
     distance_dtype,
     is_k_relaxed_resolving,
     peel_degree_le1,
@@ -52,12 +51,13 @@ class IncompatibleMethodError(ValueError):
 def is_tree(g: Graph) -> bool:
     """Connected and acyclic (a single vertex counts).
 
-    The answer is kept on the immutable graph, beside its cached edge count,
-    so a graph pays for at most one BFS, and a graph built from a parent
-    array or checked by a :class:`TreeMetric` for none."""
+    A graph of n - 1 edges is a tree iff its component labels are all 0
+    (see ``graph._component_labels``). The answer is kept on the immutable
+    graph, so a graph pays for at most one labelling, and a graph built from
+    a parent array or checked by a :class:`TreeMetric` for none."""
     known = g.__dict__.get(_IS_TREE)
     if known is None:
-        known = g.n > 0 and g.m == g.n - 1 and UNREACHABLE not in bfs_distances(g, 0)
+        known = g.n > 0 and g.m == g.n - 1 and not _component_labels(g).any()
         g.__dict__[_IS_TREE] = known
     return known
 

@@ -12,7 +12,8 @@ merged in. The queue peel decrements neighbour degrees vertex by vertex, and
 the cut-sum leaf walk decrements them again for every peeled vertex.
 
 All-pairs distances are one breadth-first search per source, and the
-statistics are read off that matrix. The bit-parallel BFS runs every source
+statistics are read off that matrix. Components are one breadth-first
+search from each vertex no earlier search reached. The bit-parallel BFS runs every source
 at once, in n x n/64-word bitsets, where the library runs blocks of
 sources. Induced
 subgraphs relabel through a dict. Each peeling
@@ -214,6 +215,27 @@ def matrix_graph_stats(g: Graph) -> GraphStats:
         avg_spl=0.0 if n == 1 else float(matrix.sum(dtype=np.int64)) / (n * (n - 1)),
         shell1_size=sum(map(len, round_scan_peel(g))),
     )
+
+
+def bfs_components(g: Graph) -> list[list[int]]:
+    """Vertex lists of the connected components, each sorted ascending,
+    ordered by smallest contained vertex: a breadth-first search from each
+    vertex not yet seen, its list the queue."""
+    indptr, indices = memoryview(g.indptr), memoryview(g.indices)
+    seen = [False] * g.n
+    components = []
+    for start in range(g.n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        for u in comp:
+            for w in indices[indptr[u] : indptr[u + 1]]:
+                if not seen[w]:
+                    seen[w] = True
+                    comp.append(w)
+        components.append(sorted(comp))
+    return components
 
 
 def dict_induced_subgraph(g: Graph, vertices) -> tuple[Graph, tuple[int, ...]]:

@@ -532,15 +532,22 @@ def test_each_method_calls_its_solver_through_its_table(
     ids=["mdim", "sweep"],
 )
 def test_exact_tree_commands_run_no_bfs(argv, path_file, monkeypatch, capsys):
-    # the TreeMetric's walk is the tree check, and the graph keeps its answer
+    # the TreeMetric's walk is the tree check, and the graph keeps its
+    # answer: no BFS and no component labelling
     calls = []
-    real = trees.bfs_distances
 
-    def counted(g, source):
-        calls.append(source)
-        return real(g, source)
+    def counted(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(trees, "bfs_distances", counted)
+        def call(*args):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(module, name, call)
+
+    counted(graph, "bfs_distances")
+    counted(graph, "_component_labels")
+    counted(trees, "_component_labels")
     assert main([argv[0], path_file, *argv[1:]]) == 0
     assert calls == []
 

@@ -82,6 +82,31 @@ class TestBATree:
             assert g == edge_list_ba_tree(n, seed), n
             assert is_tree(g)
 
+    @pytest.mark.parametrize("n, seed, rejected", [(2, 0, 0), (3, 0, 0), (3, 5, 0), (5000, 120, 1), (20000, 36, 1)])
+    def test_same_graph_as_edge_list_build_past_rejected_draws(self, n, seed, rejected):
+        # the scalar calls rng.integers(2t - 2) use up n - 2 + rejected
+        # 32-bit draws of the stream, the bulk draw's x's
+        rng = np.random.default_rng(seed)
+        for t in range(2, n):
+            rng.integers(2 * t - 2)
+        stream = np.random.default_rng(seed).integers(0, 1 << 32, size=n - 1 + rejected)
+        assert rng.integers(0, 1 << 32) == stream[-1]
+        assert ba_tree(n, seed) == edge_list_ba_tree(n, seed)
+
+    def test_100000_vertices_in_little_memory(self):
+        # the stubs become the parents beside one array of pointers, and the
+        # draws go a block at a time, so the peak is the parent array's
+        # graph build: 6.4 MB, 64 bytes a vertex; the refusal's 24 bytes a
+        # vertex stay below it
+        tracemalloc.start()
+        try:
+            g = ba_tree(100_000, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.m == 99_999
+        assert 24 * 100_000 < peak < 72 * 100_000, peak
+
 
 class TestUniformTree:
     def test_n2(self):

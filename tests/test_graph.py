@@ -53,6 +53,7 @@ from conftest import (
 )
 from graph_oracle import (
     assert_matches_tuples,
+    bfs_components,
     bfs_distance_matrix,
     bfs_parents,
     dfs_tree_walk,
@@ -222,6 +223,63 @@ class TestLargestComponent:
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError):
             largest_connected_component(Graph.from_edges(0, []))
+
+    @staticmethod
+    def check(g: Graph) -> None:
+        """Components, the largest one and the tree check against the BFS
+        oracle: ties go to the component with the smallest min-id."""
+        expected = bfs_components(g)
+        assert connected_components(g) == expected
+        assert trees.is_tree(g) == (g.m == g.n - 1 and len(expected) == 1)
+        if g.n:
+            best = max(expected, key=len)  # the first largest
+            assert largest_connected_component(g) == dict_induced_subgraph(g, best)
+
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(ANY_GRAPH)
+    def test_matches_the_bfs_oracle(self, g):
+        self.check(g)
+
+    @pytest.mark.parametrize("order", ["sorted", "reversed", "shuffled"])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 64, 1000])
+    def test_paths_in_any_id_order(self, n, order):
+        ids = {"sorted": np.arange(n), "reversed": np.arange(n)[::-1],
+               "shuffled": np.random.default_rng(n).permutation(n)}[order]
+        g = graph._graph_from_pairs(n, ids[:-1], ids[1:])
+        self.check(g)
+        # two copies side by side, and isolated vertices between them
+        twice = graph._graph_from_pairs(2 * n + 3, np.concatenate((ids[:-1], ids[:-1] + n + 3)),
+                                        np.concatenate((ids[1:], ids[1:] + n + 3)))
+        self.check(twice)
+
+    @pytest.mark.parametrize("leaves", [0, 1, 2, 40])
+    def test_stars_and_isolated_vertices(self, leaves):
+        self.check(star_graph(leaves))
+        for hub in (0, leaves):  # the hub first or last
+            self.check(Graph.from_edges(leaves + 3, [(hub, v) for v in range(leaves + 1) if v != hub]))
+
+    def test_two_vertices(self):
+        self.check(Graph.from_edges(2, []))
+        self.check(Graph.from_edges(2, [(0, 1)]))
+
+    def test_connected_graph_is_its_own_component(self):
+        g = ba_tree(300, seed=2)
+        sub, mapping = largest_connected_component(g)
+        assert sub is g and mapping == tuple(range(300))
+
+    def test_100000_vertices_in_little_memory(self):
+        # the labels take about one graph's worth of arrays; the induced
+        # subgraph's gathers and relabelled copy take about three more
+        g = rgg(100_000, 1.0, seed=2)
+        graph_bytes = g.indptr.nbytes + g.indices.nbytes
+        tracemalloc.start()
+        try:
+            sub, _ = largest_connected_component(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 99_000 < sub.n < g.n  # the rgg is disconnected
+        assert peak < 5 * graph_bytes, (peak, graph_bytes)
 
 
 class TestGraphFromPairs:
@@ -997,23 +1055,17 @@ class TestGraphStats:
         assert stats.avg_spl == float(oracle.sum(dtype=np.int64)) / (g.n * (g.n - 1))
         assert stats.diameter == int(oracle.max())
 
-    def test_one_public_peel_and_no_matrix(self, monkeypatch):
-        # the benchmark's traced peel rounds count this one call
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return peel_degree_le1(*args, **kwargs)
-
+    def test_no_public_peel_and_no_matrix(self, monkeypatch):
+        # the benchmark's traced peel rounds count only explicit peels, and
+        # the statistics peel through the mask-only graph._peel
         def refuse(*args, **kwargs):
-            raise AssertionError("distance matrix built")
+            raise AssertionError("public peel or distance matrix")
 
-        monkeypatch.setattr(graph, "peel_degree_le1", counted)
+        monkeypatch.setattr(graph, "peel_degree_le1", refuse)
         monkeypatch.setattr(graph, "_component_distances", refuse)
         monkeypatch.setattr(graph, "_bit_bfs_rows", refuse)
         g = _cycle_with_pendant_trees()
         assert graph_stats(g) == matrix_graph_stats(g)
-        assert len(calls) == 1
 
     def test_core_bitsets_above_physical_memory(self, monkeypatch):
         # the 6-cycle core's four bitset arrays take 4 * 6 * 8 bytes

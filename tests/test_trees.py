@@ -32,7 +32,7 @@ from relaxmdim import (
     uniform_tree,
 )
 from relaxmdim import trees
-from relaxmdim.graph import _row_sums, bfs_distances, induced_subgraph, peel_degree_le1
+from relaxmdim.graph import _component_labels, _row_sums, induced_subgraph, peel_degree_le1
 
 from conftest import (
     connected_graphs,
@@ -353,27 +353,28 @@ class TestCountSigmaEx:
 class TestExactTreeMD:
     @pytest.mark.parametrize("k", [0, 2, 5, 40])
     def test_two_bfs_per_solve(self, k, monkeypatch):
-        # one BFS, the tree check: the stem's size tells whether k >= diameter
+        # one search, the tree check (a component labelling): the stem's
+        # size tells whether k >= diameter
         calls = []
 
-        def counting_bfs(g, source):
-            calls.append(source)
-            return bfs_distances(g, source)
+        def counting_labels(g):
+            calls.append(g)
+            return _component_labels(g)
 
-        monkeypatch.setattr(trees, "bfs_distances", counting_bfs)
+        monkeypatch.setattr(trees, "_component_labels", counting_labels)
         exact_tree_md(spider_graph([3, 1, 4, 2]), k)
         assert len(calls) == 1
 
     def test_repeated_solves_share_one_bfs(self, monkeypatch):
-        # the tree check is kept on the graph; a graph built from a parent
-        # array is known to be a tree without one
+        # the tree check (a component labelling) is kept on the graph; a
+        # graph built from a parent array is known to be a tree without one
         calls = []
 
-        def counting_bfs(g, source):
-            calls.append(source)
-            return bfs_distances(g, source)
+        def counting_labels(g):
+            calls.append(g)
+            return _component_labels(g)
 
-        monkeypatch.setattr(trees, "bfs_distances", counting_bfs)
+        monkeypatch.setattr(trees, "_component_labels", counting_labels)
         g = spider_graph([3, 1, 4, 2])
         for k in range(9):
             exact_tree_md(g, k)
