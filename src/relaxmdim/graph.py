@@ -366,12 +366,19 @@ def _component_labels(g: Graph) -> np.ndarray:
     vertex hooks onto its smallest neighbour, the first of its sorted row,
     when that one is smaller, and pointer jumping makes every tree a star.
     The edges between two stars are then listed once, as (smaller root,
-    larger root), a block of rows at a time. Each later round hooks the
-    larger root of every pair onto the smaller one (any one of them, when a
-    root is in several pairs), jumps the hooked roots to their new roots and
-    drops the pairs that now lie in one tree, until none is left. A last
-    jump takes every vertex to its root. A component's smallest vertex
-    never hooks, so it is the root.
+    larger root), a block of rows at a time. Each later round hooks every
+    larger root onto the smallest root it is paired with, jumps the hooked
+    roots to their new roots and drops the pairs that now lie in one tree,
+    until none is left. A last jump takes every vertex to its root. A
+    component's smallest vertex never hooks, so it is the root.
+
+    Hooking onto the smallest partner bounds the rounds by O(log n): a root
+    left unhooked is smaller than all its partners, and one left unhooked
+    in the next round as well has absorbed a root hooked in this one, so
+    the roots of a component after two rounds number at most the roots
+    hooked in the first, and r_{t+2} <= r_t - r_{t+1}. Hooking onto any
+    partner instead can merge one pair a round: O(n^2) on a spider whose
+    legs end at the smallest ids.
     """
     indptr, indices = g.indptr, g.indices
     label = np.arange(g.n)
@@ -391,8 +398,14 @@ def _component_labels(g: Graph) -> np.ndarray:
     large = np.concatenate(large_parts) if large_parts else label[:0]
     del small_parts, large_parts
     while small.size:
-        label[large] = small
-        _jump(label, large)
+        key = large * g.n + small
+        key.sort()  # by root, its smallest partner first
+        roots = key // g.n
+        first = np.ones(key.size, dtype=bool)
+        np.not_equal(roots[1:], roots[:-1], out=first[1:])
+        roots = roots[first]
+        label[roots] = key[first] - roots * g.n
+        _jump(label, roots)
         a, b = label[small], label[large]
         cross = a != b
         a, b = a[cross], b[cross]

@@ -262,6 +262,34 @@ class TestLargestComponent:
         self.check(Graph.from_edges(2, []))
         self.check(Graph.from_edges(2, [(0, 1)]))
 
+    @staticmethod
+    def spider(k: int) -> Graph:
+        """Legs hub-x_i-z_i-L_i on ids L_i = i, hub k, z_i = k+1+i and
+        x_i = 2k+1+i: the first round leaves the hub and every L_i as
+        roots, with the hub paired with every L_i."""
+        leg = np.arange(k)
+        hub, z, x = np.full(k, k), leg + k + 1, leg + 2 * k + 1
+        return graph._graph_from_pairs(3 * k + 1, np.concatenate((hub, x, z)), np.concatenate((x, z, leg)))
+
+    def test_spider_labelled_in_logarithmically_many_rounds(self, monkeypatch):
+        # a root hooked onto any one of its partners, rather than the
+        # smallest, merges one leg a round here: about k rounds
+        rounds = 0
+        real = graph._jump
+
+        def counted(label, moving):
+            nonlocal rounds
+            rounds += 1
+            real(label, moving)
+
+        monkeypatch.setattr(graph, "_jump", counted)
+        g = self.spider(10_000)
+        assert not graph._component_labels(g).any()
+        # a first jump, one per round and a last one; the roots left at
+        # least shrink like Fibonacci numbers downwards
+        assert rounds <= 2 + np.log(g.n) / np.log((1 + 5**0.5) / 2), rounds
+        self.check(g)
+
     def test_connected_graph_is_its_own_component(self):
         g = ba_tree(300, seed=2)
         sub, mapping = largest_connected_component(g)
