@@ -33,11 +33,12 @@ Statistics need only the sum and the maximum of the distances, so
 and level by level, or Dijkstra's rows block by block, and adds the pendant
 trees in closed form; it stores no matrix.
 Partitions and the resolving check read a :class:`Metric`: one key per
-vertex, equal exactly when the identification vectors are, and the diameter
-of each block. A matrix keys a vertex by its row of sensor distances; a
-tree metric (``trees.TreeMetric``) keys it by its nearest vertex on the
-smallest subtree holding the sensors and its distance to that vertex, with
-no distance columns at all.
+vertex, equal exactly when the identification vectors are, and the widest
+block, the largest distance between two vertices with equal vectors. A
+matrix keys a vertex by its row of sensor distances; a tree metric
+(``trees.TreeMetric``) keys it by its nearest vertex on the smallest
+subtree holding the sensors and its distance to that vertex, and finds the
+widest block from branch heights, with no distance columns at all.
 """
 
 from __future__ import annotations
@@ -508,16 +509,22 @@ class DistanceMatrix:
         rows = np.ascontiguousarray(self.matrix[:, sensors])
         return rows.view(np.dtype((np.void, rows.itemsize * len(sensors)))).ravel()
 
-    def block_diameters(self, blocks: Sequence[Sequence[int]]) -> Iterator[int]:
-        """The largest distance within each block, lazily, in block order."""
-        for block in blocks:
-            yield int(self.matrix[np.ix_(block, block)].max())
+    def widest_block(self, sensors: Sequence[int]) -> int:
+        """The largest distance within one block of vertices sharing an
+        identification vector, from each shared block's submatrix (0 if
+        none); with no sensors, the diameter, read with no matrix copy."""
+        if not sensors:
+            return self.diameter
+        order, sizes = _profile_runs(self, sensors)
+        shared = sizes > 1
+        blocks = _runs_as_blocks(order[np.repeat(shared, sizes)], sizes[shared])
+        return max((int(self.matrix[b[:, None], b].max()) for b in map(np.array, blocks)), default=0)
 
 
 class Metric(Protocol):
     """What the labelling helper and the resolving check read of a graph's
     distances: a key per vertex that stands for its identification vector,
-    and the diameter of each block. :class:`DistanceMatrix` and
+    and the widest block those vectors leave. :class:`DistanceMatrix` and
     ``trees.TreeMetric`` answer both."""
 
     @property
@@ -528,8 +535,9 @@ class Metric(Protocol):
         are equal iff the two identification vectors are."""
         ...
 
-    def block_diameters(self, blocks: Sequence[Sequence[int]]) -> Iterable[int]:
-        """The largest distance within each block, in block order."""
+    def widest_block(self, sensors: Sequence[int]) -> int:
+        """The largest distance between two vertices with the same
+        identification vector (the diameter for no sensors)."""
         ...
 
 
@@ -678,7 +686,7 @@ def _component_distances(g: Graph, out: np.ndarray) -> None:
     """Write the distances of a connected graph with n >= 1 into ``out``,
     whose dtype holds its diameter."""
     n = g.n
-    forest = _pendant_forest(g, np.flatnonzero(_peel(g, None)[0]).tolist())
+    forest = _pendant_forest(g, np.flatnonzero(_peel(g, None)[0] == 0).tolist())
     core = forest.core
     if core:
         core_ids = np.array(core)
@@ -957,14 +965,10 @@ def equivalence_partition(dm: Metric, sensors: SensorSet) -> EquivalencePartitio
 def is_k_relaxed_resolving(dm: Metric, sensors: SensorSet, k: int) -> bool:
     """True iff any two vertices sharing an identification vector are within
     graph distance ``k``; ``dm`` (a :class:`DistanceMatrix` or a
-    ``trees.TreeMetric``) is connected by construction. Only the groups of
-    two or more vertices are made into blocks."""
+    ``trees.TreeMetric``) is connected by construction."""
     if k < 0:
         raise ValueError("relaxation parameter k must be nonnegative")
-    order, sizes = _profile_runs(dm, _check_sensors(dm.n, sensors))
-    shared = sizes > 1
-    blocks = _runs_as_blocks(order[np.repeat(shared, sizes)], sizes[shared])
-    return all(d <= k for d in dm.block_diameters(blocks))
+    return dm.widest_block(_check_sensors(dm.n, sensors)) <= k
 
 
 def peel_degree_le1(g: Graph, rounds: int | None = None) -> list[list[int]]:
@@ -980,15 +984,15 @@ def peel_degree_le1(g: Graph, rounds: int | None = None) -> list[list[int]]:
     array operations on the batch: every vertex keeps its degree and the id
     sum of its neighbours still there, so a vertex of degree 1 names its one
     neighbour, and removing the batch updates both arrays at those
-    neighbours only.
+    neighbours only. The batches are the vertices grouped by the round that
+    removed them, in one stable sort.
     """
     if rounds == 0:
         return []
-    removed_per_round: list[list[int]] = []
-    _peel(g, rounds, removed_per_round)
-    if rounds is not None:
-        removed_per_round += [[] for _ in range(rounds - len(removed_per_round))]
-    return removed_per_round
+    removed_in = _peel(g, rounds)[0]
+    order = np.argsort(removed_in, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(removed_in, minlength=1 + max(rounds or 0, 0))).tolist()
+    return [order[start:end] for start, end in zip(ends, ends[1:])]
 
 
 # From the first peel round of fewer vertices than this, the peel goes on one
@@ -999,68 +1003,67 @@ _SCALAR_BATCH = 8
 
 
 def _peel(
-    g: Graph, rounds: int | None, removed_per_round: list[list[int]] | None = None
+    g: Graph, rounds: int | None, pinned: Sequence[int] = ()
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The peel behind :func:`peel_degree_le1`, for at most ``rounds``
-    rounds (to the fixpoint when None). Returns the mask of the vertices
-    left and two intp arrays that are exact at those vertices: the degree
-    and the neighbours' id sum in the graph they induce. Each non-empty
-    round's batch is appended to ``removed_per_round`` if one is given;
-    without it no per-round list is made. All-pairs distances and the exact
-    tree solve call it directly, so the benchmark's traced count of the
+    rounds (to the fixpoint when None), never removing a ``pinned`` vertex.
+    Returns three arrays: the int32 round that removed each vertex, counted
+    from 1, or 0 for a vertex left; and the degree and the neighbours' id
+    sum of each vertex left, in the graph the vertices left induce. A vertex
+    removed at degree 1 keeps the id of the neighbour it hung from as its
+    sum. All-pairs distances, the statistics, the exact tree solve and the
+    tree metric call it directly, so the benchmark's traced count of the
     public function's rounds covers only explicit peels.
 
     The Python tail reads and writes the arrays through memoryviews, so no
     list of per-vertex ints is made."""
+    n = g.n
+    pinned = np.asarray(pinned, dtype=np.intp)
     degree = np.diff(g.indptr)
+    degree[pinned] += n + 1  # never falls to 1
     nbr_sum = _row_sums(g, g.indices)
-    alive = np.ones(g.n, dtype=bool)
+    removed_in = np.zeros(n, dtype=np.int32)
     batch = np.flatnonzero(degree <= 1)
     done = 0
     while len(batch) and (rounds is None or done < rounds):
         if len(batch) < _SCALAR_BATCH:
-            left = None if rounds is None else rounds - done
-            _peel_tail(degree, nbr_sum, alive, batch.tolist(), left, removed_per_round)
+            _peel_tail(degree, nbr_sum, removed_in, batch.tolist(), done, rounds)
             break
-        if removed_per_round is not None:
-            removed_per_round.append(batch.tolist())
-        alive[batch] = False
+        done += 1
+        removed_in[batch] = done
         leaf = batch[degree[batch] == 1]
         nbr = nbr_sum[leaf]
-        live = alive[nbr]
+        live = removed_in[nbr] == 0
         leaf, nbr = leaf[live], nbr[live]
         np.subtract.at(degree, nbr, 1)
         np.subtract.at(nbr_sum, nbr, leaf)
         nbr = nbr[degree[nbr] <= 1]
         nbr.sort()
         batch = nbr[np.concatenate(([True], nbr[1:] != nbr[:-1]))] if nbr.size else nbr
-        done += 1
-    return alive, degree, nbr_sum
+    degree[pinned] -= n + 1
+    return removed_in, degree, nbr_sum
 
 
 def _peel_tail(
     degree: np.ndarray,
     nbr_sum: np.ndarray,
-    alive: np.ndarray,
+    removed_in: np.ndarray,
     batch: list[int],
+    done: int,
     rounds: int | None,
-    removed_per_round: list[list[int]] | None,
 ) -> None:
     """The rounds of :func:`_peel` from a batch below ``_SCALAR_BATCH`` on,
-    at most ``rounds`` of them, one vertex at a time on memoryviews of its
-    arrays."""
-    degree_of, sum_of, alive_at = memoryview(degree), memoryview(nbr_sum), memoryview(alive)
-    while batch and rounds != 0:
-        if rounds is not None:
-            rounds -= 1
-        if removed_per_round is not None:
-            removed_per_round.append(batch)
+    after ``done`` rounds and up to ``rounds`` in all, one vertex at a time
+    on memoryviews of its arrays."""
+    degree_of, sum_of, removed_at = memoryview(degree), memoryview(nbr_sum), memoryview(removed_in)
+    while batch and (rounds is None or done < rounds):
+        done += 1
         for v in batch:
-            alive_at[v] = False
+            removed_at[v] = done
         nxt = []
         for v in batch:
             w = sum_of[v]
-            if degree_of[v] == 1 and alive_at[w]:  # a neighbour in the batch goes with it
+            if degree_of[v] == 1 and not removed_at[w]:  # a neighbour in the batch goes with it
                 degree_of[w] -= 1
                 sum_of[w] -= v
                 if degree_of[w] == 1:  # fell from 2: joins the next batch once
@@ -1096,12 +1099,11 @@ def graph_stats(g: Graph) -> GraphStats:
 
     A disconnected graph (one with a nonzero component label, see
     :func:`_component_labels`) raises ValueError naming
-    largest_connected_component. The peel to the fixpoint (:func:`_peel`,
-    with no per-round lists) leaves the 2-core, and the 1-shell, every
-    other vertex, hangs off it as trees. For a core vertex a, write w(a)
-    for the number of vertices of its tree (a included), H(a) for the sum
-    of their depths and D(a) for the largest. Over ordered pairs, the
-    distances sum to
+    largest_connected_component. The peel to the fixpoint (:func:`_peel`)
+    leaves the 2-core, and the 1-shell, every other vertex, hangs off it as
+    trees. For a core vertex a, write w(a) for the number of vertices of its
+    tree (a included), H(a) for the sum of their depths and D(a) for the
+    largest. Over ordered pairs, the distances sum to
 
     * 2 * sum over the trees' edges of s * (w - s), s the side away from the
       core (pairs within one tree);
@@ -1121,7 +1123,7 @@ def graph_stats(g: Graph) -> GraphStats:
     n = g.n
     if _component_labels(g).any():
         raise _disconnected()
-    core = np.flatnonzero(_peel(g, None)[0]).tolist()
+    core = np.flatnonzero(_peel(g, None)[0] == 0).tolist()
     total, diameter = _distance_sum_and_diameter(g, _pendant_forest(g, core))
     return GraphStats(
         n=n,

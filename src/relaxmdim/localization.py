@@ -72,10 +72,12 @@ def sweep_metrics(
     partitions read one :class:`TreeMetric`, which refuses other inputs
     (:class:`~relaxmdim.trees.IncompatibleMethodError`) before any distance
     is computed. ``"greedy"`` works on any connected graph. Any other
-    resolver raises ValueError.
+    resolver, or a negative k, raises ValueError before the metric is built.
     """
     if resolver not in _RESOLVERS:
         raise ValueError(f"unknown resolver {resolver!r}; choose one of {', '.join(_RESOLVERS)}")
+    if any(k < 0 for k in k_values):
+        raise ValueError("relaxation parameter k must be nonnegative")
     n = g.n
     if n == 0:
         raise ValueError("sweep of the empty graph is undefined")
@@ -133,8 +135,11 @@ def two_step_qstar(
 
     Iteration is over distinct candidate classes (vertices in one class share
     the same phase-2 requirement); singleton classes cost nothing. Ties on
-    the worst class go to the one containing the smallest vertex id.
+    the worst class go to the one containing the smallest vertex id. A
+    negative k is refused before any distance is computed.
     """
+    if k < 0:
+        raise ValueError("relaxation parameter k must be nonnegative")
     if dm is None:
         dm = all_pairs_distances(g)
     phase1, _ = greedy_k_resolving_set(dm, k)
@@ -162,11 +167,12 @@ def two_step_qstar(
 
 def qstar_curve(g: Graph, k_max: int, dm: DistanceMatrix | None = None) -> list[TwoStepResult]:
     """Two-step prices for k = 0..k_max (0 <= k_max <= the diameter), on
-    ``dm`` if the caller has the matrix already."""
-    if dm is None:
-        dm = all_pairs_distances(g)
+    ``dm`` if the caller has the matrix already; a negative k_max is
+    refused before any distance is computed."""
     if k_max < 0:
         raise ValueError(f"k_max {k_max} is negative")
+    if dm is None:
+        dm = all_pairs_distances(g)
     if k_max > dm.diameter:
         raise ValueError(f"k_max {k_max} exceeds the diameter {dm.diameter}")
     return [two_step_qstar(g, k, dm) for k in range(k_max + 1)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import combinations
 from typing import Sequence
 
 import numpy as np
@@ -31,7 +31,6 @@ from .graph import (
     _pendant_forest,
     _unpeeled,
     all_pairs_distances,
-    distance_dtype,
     is_k_relaxed_resolving,
     peel_degree_le1,
 )
@@ -82,11 +81,12 @@ class TreeMetric:
     :class:`~relaxmdim.graph.Metric`), so ``equivalence_partition`` and
     ``is_k_relaxed_resolving`` take either.
 
-    The one rooted walk (``graph._pendant_forest``) from vertex 0 gives the
-    preorder, the parents and the depths. It is the tree check: a graph of
-    n - 1 edges is a tree iff the walk reaches all n vertices. A non-tree
-    raises :class:`IncompatibleMethodError`, and a tree keeps the answer
-    for :func:`is_tree`, which then runs no BFS.
+    The peel to the fixpoint (``graph._peel``) is the tree check: a graph of
+    n - 1 edges is a tree iff the peel removes every vertex, since a cycle
+    is never peeled. A non-tree raises :class:`IncompatibleMethodError`, and
+    a tree keeps the answer for :func:`is_tree`, which then runs no BFS.
+    The same peel gives the diameter: 2R - 2 after R rounds, plus 1 if the
+    last round removed two vertices.
 
     * Profile keys come from T_S, the smallest subtree holding the sensors
       S: two vertices have the same identification vector iff they have the
@@ -95,16 +95,18 @@ class TreeMetric:
       even length and the sensor's projection onto it is the path's
       midpoint z; all of S does iff T_S avoids both branches at z toward x
       and y, which is equal (p, a).) A vertex's key is p * n + a, from two
-      passes over the preorder: one counting the sensors in each subtree,
-      one assigning the keys, in O(n) time and memory.
-    * Block diameters come from a double sweep in each block: the vertex
-      farthest from the block's first member is an end of a longest path
-      in the block, which holds on any tree metric. A pair's distance is
-      depth(u) + depth(v) - 2 depth(lca). For pre(u) < pre(v) the lca's
-      depth is one less than the smallest depth over preorder positions
-      pre(u) + 1 .. pre(v), a range minimum read from a sparse table in O(1)
-      (Bender & Farach-Colton 2000, on the preorder instead of the Euler
-      tour). The table takes O(n log n) and is built on the first request.
+      passes over the preorder of the rooted walk from vertex 0
+      (``graph._pendant_forest``, made on the first partition): one
+      counting the sensors in each subtree, one assigning the keys, in O(n)
+      time and memory.
+    * The widest block comes from branch heights. Peel the tree without
+      ever removing a sensor: T_S is what is left, and a vertex off it
+      removed in round r heads a branch of height r - 1 hanging toward its
+      parent, the neighbour it was removed from. Two vertices of one block
+      hang off T_S at p at distance a; if their paths part at z, they are
+      2 (a - d(p, z)) apart, and a branch of height H holds a vertex at
+      every depth up to H. So the widest block is 2 h2, h2 the largest
+      second-largest removal round among the children of one vertex.
     """
 
     def __init__(self, g: Graph) -> None:
@@ -112,22 +114,27 @@ class TreeMetric:
         refusal = "a tree metric needs a connected acyclic graph"
         if g.m != n - 1:  # the empty graph too
             raise IncompatibleMethodError(refusal)
-        walk = _pendant_forest(g, [], 0)
-        if len(walk.preorder) < n:  # n - 1 edges but disconnected: a cycle elsewhere
+        removed_in = _peel(g, None)[0]
+        if not removed_in.all():  # n - 1 edges but disconnected: a cycle elsewhere
             raise IncompatibleMethodError(refusal)
         g.__dict__[_IS_TREE] = True
         self.n = n
-        self._preorder = walk.preorder
-        self._parent = walk.parent
-        self._pre = np.empty(n, dtype=np.intp)
-        self._pre[walk.preorder] = np.arange(n)
-        self._depth = np.array(walk.depth, dtype=np.intp)
+        self._graph = g
+        last = int(removed_in.max())
+        self._diameter = 2 * last - 2 + int(np.count_nonzero(removed_in == last) == 2)
+
+    @cached_property
+    def _walk(self) -> tuple[list[int], list[int]]:
+        """The preorder and the parents of the rooted walk from vertex 0."""
+        walk = _pendant_forest(self._graph, [], 0)
+        return walk.preorder, walk.parent
 
     def profile_keys(self, sensors: Sequence[int]) -> np.ndarray:
         """p * n + a for each vertex, where p is its nearest vertex on the
         sensors' spanning subtree and a its distance to p; the sensors are
         distinct and at least one."""
-        n, preorder, parent = self.n, self._preorder, self._parent
+        n = self.n
+        preorder, parent = self._walk
         held = [0] * n  # sensors in each subtree
         for v in sensors:
             held[v] = 1
@@ -146,44 +153,23 @@ class TreeMetric:
                 key[v] = key[parent[v]] + 1
         return np.array(key, dtype=np.int64)
 
-    def block_diameters(self, blocks: Sequence[Sequence[int]]) -> np.ndarray:
-        """The largest distance within each block, in block order."""
-        if not blocks:
-            return np.zeros(0, dtype=np.intp)
-        members = np.fromiter(chain.from_iterable(blocks), dtype=np.intp)
-        sizes = np.fromiter(map(len, blocks), dtype=np.intp, count=len(blocks))
-        starts = np.zeros(len(blocks), dtype=np.intp)
-        np.cumsum(sizes[:-1], out=starts[1:])
-        dist = self._distances(np.repeat(members[starts], sizes), members)
-        farthest = np.flatnonzero(dist == np.repeat(np.maximum.reduceat(dist, starts), sizes))
-        ends = members[farthest[np.searchsorted(farthest, starts)]]
-        return np.maximum.reduceat(self._distances(np.repeat(ends, sizes), members), starts)
-
-    def _distances(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """d(u[i], v[i]) for every i, through the lca's depth."""
-        pu, pv = self._pre[u], self._pre[v]
-        hi = np.maximum(pu, pv)
-        lo = np.minimum(np.minimum(pu, pv) + 1, hi)  # u == v reads a dummy range
-        level = np.frexp(hi - lo + 1)[1] - 1  # floor(log2(range length))
-        table = self._range_minima
-        lca = np.minimum(table[level, lo], table[level, hi - (1 << level) + 1]) - 1
-        dist = self._depth[u] + self._depth[v] - 2 * lca
-        dist[pu == pv] = 0
-        return dist
-
-    @cached_property
-    def _range_minima(self) -> np.ndarray:
-        """Row j, position i: the smallest depth at preorder positions
-        i .. i + 2**j - 1 (zero where that runs past the end)."""
-        n = self.n
-        dtype = distance_dtype(2 * int(self._depth.max()))  # 2 * lca fits too
-        table = np.zeros((max(1, n.bit_length()), n), dtype=dtype)
-        table[0] = self._depth[self._preorder]
-        for j in range(1, table.shape[0]):
-            half = 1 << (j - 1)
-            m = n - 2 * half + 1
-            np.minimum(table[j - 1, :m], table[j - 1, half : half + m], out=table[j, :m])
-        return table
+    def widest_block(self, sensors: Sequence[int]) -> int:
+        """The largest distance between two vertices with the same
+        identification vector: the diameter for no sensors, else 2 h2.
+        Sorting the removed vertices by (parent, round) puts each vertex's
+        children together, latest last; a child followed by a sibling is
+        one a sibling outlasts, and h2 is the latest such round."""
+        if not sensors:
+            return self._diameter
+        removed_in, _, parent = _peel(self._graph, None, sensors)
+        removed = removed_in > 0
+        shift = int(removed_in.max()).bit_length()
+        key = parent[removed] << shift
+        key |= removed_in[removed]
+        key.sort()
+        outlasted = (key[1:] ^ key[:-1]) < (1 << shift)  # the same parent next
+        key &= (1 << shift) - 1  # the rounds
+        return 2 * int(key[:-1][outlasted].max(initial=0))
 
 
 @dataclass(frozen=True)
@@ -372,12 +358,13 @@ def down_stem_vertices(t: RootedTree, r: int) -> tuple[int, ...]:
     return tuple(v for v in range(t.n) if v == t.root or height[v] >= r)
 
 
-def _leaf_owners(alive: np.ndarray, degree: np.ndarray, nbr_sum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _leaf_owners(removed_in: np.ndarray, degree: np.ndarray, nbr_sum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The leaves (ascending) of the graph a peel left (see ``graph._peel``,
-    which gives the three arrays: the mask ``alive`` of the vertices left,
-    and each one's degree and neighbours' id sum there), and the owner of
-    each: the exterior major vertex (degree >= 3 there) that ends its leaf
-    path, or -1 for a leaf of a path component. All ids are the input's.
+    which gives the three arrays: the round that removed each vertex, 0 for
+    the vertices left, and each one's degree and neighbours' id sum there),
+    and the owner of each: the exterior major vertex (degree >= 3 there)
+    that ends its leaf path, or -1 for a leaf of a path component. All ids
+    are the input's.
 
     A leaf's one neighbour is its neighbour sum, and the vertex after a
     degree-2 vertex is the sum less the vertex the walk came from. All the
@@ -386,7 +373,7 @@ def _leaf_owners(alive: np.ndarray, degree: np.ndarray, nbr_sum: np.ndarray) -> 
     peel's last rounds do, so the two leaves of a long path walk it in
     linear time.
     """
-    leaves = np.flatnonzero((degree == 1) & alive)
+    leaves = np.flatnonzero((degree == 1) & (removed_in == 0))
     end = np.empty(leaves.size, dtype=np.intp)  # the first vertex of degree != 2
     walks = np.arange(leaves.size)
     prev, cur = leaves, nbr_sum[leaves]
@@ -467,7 +454,7 @@ def exact_tree_md(g: Graph, k: int) -> TreeMDReport:
     a path stem (the only trees without an exterior major vertex) it is the
     smaller-id endpoint. One walk of the stem's leaf paths, on the degrees
     and neighbour sums the peel leaves, gives all of it in input ids; the
-    peel keeps only its mask and those two arrays.
+    peel keeps only its removal rounds and those two arrays.
 
     The r-stem of a tree of diameter D has diameter D - 2r, or is empty, so
     k >= D (and md = 0) exactly when the stem has at most 1 + k % 2
@@ -479,10 +466,10 @@ def exact_tree_md(g: Graph, k: int) -> TreeMDReport:
     if not is_tree(g):
         raise IncompatibleMethodError("exact_tree_md requires a connected acyclic input")
     r = k // 2
-    alive, degree, nbr_sum = _peel(g, min(r, g.n))
-    if np.count_nonzero(alive) <= 1 + k % 2:
+    removed_in, degree, nbr_sum = _peel(g, min(r, g.n))
+    if g.n - np.count_nonzero(removed_in) <= 1 + k % 2:
         return TreeMDReport(k, r, 0, 0, False, 0, ())
-    leaves, owner = _leaf_owners(alive, degree, nbr_sum)
+    leaves, owner = _leaf_owners(removed_in, degree, nbr_sum)
     sigma = leaves.size
     ex, witness = _exterior_groups(leaves, owner)
     if ex == 0:

@@ -528,12 +528,17 @@ def test_each_method_calls_its_solver_through_its_table(
 
 @pytest.mark.parametrize(
     "argv",
-    [["mdim", "--k", "2", "--method", "exact-tree"], ["sweep", "--k-max", "3", "--method", "exact-tree"]],
-    ids=["mdim", "sweep"],
+    [
+        ["mdim", "--k", "2", "--method", "exact-tree"],
+        ["mdim", "--k", "8", "--method", "exact-tree"],
+        ["sweep", "--k-max", "3", "--method", "exact-tree"],
+    ],
+    ids=["mdim", "mdim-empty-witness", "sweep"],
 )
 def test_exact_tree_commands_run_no_bfs(argv, path_file, monkeypatch, capsys):
-    # the TreeMetric's walk is the tree check, and the graph keeps its
-    # answer: no BFS and no component labelling
+    # the TreeMetric's peel is the tree check, and the graph keeps its
+    # answer: no BFS and no component labelling; the peel also gives the
+    # diameter that an empty witness is checked against
     calls = []
 
     def counted(module, name):
@@ -550,6 +555,8 @@ def test_exact_tree_commands_run_no_bfs(argv, path_file, monkeypatch, capsys):
     counted(trees, "_component_labels")
     assert main([argv[0], path_file, *argv[1:]]) == 0
     assert calls == []
+    if argv[2] == "8":
+        assert json.loads(capsys.readouterr().out)["witness"] == []
 
 
 def test_console_script_help():

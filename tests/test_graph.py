@@ -971,6 +971,19 @@ class TestIsKRelaxedResolving:
         g = random_connected_graph(14, 4, seed=8)
         dm = all_pairs_distances(g)
         assert is_k_relaxed_resolving(dm, (), dm.diameter)
+        assert not is_k_relaxed_resolving(dm, (), dm.diameter - 1)
+
+    def test_empty_set_copies_no_matrix(self):
+        # the one block of every vertex took a copy of the whole matrix,
+        # 18.2 MB for this tree's 18 MB matrix
+        dm = all_pairs_distances(uniform_tree(3000, seed=1))
+        tracemalloc.start()
+        try:
+            assert dm.widest_block([]) == int(dm.matrix.max())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dm.matrix.nbytes // 100, peak
 
     def test_k0_iff_all_singletons(self):
         g = random_connected_graph(16, 5, seed=12)
@@ -1085,7 +1098,7 @@ class TestGraphStats:
 
     def test_no_public_peel_and_no_matrix(self, monkeypatch):
         # the benchmark's traced peel rounds count only explicit peels, and
-        # the statistics peel through the mask-only graph._peel
+        # the statistics peel through the private graph._peel
         def refuse(*args, **kwargs):
             raise AssertionError("public peel or distance matrix")
 
@@ -1145,28 +1158,52 @@ class TestPeeling:
         expected = round_scan_peel(g, rounds)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(graph, "_SCALAR_BATCH", cut)
-            recorded: list[list[int]] = []
-            alive, degree, nbr_sum = graph._peel(g, rounds, recorded)
-            assert all(np.array_equal(a, b) for a, b in zip(graph._peel(g, rounds), (alive, degree, nbr_sum)))
-        assert recorded == [batch for batch in expected if batch]
+            removed_in, degree, nbr_sum = graph._peel(g, rounds)
+        assert removed_in.dtype == np.int32
+        for r, batch in enumerate(expected, start=1):
+            assert np.flatnonzero(removed_in == r).tolist() == batch
         left = set(graph._unpeeled(g.n, expected))
-        assert np.flatnonzero(alive).tolist() == sorted(left)
+        assert np.flatnonzero(removed_in == 0).tolist() == sorted(left)
         for v in left:
             nbrs = [w for w in rows(g)[v] if w in left]
             assert (degree[v], nbr_sum[v]) == (len(nbrs), sum(nbrs))
 
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(random_trees(), st.data(), st.sampled_from([1, 8, 10**9]))
+    def test_pinned_peel_leaves_the_sensors_subtree(self, g, data, cut):
+        # on a tree, a peel that never removes a sensor leaves the smallest
+        # subtree holding them; every other vertex keeps the neighbour it was
+        # removed from as its sum (its parent toward that subtree), and its
+        # round is one more than its children's latest
+        sensors = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, max_size=5, unique=True))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph, "_SCALAR_BATCH", cut)
+            removed_in, degree, nbr_sum = graph._peel(g, None, sensors)
+        dist = bfs_distance_matrix(g)
+        spanned = [v for v in range(g.n) if any(dist[s, v] + dist[v, t] == dist[s, t] for s in sensors for t in sensors)]
+        assert np.flatnonzero(removed_in == 0).tolist() == spanned
+        for v in spanned:
+            nbrs = [w for w in rows(g)[v] if w in spanned]
+            assert (degree[v], nbr_sum[v]) == (len(nbrs), sum(nbrs))
+        toward = np.min(dist[:, spanned], axis=1)
+        for v in np.flatnonzero(removed_in).tolist():
+            parent = int(nbr_sum[v])
+            assert parent in rows(g)[v] and toward[parent] == toward[v] - 1
+            children = [w for w in rows(g)[v] if w != parent]
+            assert removed_in[v] == 1 + max((int(removed_in[w]) for w in children), default=0)
+
     @pytest.mark.parametrize("g", [path_graph(100_000), uniform_tree(100_000, seed=1)], ids=["path", "uniform"])
     def test_full_peel_holds_its_arrays_and_no_lists(self, g):
-        # the mask, degrees and neighbour sums, 17 bytes a vertex, and one
-        # round's arrays; the Python tail's three lists of per-vertex ints
-        # took 9.6 MB on the path and 11.3 MB on the uniform tree
+        # the removal rounds, degrees and neighbour sums, 20 bytes a vertex,
+        # and one round's arrays; the Python tail's three lists of per-vertex
+        # ints took 9.6 MB on the path and 11.3 MB on the uniform tree
         tracemalloc.start()
         try:
-            alive = graph._peel(g, None)[0]
+            removed_in = graph._peel(g, None)[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert not alive.any()
+        assert removed_in.all()
         assert peak < 36 * g.n, peak
 
     def test_long_path_peels_from_both_ends(self):

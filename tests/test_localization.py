@@ -186,3 +186,23 @@ class TestQstarCurve:
         g = path_graph(5)
         with pytest.raises(ValueError, match="diameter"):
             qstar_curve(g, 10)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: qstar_curve(g, -1),
+        lambda g: two_step_qstar(g, -1),
+        lambda g: sweep_metrics(g, [0, -1], resolver="greedy"),
+        lambda g: sweep_metrics(g, [-1], resolver="exact-tree"),
+    ],
+    ids=["qstar_curve", "two_step_qstar", "sweep-greedy", "sweep-exact-tree"],
+)
+def test_negative_k_refused_before_any_distance(call, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("distances computed for a negative k")
+
+    monkeypatch.setattr(localization, "all_pairs_distances", refuse)
+    monkeypatch.setattr(localization, "TreeMetric", refuse)
+    with pytest.raises(ValueError, match="negative"):
+        call(path_graph(5))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
-from itertools import chain
+from itertools import chain, combinations
 
 import networkx as nx
 import numpy as np
@@ -89,12 +89,13 @@ def leaf_groups(g: Graph, removed=None) -> tuple[list[int], dict[int, list[int]]
     when None), as the oracles give it: the leaves, and each owner's leaves
     in ascending order. The degrees and neighbour sums there come from two
     passes over the CSR entries, so ``removed`` may be any vertex set."""
-    alive = np.ones(g.n, dtype=bool)
+    removed_in = np.zeros(g.n, dtype=np.int32)  # as the peel marks them
     if removed is not None:
-        alive[np.array(removed, dtype=np.intp)] = False
+        removed_in[np.array(removed, dtype=np.intp)] = 1
+    alive = removed_in == 0
     kept = alive[g.indices]
     degree = np.where(alive, _row_sums(g, kept), 0)
-    leaves, owner = trees._leaf_owners(alive, degree, _row_sums(g, np.where(kept, g.indices, 0)))
+    leaves, owner = trees._leaf_owners(removed_in, degree, _row_sums(g, np.where(kept, g.indices, 0)))
     groups: dict[int, list[int]] = {}
     for leaf, major in zip(leaves.tolist(), owner.tolist()):
         if major >= 0:
@@ -658,11 +659,66 @@ class TestTreeMetric:
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(METRIC_TREES, st.randoms(use_true_random=False))
-    def test_reads_match_the_matrix(self, g, rng):
+    def test_widest_block_matches_the_matrix(self, g, rng):
         dm = all_pairs_distances(g)
         metric = trees.TreeMetric(g)
-        blocks = [tuple(sorted(rng.sample(range(g.n), rng.randint(1, g.n)))) for _ in range(8)]
-        assert list(metric.block_diameters(blocks)) == list(dm.block_diameters(blocks))
+        for k in range(dm.diameter + 2):
+            witness = list(exact_tree_md(g, k).witness)
+            planted = rng.sample(range(g.n), rng.randint(0, min(g.n, 12)))
+            for sensors in (witness, witness[1:], planted):
+                assert metric.widest_block(sensors) == dm.widest_block(sensors), (k, sensors)
+
+    def test_widest_block_of_every_sensor_set_of_small_trees(self):
+        graphs = [path_graph(1)] + [uniform_tree(n, seed) for n in range(2, 11) for seed in range(3)]
+        for g in graphs:
+            dm = all_pairs_distances(g)
+            metric = trees.TreeMetric(g)
+            for size in range(g.n + 1):
+                for sensors in combinations(range(g.n), size):
+                    assert metric.widest_block(sensors) == dm.widest_block(sensors), sensors
+
+    @pytest.mark.parametrize(
+        "g, sensors, widest",
+        [
+            (path_graph(1), [], 0),
+            (path_graph(1), [0], 0),
+            (path_graph(2), [], 1),
+            (path_graph(9), [], 8),
+            (path_graph(9), [0], 0),
+            (path_graph(9), [4], 8),
+            (path_graph(9), [3], 6),
+            (path_graph(10), [], 9),
+            (star_graph(6), [], 2),
+            (star_graph(6), [0], 2),
+            (star_graph(6), [1], 2),
+            (star_graph(6), [1, 2, 3, 4], 2),
+            (star_graph(6), [1, 2, 3, 4, 5], 0),
+            (spider_graph([4, 4, 4]), [], 8),
+            (spider_graph([4, 4, 4]), [0], 8),
+            (spider_graph([4, 4, 4]), [1], 8),
+            (spider_graph([3, 3, 3, 3]), [4], 6),
+            (spider_graph([3, 3, 3, 3]), list(range(13)), 0),
+            (uniform_tree(40, seed=1), list(range(40)), 0),
+        ],
+    )
+    def test_widest_block_of_named_trees(self, g, sensors, widest):
+        assert trees.TreeMetric(g).widest_block(sensors) == widest
+        assert all_pairs_distances(g).widest_block(sensors) == widest
+
+    @pytest.mark.parametrize("k", [0, 2, 6])
+    def test_check_holds_one_peel(self, k):
+        # the peel's rounds, degrees and neighbour sums, and one round's
+        # arrays: 35 bytes a vertex; the keys, the blocks and the sparse
+        # table of LCA depths took 123, 159 and 187
+        g = uniform_tree(10**5, 2)
+        witness = exact_tree_md(g, k).witness
+        tracemalloc.start()
+        try:
+            assert is_k_relaxed_resolving(trees.TreeMetric(g), witness, k)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 45 * g.n, peak
 
     @pytest.mark.parametrize(
         "g",
