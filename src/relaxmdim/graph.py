@@ -612,7 +612,7 @@ def _disconnected() -> ValueError:
 @dataclass(frozen=True)
 class _PendantForest:
     """A connected graph split into its 2-core and the trees hanging off it,
-    or a tree rooted at one vertex.
+    or a tree rooted at vertex 0.
 
     ``core`` lists the core vertices ascending (empty for a tree). Every
     other vertex x has a parent one step closer to the core, a depth h(x)
@@ -630,8 +630,7 @@ class _PendantForest:
 
     @cached_property
     def size(self) -> list[int]:
-        """Each subtree's vertex count, summed on first read (the tree
-        metric reads none)."""
+        """Each subtree's vertex count, summed on first read."""
         size, parent = [1] * len(self.parent), self.parent
         for v in reversed(self.preorder):
             if parent[v] >= 0:
@@ -639,18 +638,19 @@ class _PendantForest:
         return size
 
 
-def _pendant_forest(g: Graph, core: list[int], root: int = 0) -> _PendantForest:
-    """The one rooted walk: from the 2-core ``core`` of a connected graph
-    into the trees hanging off it, or from ``root`` of a tree when ``core``
-    is empty. Each vertex is marked as it is pushed, so on a graph with a
-    cycle off the core the walk ends early, its preorder short."""
+def _pendant_forest(g: Graph, core: list[int]) -> _PendantForest:
+    """The rooted walk of all-pairs distances and the statistics: from the
+    2-core ``core`` of a connected graph into the trees hanging off it, or
+    from vertex 0 of a tree when ``core`` is empty. Each vertex is marked
+    as it is pushed, so on a graph with a cycle off the core the walk ends
+    early, its preorder short."""
     n = g.n
     indptr, indices = memoryview(g.indptr), memoryview(g.indices)
     parent = [-1] * n
     depth = [0] * n
     anchor = [-1] * n
     seen = [False] * n
-    stack = list(core) or [root]
+    stack = list(core) or [0]
     for v in stack:
         seen[v] = True
         anchor[v] = v
@@ -985,11 +985,13 @@ def peel_degree_le1(g: Graph, rounds: int | None = None) -> list[list[int]]:
     sum of its neighbours still there, so a vertex of degree 1 names its one
     neighbour, and removing the batch updates both arrays at those
     neighbours only. The batches are the vertices grouped by the round that
-    removed them, in one stable sort.
+    removed them, in one stable sort; rounds that fit in 8 or 16 bits are
+    cast to them first, for which numpy's stable sort is a radix sort.
     """
     if rounds == 0:
         return []
     removed_in = _peel(g, rounds)[0]
+    removed_in = removed_in.astype(np.min_scalar_type(int(removed_in.max(initial=0))))
     order = np.argsort(removed_in, kind="stable").tolist()
     ends = np.cumsum(np.bincount(removed_in, minlength=1 + max(rounds or 0, 0))).tolist()
     return [order[start:end] for start, end in zip(ends, ends[1:])]
@@ -1011,9 +1013,10 @@ def _peel(
     from 1, or 0 for a vertex left; and the degree and the neighbours' id
     sum of each vertex left, in the graph the vertices left induce. A vertex
     removed at degree 1 keeps the id of the neighbour it hung from as its
-    sum. All-pairs distances, the statistics, the exact tree solve and the
-    tree metric call it directly, so the benchmark's traced count of the
-    public function's rounds covers only explicit peels.
+    sum. All-pairs distances, the statistics and the tree layer (the exact
+    solve, the tree metric and the rooted tree) call it directly, so the
+    benchmark's traced count of the public function's rounds covers only
+    explicit peels.
 
     The Python tail reads and writes the arrays through memoryviews, so no
     list of per-vertex ints is made."""

@@ -26,9 +26,7 @@ from .graph import (
     _pair_keys,
     _SCALAR_BATCH,
     _component_labels,
-    _double_sweep,
     _peel,
-    _pendant_forest,
     _unpeeled,
     all_pairs_distances,
     is_k_relaxed_resolving,
@@ -53,7 +51,8 @@ def is_tree(g: Graph) -> bool:
     A graph of n - 1 edges is a tree iff its component labels are all 0
     (see ``graph._component_labels``). The answer is kept on the immutable
     graph, so a graph pays for at most one labelling, and a graph built from
-    a parent array or checked by a :class:`TreeMetric` for none."""
+    a parent array or checked by a :class:`TreeMetric` or
+    :func:`tree_diameter` for none."""
     known = g.__dict__.get(_IS_TREE)
     if known is None:
         known = g.n > 0 and g.m == g.n - 1 and not _component_labels(g).any()
@@ -67,10 +66,29 @@ def is_path_graph(g: Graph) -> bool:
 
 
 def tree_diameter(g: Graph) -> int:
-    """Diameter of a tree via double BFS (undefined on non-trees)."""
+    """Diameter of a tree, from its peel (see :func:`_peeled_diameter`); a
+    graph that is not a tree raises :class:`IncompatibleMethodError`."""
     if g.n == 0:
         raise ValueError("empty graph")
-    return _double_sweep(g)
+    return _peeled_diameter(g, "tree_diameter requires a connected acyclic input")
+
+
+def _peeled_diameter(g: Graph, refusal: str) -> int:
+    """The diameter of a tree from the peel to the fixpoint
+    (``graph._peel``): 2R - 2 after R rounds, plus 1 if the last round
+    removed two vertices. The peel is the tree check: a graph of n - 1
+    edges is a tree iff the peel removes every vertex, since a cycle is
+    never peeled. Anything else raises :class:`IncompatibleMethodError`
+    with ``refusal``, and a tree keeps the answer for :func:`is_tree`,
+    which then runs no BFS."""
+    if g.m != g.n - 1:  # the empty graph too
+        raise IncompatibleMethodError(refusal)
+    removed_in = _peel(g, None)[0]
+    if not removed_in.all():  # n - 1 edges but disconnected: a cycle elsewhere
+        raise IncompatibleMethodError(refusal)
+    g.__dict__[_IS_TREE] = True
+    last = int(removed_in.max())
+    return 2 * last - 2 + int(np.count_nonzero(removed_in == last) == 2)
 
 
 class TreeMetric:
@@ -81,12 +99,8 @@ class TreeMetric:
     :class:`~relaxmdim.graph.Metric`), so ``equivalence_partition`` and
     ``is_k_relaxed_resolving`` take either.
 
-    The peel to the fixpoint (``graph._peel``) is the tree check: a graph of
-    n - 1 edges is a tree iff the peel removes every vertex, since a cycle
-    is never peeled. A non-tree raises :class:`IncompatibleMethodError`, and
-    a tree keeps the answer for :func:`is_tree`, which then runs no BFS.
-    The same peel gives the diameter: 2R - 2 after R rounds, plus 1 if the
-    last round removed two vertices.
+    Each read is one peel (``graph._peel``), and the constructor's is the
+    tree check (see :func:`_peeled_diameter`).
 
     * Profile keys come from T_S, the smallest subtree holding the sensors
       S: two vertices have the same identification vector iff they have the
@@ -94,11 +108,11 @@ class TreeMetric:
       x != y, a sensor leaves them at equal distance iff the x-y path has
       even length and the sensor's projection onto it is the path's
       midpoint z; all of S does iff T_S avoids both branches at z toward x
-      and y, which is equal (p, a).) A vertex's key is p * n + a, from two
-      passes over the preorder of the rooted walk from vertex 0
-      (``graph._pendant_forest``, made on the first partition): one
-      counting the sensors in each subtree, one assigning the keys, in O(n)
-      time and memory.
+      and y, which is equal (p, a).) A peel that never removes a sensor
+      leaves T_S, and removes every other vertex toward its parent, the
+      neighbour it hung from. A vertex's key is p * n + a: pointer jumping
+      (Shiloach & Vishkin 1982) follows the parents to T_S and adds up the
+      steps, in O(log n) array rounds and O(n) memory.
     * The widest block comes from branch heights. Peel the tree without
       ever removing a sensor: T_S is what is left, and a vertex off it
       removed in round r heads a branch of height r - 1 hanging toward its
@@ -110,48 +124,31 @@ class TreeMetric:
     """
 
     def __init__(self, g: Graph) -> None:
-        n = g.n
-        refusal = "a tree metric needs a connected acyclic graph"
-        if g.m != n - 1:  # the empty graph too
-            raise IncompatibleMethodError(refusal)
-        removed_in = _peel(g, None)[0]
-        if not removed_in.all():  # n - 1 edges but disconnected: a cycle elsewhere
-            raise IncompatibleMethodError(refusal)
-        g.__dict__[_IS_TREE] = True
-        self.n = n
+        self._diameter = _peeled_diameter(g, "a tree metric needs a connected acyclic graph")
+        self.n = g.n
         self._graph = g
-        last = int(removed_in.max())
-        self._diameter = 2 * last - 2 + int(np.count_nonzero(removed_in == last) == 2)
-
-    @cached_property
-    def _walk(self) -> tuple[list[int], list[int]]:
-        """The preorder and the parents of the rooted walk from vertex 0."""
-        walk = _pendant_forest(self._graph, [], 0)
-        return walk.preorder, walk.parent
 
     def profile_keys(self, sensors: Sequence[int]) -> np.ndarray:
         """p * n + a for each vertex, where p is its nearest vertex on the
         sensors' spanning subtree and a its distance to p; the sensors are
-        distinct and at least one."""
-        n = self.n
-        preorder, parent = self._walk
-        held = [0] * n  # sensors in each subtree
-        for v in sensors:
-            held[v] = 1
-        for v in preorder[:0:-1]:  # children before parents
-            held[parent[v]] += held[v]
-        # The subtrees holding every sensor are those of a chain from the
-        # root down to top, the deepest of them, which is on the spanning
-        # subtree; the chain above it projects to top.
-        full = [v for v in preorder if held[v] == len(sensors)]
-        key = list(range(0, n * n, n))  # a vertex on the subtree is its own p
-        top = full[-1]
-        for a, v in enumerate(reversed(full)):
-            key[v] = top * n + a
-        for v in preorder:
-            if not held[v]:  # off the subtree, below its parent
-                key[v] = key[parent[v]] + 1
-        return np.array(key, dtype=np.int64)
+        distinct and at least one. A vertex on the subtree is its own p, at
+        a = 0; every other one starts at its parent, one step away, and
+        each jump adds the steps of the vertex jumped to."""
+        removed_in, up = _peel(self._graph, None, sensors)[::2]
+        off = removed_in > 0
+        del removed_in
+        up[~off] = np.flatnonzero(~off)
+        a = off.astype(np.int32)
+        moving = np.flatnonzero(off)
+        while moving.size:
+            step = up[moving]
+            a[moving] += a[step]
+            top = up[step]
+            up[moving] = top
+            moving = moving[off[top]]
+        up *= self.n
+        up += a
+        return up
 
     def widest_block(self, sensors: Sequence[int]) -> int:
         """The largest distance between two vertices with the same
@@ -203,7 +200,10 @@ class RootedTree:
             raise ValueError("input graph is not a tree")
         if not 0 <= root < g.n:
             raise ValueError(f"root {root} out of range")
-        return cls(g, root, tuple(_pendant_forest(g, [], root).parent))
+        # with the root pinned, every other vertex's neighbour sum is its parent
+        parent = _peel(g, None, [root])[2]
+        parent[root] = -1
+        return cls(g, root, tuple(parent.tolist()))
 
     @classmethod
     def from_parents(cls, parents: Sequence[int], root: int = 0) -> "RootedTree":
@@ -216,13 +216,6 @@ class RootedTree:
         """
         parent = np.asarray(parents, dtype=np.intp)
         return cls(_parent_graph(parent, root), root, tuple(parent.tolist()))
-
-    def topo_order(self) -> list[int]:
-        """Vertices with every parent before its children (BFS from root)."""
-        order = [self.root]
-        for u in order:
-            order.extend(self.children[u])
-        return order
 
 
 # Parent arrays of fewer vertices than this are checked and turned into a
@@ -335,12 +328,13 @@ def stem(g: Graph) -> StemResult:
     return stem_r(g, 1)
 
 
-def _subtree_heights(t: RootedTree) -> list[int]:
-    """Height of every vertex's downward subtree (0 for a childless vertex)."""
-    height = [0] * t.n
-    for v in reversed(t.topo_order()):
-        if t.children[v]:
-            height[v] = 1 + max(height[c] for c in t.children[v])
+def _subtree_heights(t: RootedTree) -> np.ndarray:
+    """Height of every vertex's downward subtree (0 for a childless vertex),
+    as an int32 array: the peel that pins the root removes every other
+    vertex in the round after its tallest child's, or in round 1, and the
+    root's height is the last round."""
+    height = _peel(t.graph, None, [t.root])[0] - 1
+    height[t.root] = height.max() + 1
     return height
 
 
@@ -354,8 +348,9 @@ def down_stem_vertices(t: RootedTree, r: int) -> tuple[int, ...]:
     """
     if r < 0:
         raise ValueError("down-stemming rounds must be nonnegative")
-    height = _subtree_heights(t)
-    return tuple(v for v in range(t.n) if v == t.root or height[v] >= r)
+    survives = _subtree_heights(t) >= r
+    survives[t.root] = True
+    return tuple(np.flatnonzero(survives).tolist())
 
 
 def _leaf_owners(removed_in: np.ndarray, degree: np.ndarray, nbr_sum: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -489,19 +484,18 @@ def subtree_property_counts(t: RootedTree, r: int) -> tuple[int, int]:
     downward path (a single vertex counts as a path).
 
     A non-root vertex survives round i of down-stemming exactly when its
-    subtree height is at least i, so both properties reduce to one
-    bottom-up pass over subtree heights.
+    subtree height is at least i, so both properties reduce to one pass over
+    the vertices in ascending height, every child before its parent.
     """
     if r < 0:
         raise ValueError("r must be nonnegative")
     n = t.n
-    order = t.topo_order()
-    height = _subtree_heights(t)
+    height = _subtree_heights(t).tolist()
     surviving = [
         [c for c in t.children[v] if height[c] >= r] for v in range(n)
     ]
     line_down = [False] * n
-    for v in reversed(order):
+    for v in sorted(range(n), key=height.__getitem__):
         kids = surviving[v]
         if not kids:
             line_down[v] = True

@@ -504,17 +504,17 @@ def unblocked_core_sum_and_diameter(core: Graph, w: np.ndarray, far: np.ndarray)
     return total, diameter
 
 
-def dfs_tree_walk(g: Graph, root: int = 0) -> tuple[list[int], list[int], list[int]]:
-    """(preorder, parent, depth) of the tree metric's DFS from ``root``:
-    each vertex marked as it is pushed, its neighbours pushed in ascending
+def dfs_tree_walk(g: Graph) -> tuple[list[int], list[int], list[int]]:
+    """(preorder, parent, depth) of a DFS of a tree from vertex 0: each
+    vertex marked as it is pushed, its neighbours pushed in ascending
     order."""
     adjacency = rows(g)
     parent = [-1] * g.n
     depth = [0] * g.n
     seen = [False] * g.n
-    seen[root] = True
+    seen[0] = True
     preorder: list[int] = []
-    stack = [root]
+    stack = [0]
     while stack:
         v = stack.pop()
         preorder.append(v)
@@ -525,6 +525,32 @@ def dfs_tree_walk(g: Graph, root: int = 0) -> tuple[list[int], list[int], list[i
                 depth[w] = depth[v] + 1
                 stack.append(w)
     return preorder, parent, depth
+
+
+def walk_profile_keys(g: Graph, sensors) -> np.ndarray:
+    """The tree metric's profile keys p * n + a (p a vertex's nearest vertex
+    on the smallest subtree holding the distinct, nonempty ``sensors``, a its
+    distance to p) from the DFS of :func:`dfs_tree_walk` from vertex 0: one
+    pass counts the sensors in each subtree, and the subtrees holding them
+    all are a chain from the root down to the deepest, which is on the
+    spanning subtree; the chain above it projects to that vertex, and a
+    vertex in a subtree holding no sensor is one step below its parent."""
+    n = g.n
+    preorder, parent, _ = dfs_tree_walk(g)
+    held = [0] * n
+    for v in sensors:
+        held[v] = 1
+    for v in preorder[:0:-1]:  # children before parents
+        held[parent[v]] += held[v]
+    full = [v for v in preorder if held[v] == len(sensors)]
+    key = list(range(0, n * n, n))  # a vertex on the subtree is its own p
+    top = full[-1]
+    for a, v in enumerate(reversed(full)):
+        key[v] = top * n + a
+    for v in preorder:
+        if not held[v]:
+            key[v] = key[parent[v]] + 1
+    return np.array(key, dtype=np.int64)
 
 
 def bfs_parents(g: Graph, root: int) -> list[int]:
@@ -543,10 +569,10 @@ def bfs_parents(g: Graph, root: int) -> list[int]:
     return parent
 
 
-def pendant_dfs(g: Graph, rounds, root: int = 0) -> tuple[list[int], ...]:
+def pendant_dfs(g: Graph, rounds) -> tuple[list[int], ...]:
     """(core, parent, depth, anchor, preorder, size) of the trees a full
     peel removed, in ``rounds``: a DFS from the core's edges into them, or
-    from ``root`` when nothing is left, that steps to every neighbour but
+    from vertex 0 when nothing is left, that steps to every neighbour but
     the one it came from. ``preorder`` lists the non-core vertices only,
     and a core vertex's size is 1."""
     n = g.n
@@ -560,7 +586,7 @@ def pendant_dfs(g: Graph, rounds, root: int = 0) -> tuple[list[int], ...]:
     depth = [0] * n
     anchor = list(range(n))
     preorder: list[int] = []
-    stack = [(w, u) for u in core for w in adjacency[u] if not alive[w]] if core else [(root, -1)]
+    stack = [(w, u) for u in core for w in adjacency[u] if not alive[w]] if core else [(0, -1)]
     while stack:
         v, p = stack.pop()
         preorder.append(v)

@@ -1215,16 +1215,17 @@ class TestPeeling:
 
 
 class TestRootedWalk:
-    """graph._pendant_forest, the one rooted walk, against the three walks
-    it replaced: the tree metric's DFS, the rooted tree's BFS and the
-    pendant DFS of all-pairs distances and the statistics."""
+    """graph._pendant_forest, the rooted walk of all-pairs distances and the
+    statistics, against a DFS, a BFS and the pendant DFS. A tree is walked
+    from vertex 0; a walk from another root is checked on the tree with
+    that root's id swapped with 0."""
 
     @staticmethod
-    def check(g: Graph, root: int = 0) -> None:
+    def check(g: Graph) -> None:
         rounds = round_scan_peel(g)
         core = graph._unpeeled(g.n, rounds)
-        walk = graph._pendant_forest(g, core, root)
-        core_, parent, depth, anchor, preorder, size = pendant_dfs(g, rounds, root)
+        walk = graph._pendant_forest(g, core)
+        core_, parent, depth, anchor, preorder, size = pendant_dfs(g, rounds)
         assert (walk.core, walk.parent, walk.depth, walk.anchor) == (core_, parent, depth, anchor)
         # the walk lists each core vertex before the trees hanging from it
         in_core = set(core)
@@ -1233,13 +1234,20 @@ class TestRootedWalk:
         assert [walk.size[v] for v in preorder] == [size[v] for v in preorder]
         assert all(walk.size[a] == anchor.count(a) for a in core)
         if not core:
-            assert (walk.preorder, walk.parent, walk.depth) == dfs_tree_walk(g, root)
-            assert walk.parent == bfs_parents(g, root)
+            assert (walk.preorder, walk.parent, walk.depth) == dfs_tree_walk(g)
+            assert walk.parent == bfs_parents(g, 0)
+
+    @staticmethod
+    def rooted_at(g: Graph, root: int) -> Graph:
+        """``g`` with the ids 0 and ``root`` swapped."""
+        ids = list(range(g.n))
+        ids[0], ids[root] = root, 0
+        return Graph.from_edges(g.n, [(ids[u], ids[v]) for u, v in g.edges()])
 
     @settings(derandomize=True, deadline=None, max_examples=200)
     @given(random_trees(), st.data())
     def test_trees_from_any_root(self, g, data):
-        self.check(g, data.draw(st.integers(0, g.n - 1)))
+        self.check(self.rooted_at(g, data.draw(st.integers(0, g.n - 1))))
 
     @settings(derandomize=True, deadline=None, max_examples=60)
     @given(cores_with_pendant_trees())
@@ -1267,7 +1275,7 @@ class TestRootedWalk:
     )
     def test_small_trees_from_every_root(self, g):
         for root in range(g.n):
-            self.check(g, root)
+            self.check(self.rooted_at(g, root))
 
 
 class TestGraphValidation:

@@ -31,7 +31,7 @@ from relaxmdim import (
     tree_diameter,
     uniform_tree,
 )
-from relaxmdim import trees
+from relaxmdim import graph, trees
 from relaxmdim.graph import _component_labels, _row_sums, induced_subgraph, peel_degree_le1
 
 from conftest import (
@@ -47,6 +47,7 @@ from conftest import (
 )
 from graph_oracle import (
     assert_matches_tuples,
+    bfs_parents,
     cut_sum_leaf_groups,
     degree_call_leaf_groups,
     dict_brute_force_md,
@@ -57,6 +58,7 @@ from graph_oracle import (
     tuple_tree,
     walk_count_sigma_ex,
     walk_exact_tree_md,
+    walk_profile_keys,
 )
 
 # n = 1, n = 2, stars, paths and spiders: the edge cases of the stem rules
@@ -138,6 +140,69 @@ def test_tree_diameter():
     assert tree_diameter(star_graph(4)) == 2
     assert tree_diameter(spider_graph([2, 2, 2])) == 4
     assert tree_diameter(Graph.from_edges(1, [])) == 0
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        Graph.from_edges(5, [(0, 1), (2, 3), (3, 4)]),
+        cycle_graph(4),
+        Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5)]),
+        Graph.from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5)]),
+    ],
+    ids=["forest", "4-cycle", "cycle-with-pendant-path", "cycle-with-pendant-path-and-isolated-vertex"],
+)
+def test_tree_diameter_refuses_non_trees(g):
+    # a double sweep from vertex 0 read 1 on the forest, the diameter of
+    # one component; the peel's rounds alone would read -2 on the 4-cycle.
+    # The last graph has n - 1 edges, so only the peel refuses it.
+    with pytest.raises(IncompatibleMethodError, match="connected acyclic"):
+        tree_diameter(g)
+
+
+def test_tree_diameter_of_the_empty_graph():
+    with pytest.raises(ValueError, match="empty graph"):
+        tree_diameter(Graph.from_edges(0, []))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(random_trees(), st.data())
+def test_rooted_tree_parents_from_any_root(g, data):
+    root = data.draw(st.integers(0, g.n - 1))
+    assert list(RootedTree.from_graph(g, root).parent) == bfs_parents(g, root)
+
+
+def test_tree_reads_run_no_walk_and_no_bfs(monkeypatch):
+    # every read of a tree's shape comes from the peel: the tree metric,
+    # the rooted tree, its heights and the diameter, each on a fresh copy
+    # of the graph, so that no earlier answer is kept on it
+    tree = uniform_tree(300, 4)
+
+    def fresh() -> Graph:
+        return Graph(tree.indptr.copy(), tree.indices.copy())
+
+    witness = list(exact_tree_md(tree, 2).witness)
+
+    def reads() -> list:
+        metric = trees.TreeMetric(fresh())
+        rooted = RootedTree.from_graph(fresh(), 7)
+        return [
+            metric.profile_keys(witness).tolist(),
+            metric.widest_block(witness),
+            rooted.parent,
+            down_stem_vertices(rooted, 2),
+            subtree_property_counts(rooted, 2),
+            tree_diameter(fresh()),
+        ]
+
+    expected = reads()
+
+    def refuse(*args):
+        raise AssertionError("a tree read walked the tree")
+
+    monkeypatch.setattr(graph, "_pendant_forest", refuse)
+    monkeypatch.setattr(graph, "bfs_distances", refuse)
+    assert reads() == expected
 
 
 class TestFromParents:
@@ -293,7 +358,9 @@ class TestDownStem:
             n = int(rng.integers(2, 40))
             g = uniform_tree(n, seed)
             t = RootedTree.from_graph(g, root=0)
-            order = t.topo_order()
+            order = [0]
+            for u in order:  # a BFS over the children
+                order.extend(t.children[u])
             height = [0] * n
             for v in reversed(order):
                 if t.children[v]:
@@ -719,6 +786,53 @@ class TestTreeMetric:
         finally:
             tracemalloc.stop()
         assert peak <= 45 * g.n, peak
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(st.one_of(random_trees(), METRIC_TREES), st.randoms(use_true_random=False))
+    def test_keys_match_the_walk(self, g, rng):
+        metric = trees.TreeMetric(g)
+        for k in range(tree_diameter(g) + 2):
+            witness = list(exact_tree_md(g, k).witness)
+            planted = rng.sample(range(g.n), rng.randint(1, min(g.n, 12)))
+            for sensors in (witness, planted, [rng.randrange(g.n)], list(range(g.n))):
+                if sensors:
+                    assert np.array_equal(metric.profile_keys(sensors), walk_profile_keys(g, sensors)), sensors
+
+    @pytest.mark.parametrize(
+        "g",
+        [path_graph(1), path_graph(2), path_graph(7), star_graph(1), star_graph(6)],
+        ids=["n1", "n2", "path", "star1", "star"],
+    )
+    def test_keys_of_every_sensor_set_of_paths_and_stars(self, g):
+        metric = trees.TreeMetric(g)
+        for size in range(1, g.n + 1):
+            for sensors in combinations(range(g.n), size):
+                assert np.array_equal(metric.profile_keys(sensors), walk_profile_keys(g, sensors)), sensors
+
+    @pytest.mark.parametrize("sensors", ["k0", "k2", "k8", "one", "all"])
+    def test_keys_of_a_100000_vertex_tree(self, sensors):
+        g = uniform_tree(10**5, 2)
+        if sensors[0] == "k":
+            sensors = list(exact_tree_md(g, int(sensors[1:])).witness)
+        else:
+            sensors = [4321] if sensors == "one" else list(range(g.n))
+        assert np.array_equal(trees.TreeMetric(g).profile_keys(sensors), walk_profile_keys(g, sensors))
+
+    @pytest.mark.parametrize("k", [0, 2, 8])
+    def test_keys_hold_one_peel(self, k):
+        # the peel's rounds and neighbour sums, and the jumps' steps and
+        # moving vertices: 31 to 37 bytes a vertex; the walk from vertex 0
+        # and its per-vertex lists took 106 on the first call and 59 after
+        g = uniform_tree(10**5, 2)
+        metric = trees.TreeMetric(g)
+        witness = list(exact_tree_md(g, k).witness)
+        tracemalloc.start()
+        try:
+            metric.profile_keys(witness)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 55 * g.n, peak
 
     @pytest.mark.parametrize(
         "g",
