@@ -23,6 +23,7 @@ from .graph import (
     TooLargeError,
     _erase_loops_and_repeats,
     _graph_from_pairs,
+    _jump,
     _refuse_beyond_memory,
     largest_connected_component,
 )
@@ -45,75 +46,31 @@ def ba_tree(n: int, seed: int) -> Graph:
     The anchors are drawn from a list with one stub per unit of degree:
     stub 0 is vertex 0, stub 2i + 1 is vertex i + 1, and stub 2i (i >= 1)
     is the anchor of vertex i + 1. Vertex t draws stub ``rng.integers(2t -
-    2)`` (see :func:`_stub_draws`). Stub 0 and the odd stubs name their
-    vertex at once. An even stub 2i > 0 points at vertex i + 1, whose anchor
-    it takes, so the anchors follow by pointer jumping: in each round a
-    vertex whose target is named takes its target's anchor, and every other
-    pending vertex points at its target's target. Each vertex's anchor is
-    its parent, with a smaller id, so the parent array rooted at 0 is a
-    tree, turned into the graph without an edge set as
-    :meth:`RootedTree.from_parents` does."""
+    2)``, all of them in one call over the array of bounds, which numpy
+    draws element by element as it draws the scalar calls in turn. Stub 0
+    and the odd stubs name their vertex at once. An even stub 2i > 0 points
+    at vertex i + 1, whose anchor it takes: the pending vertices and their
+    targets form a forest whose roots are the vertices with a named anchor,
+    and pointer jumping (``graph._jump``) takes each pending vertex to its
+    root. Each vertex's anchor is its parent, with a smaller id, so the
+    parent array rooted at 0 is a tree, turned into the graph without an
+    edge set as :meth:`RootedTree.from_parents` does."""
     if n < 2:
         raise ValueError("need at least two vertices")
     _refuse_sample(n, 24)  # the stubs, which become the parents, and the pointers, then the pair keys
-    parent = _stub_draws(np.random.default_rng(seed), n)
+    parent = np.zeros(n, dtype=np.int64)
+    parent[2:] = np.random.default_rng(seed).integers(0, np.arange(2, 2 * n - 2, 2))
     pending = np.flatnonzero(parent % 2 == 0)
     pending = pending[parent[pending] > 0]
     parent += 1
     parent //= 2  # the named vertex, or for an even stub 2i the i of vertex i + 1
-    target = parent[pending] + 1
-    via = np.arange(n)  # a vertex's target, or itself once its anchor is named
-    via[pending] = target
-    while pending.size:
-        named = via[target] == target
-        done = pending[named]
-        parent[done] = parent[target[named]]
-        via[done] = done
-        pending, target = pending[~named], via[target[~named]]
-        via[pending] = target
-    del via  # before the graph is built
+    via = np.arange(n)  # a pending vertex's target, every other vertex itself
+    via[pending] = parent[pending] + 1
+    _jump(via, pending)
+    parent[pending] = parent[via[pending]]
+    del via, pending  # before the graph is built
     parent[0] = -1
     return _parent_graph(parent, 0)
-
-
-# Vertices whose stubs one bulk draw serves in _stub_draws: the block's
-# bounds, draws, products and their two halves take 40 bytes a vertex,
-# 2.6 MB in all.
-_DRAW_BLOCK = 1 << 16
-
-
-def _stub_draws(rng: np.random.Generator, n: int) -> np.ndarray:
-    """The stub each vertex t = 2..n-1 of :func:`ba_tree` draws, as int64 at
-    index t (indices 0 and 1 hold 0): what the scalar calls
-    ``rng.integers(2t - 2)`` return in turn, from bulk draws of the same
-    32-bit stream.
-
-    For a bound s below 2^32, numpy draws a 32-bit x and returns (x * s) >>
-    32, unless (x * s) mod 2^32 < (2^32 - s) mod s, when it rejects x and
-    draws again (Lemire 2019). ``rng.integers(0, 2**32, size=k)`` returns
-    the next k of those x's. A rejected x shifts every later draw by one, so
-    a block is taken up to its first rejected x, and the rest of the block
-    again from the x after it, with one more x drawn at the end."""
-    stubs = np.zeros(n, dtype=np.int64)
-    for lo in range(2, n, _DRAW_BLOCK):
-        bound = np.arange(2 * lo - 2, 2 * min(n, lo + _DRAW_BLOCK) - 2, 2)
-        x = rng.integers(0, 1 << 32, size=bound.size)
-        at = lo
-        while True:
-            m = x.view(np.uint64) * bound.view(np.uint64)  # below 2^64
-            high = m >> 32
-            low = (m % (1 << 32)).view(np.int64)
-            maybe = np.flatnonzero(low < bound)  # the threshold is below the bound
-            s = bound[maybe]
-            rejected = maybe[low[maybe] < ((1 << 32) - s) % s]
-            cut = int(rejected[0]) if rejected.size else bound.size
-            stubs[at : at + cut] = high[:cut]
-            if cut == bound.size:
-                break
-            at += cut
-            bound = bound[cut:]
-            x = np.concatenate((x[cut + 1 :], rng.integers(0, 1 << 32, size=1)))
-    return stubs
 
 
 def uniform_tree(n: int, seed: int) -> Graph:

@@ -505,7 +505,10 @@ class DistanceMatrix:
         return int(self.matrix.max())
 
     def profile_keys(self, sensors: Sequence[int]) -> np.ndarray:
-        """Each vertex's row of distances to the sensors, as one raw-bytes key."""
+        """Each vertex's row of distances to the sensors, as one raw-bytes
+        key; with no sensors, n equal int64 keys."""
+        if len(sensors) == 0:
+            return np.zeros(self.n, dtype=np.int64)
         rows = np.ascontiguousarray(self.matrix[:, sensors])
         return rows.view(np.dtype((np.void, rows.itemsize * len(sensors)))).ravel()
 
@@ -513,7 +516,7 @@ class DistanceMatrix:
         """The largest distance within one block of vertices sharing an
         identification vector, from each shared block's submatrix (0 if
         none); with no sensors, the diameter, read with no matrix copy."""
-        if not sensors:
+        if len(sensors) == 0:
             return self.diameter
         order, sizes = _profile_runs(self, sensors)
         shared = sizes > 1
@@ -531,8 +534,8 @@ class Metric(Protocol):
     def n(self) -> int: ...
 
     def profile_keys(self, sensors: Sequence[int]) -> np.ndarray:
-        """One sortable key per vertex for a nonempty sensor set: two keys
-        are equal iff the two identification vectors are."""
+        """One sortable key per vertex: two keys are equal iff the two
+        identification vectors are (all equal for no sensors)."""
         ...
 
     def widest_block(self, sensors: Sequence[int]) -> int:
@@ -932,8 +935,8 @@ def _profile_runs(dm: Metric, sensors: list[int]) -> tuple[np.ndarray, np.ndarra
     stable sort of the metric's keys puts equal vectors next to each other,
     in vertex order."""
     n = dm.n
-    if not sensors:
-        return np.arange(n), np.array([n] if n else [], dtype=np.intp)
+    if n == 0:
+        return np.arange(0), np.arange(0)
     keys = dm.profile_keys(sensors)
     order = np.argsort(keys, kind="stable")
     keys = keys[order]

@@ -9,7 +9,7 @@ follow-up placement needed to pin the target down inside its candidate class.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Iterable, Literal
 
 from .graph import (
     DistanceMatrix,
@@ -64,7 +64,7 @@ _RESOLVERS = {
 
 
 def sweep_metrics(
-    g: Graph, k_values: Sequence[int], resolver: Resolver = "greedy"
+    g: Graph, k_values: Iterable[int], resolver: Resolver = "greedy"
 ) -> list[SweepRecord]:
     """Compute a resolving set per k and the induced ambiguity metrics.
 
@@ -73,9 +73,11 @@ def sweep_metrics(
     (:class:`~relaxmdim.trees.IncompatibleMethodError`) before any distance
     is computed. ``"greedy"`` works on any connected graph. Any other
     resolver, or a negative k, raises ValueError before the metric is built.
+    The k values are read once, so a generator serves as well as a list.
     """
     if resolver not in _RESOLVERS:
         raise ValueError(f"unknown resolver {resolver!r}; choose one of {', '.join(_RESOLVERS)}")
+    k_values = list(k_values)
     if any(k < 0 for k in k_values):
         raise ValueError("relaxation parameter k must be nonnegative")
     n = g.n

@@ -80,7 +80,7 @@ def _peeled_diameter(g: Graph, refusal: str) -> int:
     edges is a tree iff the peel removes every vertex, since a cycle is
     never peeled. Anything else raises :class:`IncompatibleMethodError`
     with ``refusal``, and a tree keeps the answer for :func:`is_tree`,
-    which then runs no BFS."""
+    which then labels no components."""
     if g.m != g.n - 1:  # the empty graph too
         raise IncompatibleMethodError(refusal)
     removed_in = _peel(g, None)[0]
@@ -131,9 +131,12 @@ class TreeMetric:
     def profile_keys(self, sensors: Sequence[int]) -> np.ndarray:
         """p * n + a for each vertex, where p is its nearest vertex on the
         sensors' spanning subtree and a its distance to p; the sensors are
-        distinct and at least one. A vertex on the subtree is its own p, at
-        a = 0; every other one starts at its parent, one step away, and
-        each jump adds the steps of the vertex jumped to."""
+        distinct. A vertex on the subtree is its own p, at a = 0; every
+        other one starts at its parent, one step away, and each jump adds
+        the steps of the vertex jumped to. No sensors leave no subtree, and
+        every vertex the same empty vector: n equal int64 keys."""
+        if len(sensors) == 0:
+            return np.zeros(self.n, dtype=np.int64)
         removed_in, up = _peel(self._graph, None, sensors)[::2]
         off = removed_in > 0
         del removed_in
@@ -156,7 +159,7 @@ class TreeMetric:
         Sorting the removed vertices by (parent, round) puts each vertex's
         children together, latest last; a child followed by a sibling is
         one a sibling outlasts, and h2 is the latest such round."""
-        if not sensors:
+        if len(sensors) == 0:
             return self._diameter
         removed_in, _, parent = _peel(self._graph, None, sensors)
         removed = removed_in > 0
@@ -453,8 +456,9 @@ def exact_tree_md(g: Graph, k: int) -> TreeMDReport:
 
     The r-stem of a tree of diameter D has diameter D - 2r, or is empty, so
     k >= D (and md = 0) exactly when the stem has at most 1 + k % 2
-    vertices; the tree check, kept on the graph, is the only BFS. The tree
-    is gone after n rounds, so the stem is taken at min(r, n) of them.
+    vertices; the tree check, kept on the graph, is the only component
+    labelling. The tree is gone after n rounds, so the stem is taken at
+    min(r, n) of them.
     """
     if k < 0:
         raise ValueError("relaxation parameter k must be nonnegative")

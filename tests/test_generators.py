@@ -85,19 +85,28 @@ class TestBATree:
     @pytest.mark.parametrize("n, seed, rejected", [(3, 5, 0), (5000, 120, 1), (20000, 36, 1)])
     def test_same_graph_as_edge_list_build_past_rejected_draws(self, n, seed, rejected):
         # the scalar calls rng.integers(2t - 2) use up n - 2 + rejected
-        # 32-bit draws of the stream, the bulk draw's x's
+        # 32-bit draws of the stream, and so does one call over the array
+        # of bounds 2t - 2
+        stream = np.random.default_rng(seed).integers(0, 1 << 32, size=n - 1 + rejected)
         rng = np.random.default_rng(seed)
         for t in range(2, n):
             rng.integers(2 * t - 2)
-        stream = np.random.default_rng(seed).integers(0, 1 << 32, size=n - 1 + rejected)
+        assert rng.integers(0, 1 << 32) == stream[-1]
+        rng = np.random.default_rng(seed)
+        rng.integers(0, np.arange(2, 2 * n - 2, 2))
         assert rng.integers(0, 1 << 32) == stream[-1]
         assert ba_tree(n, seed) == edge_list_ba_tree(n, seed)
 
+    def test_same_graph_as_edge_list_build_beyond_2_to_the_16_vertices(self):
+        # 70 000 vertices: the bounds 2t - 2 pass 2^17
+        assert ba_tree(70_000, 0) == edge_list_ba_tree(70_000, 0)
+
     def test_100000_vertices_in_little_memory(self):
-        # the stubs become the parents beside one array of pointers, and the
-        # draws go a block at a time, so the peak is the parent array's
-        # graph build: 6.4 MB, 64 bytes a vertex; the refusal's 24 bytes a
-        # vertex stay below it
+        # the stubs become the parents, drawn in one call, and one array of
+        # pointers resolves the anchors; both the bounds and the pointers
+        # are gone before the parent array's graph build, the peak: 5.6 to
+        # 6.4 MB, 56 to 64 bytes a vertex; the refusal's 24 bytes a vertex
+        # stay below it
         tracemalloc.start()
         try:
             g = ba_tree(100_000, 5)

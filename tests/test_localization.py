@@ -101,6 +101,13 @@ class TestSweep:
             assert rec.alpha == part.alpha
             assert rec.class_histogram == part.histogram()
 
+    @pytest.mark.parametrize("resolver", ["exact-tree", "greedy"])
+    def test_k_values_from_a_generator(self, resolver):
+        g = uniform_tree(30, 1)
+        records = sweep_metrics(g, (k for k in range(3)), resolver)
+        assert records == sweep_metrics(g, [0, 1, 2], resolver)
+        assert [rec.k for rec in records] == [0, 1, 2]
+
     def test_csv_row_format(self):
         rec = sweep_metrics(path_graph(4), [0])[0]
         fields = rec.csv_row().split(",")

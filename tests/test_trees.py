@@ -772,6 +772,32 @@ class TestTreeMetric:
         assert trees.TreeMetric(g).widest_block(sensors) == widest
         assert all_pairs_distances(g).widest_block(sensors) == widest
 
+    @pytest.mark.parametrize("metric_of", [trees.TreeMetric, all_pairs_distances], ids=["tree", "matrix"])
+    @pytest.mark.parametrize("g", [path_graph(1), path_graph(2), uniform_tree(50, 1)], ids=["n1", "n2", "n50"])
+    def test_no_sensors_leave_one_block(self, metric_of, g):
+        # every vertex has the empty vector: n equal int64 keys, one block,
+        # and the widest block is the diameter, from a list or an array
+        metric = metric_of(g)
+        for none in ([], (), np.array([], dtype=np.intp)):
+            keys = metric.profile_keys(none)
+            assert keys.dtype == np.int64 and keys.shape == (g.n,)
+            assert np.all(keys == keys[0])
+            assert metric.widest_block(none) == tree_diameter(g)
+        assert equivalence_partition(metric, []).blocks == (tuple(range(g.n)),)
+
+    @pytest.mark.parametrize("metric_of", [trees.TreeMetric, all_pairs_distances], ids=["tree", "matrix"])
+    @pytest.mark.parametrize(
+        "g, sensors",
+        [(path_graph(1), [0]), (uniform_tree(50, 1), [7]), (uniform_tree(50, 1), [0, 17, 42]), (star_graph(6), [1, 2])],
+        ids=["n1", "one", "three", "star"],
+    )
+    def test_sensor_ids_in_a_numpy_array(self, metric_of, g, sensors):
+        metric = metric_of(g)
+        ids = np.array(sensors)
+        assert metric.widest_block(ids) == metric.widest_block(sensors)
+        assert np.array_equal(metric.profile_keys(ids), metric.profile_keys(sensors))
+        assert equivalence_partition(metric, ids) == equivalence_partition(metric, sensors)
+
     @pytest.mark.parametrize("k", [0, 2, 6])
     def test_check_holds_one_peel(self, k):
         # the peel's rounds, degrees and neighbour sums, and one round's
