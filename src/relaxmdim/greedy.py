@@ -14,14 +14,15 @@ open / last gain rounds remain, while a listed pair is read about twice per
 candidate. With the pairs listed, each gain is counted once; after a pick,
 the pairs it separated are subtracted, or, if they were more than half, the
 rest are recounted, so a listed pair is read O(1) times per candidate.
-Gains are counted in cache-sized blocks: splits as uint16 per-block counts
-into reused buffers, pairs left together as (sum of squared counts - m) / 2
-over keys added into one reused intp workspace. Pairs are counted, then
-listed as int32 indices a block of rows at a time; the close pairs are never
-listed when round one lists the open ones. So working memory is the pair
-list (8 bytes a pair, refused beyond physical memory before it is made) and
-one block: the ranks are the matrix itself, viewed as unsigned, and
-greedy_resolve_within gathers its targets' rows once.
+Gains are counted in cache-sized blocks: splits as uint8 counts of at most
+255 pairs a block into reused buffers, pairs left together as (sum of
+squared counts - m) / 2 over keys added into one reused intp workspace.
+Close pairs are counted from the symmetric matrix (none at k = 0), then
+pairs are listed as int32 indices a block of rows at a time; the close pairs
+are never listed when round one lists the open ones. So working memory is
+the pair list (8 bytes a pair, refused beyond physical memory before it is
+made) and one block: the ranks are the matrix itself, viewed as unsigned,
+and greedy_resolve_within gathers its targets' rows once.
 """
 
 from __future__ import annotations
@@ -76,23 +77,28 @@ def _split(columns: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Per candidate (column), how many of the pairs (u, v) its row splits."""
     n = columns.shape[1]
     split = np.zeros(n, dtype=np.int64)
-    # at most 65535 rows a block, so a block's uint16 counts cannot overflow
-    step = max(1, min(u.size, 65535, _BATCH_ELEMENTS // n))
+    # at most 255 rows a block, so a block's uint8 counts cannot overflow
+    step = max(1, min(u.size, 255, _BATCH_ELEMENTS // n))
     a, b = np.empty((step, n), columns.dtype), np.empty((step, n), columns.dtype)
-    differ, part = np.empty((step, n), dtype=bool), np.empty(n, dtype=np.uint16)
+    differ, part = np.empty((step, n), dtype=bool), np.empty(n, dtype=np.uint8)
     for i in range(0, u.size, step):
         rows = min(step, u.size - i)
         np.take(columns, u[i : i + rows], axis=0, out=a[:rows], mode="clip")
         np.take(columns, v[i : i + rows], axis=0, out=b[:rows], mode="clip")
         np.not_equal(a[:rows], b[:rows], out=differ[:rows])
-        split += np.add.reduce(differ[:rows].view(np.uint8), axis=0, dtype=np.uint16, out=part)
+        split += np.add.reduce(differ[:rows].view(np.uint8), axis=0, dtype=np.uint8, out=part)
     return split
 
 
-def _count_pairs(mask: _Mask, m: int) -> int:
-    """How many pairs i < j < m the mask holds, built a block of rows at a time."""
+def _count_close(close: _Mask, m: int, k: int) -> int:
+    """How many pairs of the m active vertices are within distance k: the
+    entries of the symmetric close mask, less its diagonal, halved, counted a
+    block of rows at a time. At k = 0 there are none: distinct vertices are
+    never at distance 0."""
+    if k == 0:
+        return 0
     step = max(1, _BATCH_ELEMENTS // max(1, m))
-    return sum(int(np.count_nonzero(np.triu(mask(lo, lo + step), lo + 1))) for lo in range(0, m, step))
+    return (sum(int(np.count_nonzero(close(lo, lo + step))) for lo in range(0, m, step)) - m) // 2
 
 
 def _upper_pairs(mask: _Mask, m: int, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -120,7 +126,7 @@ def _greedy(dm: DistanceMatrix, active: np.ndarray | None, k: int) -> GreedyTrac
     labels = np.zeros(m, dtype=np.intp)  # class of each active vertex
     bins, same = width, m * (m - 1) // 2  # (class, rank) keys; same-class pairs
     close = lambda lo, hi: rows[lo:hi, cols] <= k
-    size, u, v = _count_pairs(close, m), None, None  # the close same-class pairs, listed when used...
+    size, u, v = _count_close(close, m, k), None, None  # the close same-class pairs, listed when used...
     listed = False  # ...or, once listed, the open ones
     open_count = last = same - size
     trace: tuple[list[int], ...] = ([], [], [])  # sensor, gain, pairs left

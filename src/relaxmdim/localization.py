@@ -8,8 +8,10 @@ follow-up placement needed to pin the target down inside its candidate class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Literal
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, Literal
+
+import numpy as np
 
 from .graph import (
     DistanceMatrix,
@@ -53,6 +55,22 @@ def _greedy_fields(g: Graph, dm: DistanceMatrix, k: int) -> dict:
     return {"k": k, "size": len(sensors), "witness": list(sensors), "trace": trace.rows()}
 
 
+def _bipartite(g: Graph, dm: DistanceMatrix) -> bool:
+    """Whether the connected graph ``g`` of matrix ``dm`` is bipartite, with
+    at least two vertices: every edge joins vertices whose distances from
+    vertex 0 differ in parity.
+
+    Then every vertex splits every pair at odd distance, so at an odd k below
+    the diameter greedy's first-round gains are those at k - 1 less one
+    constant, the pairs at distance k: it picks the same sensors at both
+    levels, and its trace differs only in the first pick's newly covered
+    count."""
+    if g.n < 2:
+        return False
+    parity = dm.matrix[0] & 1
+    return bool((np.repeat(parity, np.diff(g.indptr)) != parity[g.indices]).all())
+
+
 # Each resolver: the metric its partitions and its witness check read, and
 # the fields it reports from a solve at k (the sensors are "witness"). Both
 # look this module's names up when called, so a wrapped or patched binding
@@ -74,6 +92,10 @@ def sweep_metrics(
     is computed. ``"greedy"`` works on any connected graph. Any other
     resolver, or a negative k, raises ValueError before the metric is built.
     The k values are read once, so a generator serves as well as a list.
+
+    On a bipartite graph the greedy record of an odd k below the diameter is
+    the record of k - 1 (see :func:`_bipartite`), taken without a solve when
+    this call has already solved k - 1.
     """
     if resolver not in _RESOLVERS:
         raise ValueError(f"unknown resolver {resolver!r}; choose one of {', '.join(_RESOLVERS)}")
@@ -85,21 +107,25 @@ def sweep_metrics(
         raise ValueError("sweep of the empty graph is undefined")
     metric_of, solve = _RESOLVERS[resolver]
     metric = metric_of(g)
+    odd_as_even = resolver == "greedy" and _bipartite(g, metric)
+    solved: dict[int, SweepRecord] = {}
     records = []
     for k in k_values:
+        if odd_as_even and k % 2 and k - 1 in solved and k < metric.diameter:
+            records.append(replace(solved[k - 1], k=k))
+            continue
         sensors = solve(g, metric, k)["witness"]
         part = equivalence_partition(metric, sensors)
-        records.append(
-            SweepRecord(
-                k=k,
-                sensors=len(sensors),
-                sensor_fraction=len(sensors) / n,
-                non_resolved_ratio=part.non_resolved_count / n,
-                alpha=part.alpha,
-                alpha_fraction=part.alpha / n,
-                class_histogram=part.histogram(),
-            )
+        solved[k] = SweepRecord(
+            k=k,
+            sensors=len(sensors),
+            sensor_fraction=len(sensors) / n,
+            non_resolved_ratio=part.non_resolved_count / n,
+            alpha=part.alpha,
+            alpha_fraction=part.alpha / n,
+            class_histogram=part.histogram(),
         )
+        records.append(solved[k])
     return records
 
 
@@ -130,32 +156,49 @@ class TwoStepResult:
         }
 
 
+def _triple_prices(dm: DistanceMatrix, triples: list[tuple[int, ...]]) -> Iterator[int]:
+    """The phase-2 price of each 3-vertex class, in order, from one gather of
+    their rows: 1 if some vertex sees the three at different distances."""
+    rows = dm.matrix[np.array(triples, dtype=np.intp).reshape(-1, 3)]
+    a, b, c = rows[:, 0], rows[:, 1], rows[:, 2]
+    return iter(np.where(((a != b) & (a != c) & (b != c)).any(axis=1), 1, 2).tolist())
+
+
 def two_step_qstar(
     g: Graph, k: int, dm: DistanceMatrix | None = None
 ) -> TwoStepResult:
     """Phase-1 greedy k-relaxed set plus the worst-case phase-2 price.
 
     Iteration is over distinct candidate classes (vertices in one class share
-    the same phase-2 requirement); singleton classes cost nothing. Ties on
-    the worst class go to the one containing the smallest vertex id. A
-    negative k is refused before any distance is computed.
+    the same phase-2 requirement); singleton classes cost nothing. A class's
+    price is the size of :func:`greedy_resolve_within` on it, which for two
+    or three vertices is known without a solve: a pair costs 1, and a triple
+    costs 1 if some vertex sees its members at three different distances,
+    else 2 (a first pick splits 2 or 3 of its pairs, as each member splits
+    itself from the other two). Ties on the worst class go to the one
+    containing the smallest vertex id. A negative k is refused before any
+    distance is computed.
     """
     if k < 0:
         raise ValueError("relaxation parameter k must be nonnegative")
     if dm is None:
         dm = all_pairs_distances(g)
     phase1, _ = greedy_k_resolving_set(dm, k)
-    part = equivalence_partition(dm, phase1)
+    classes = [block for block in equivalence_partition(dm, phase1).blocks if len(block) > 1]
+    triples = _triple_prices(dm, [block for block in classes if len(block) == 3])
     prices: list[tuple[tuple[int, ...], int]] = []
     worst: tuple[int, ...] = ()
     max_s2 = 0
-    for block in part.blocks:  # ordered by smallest member: ties resolved
-        if len(block) < 2:
-            continue
-        s2 = greedy_resolve_within(dm, block)
-        prices.append((block, len(s2)))
-        if len(s2) > max_s2:
-            max_s2 = len(s2)
+    for block in classes:  # ordered by smallest member: ties resolved
+        if len(block) == 2:
+            price = 1
+        elif len(block) == 3:
+            price = next(triples)
+        else:
+            price = len(greedy_resolve_within(dm, block))
+        prices.append((block, price))
+        if price > max_s2:
+            max_s2 = price
             worst = block
     return TwoStepResult(
         k=k,
@@ -170,11 +213,22 @@ def two_step_qstar(
 def qstar_curve(g: Graph, k_max: int, dm: DistanceMatrix | None = None) -> list[TwoStepResult]:
     """Two-step prices for k = 0..k_max (0 <= k_max <= the diameter), on
     ``dm`` if the caller has the matrix already; a negative k_max is
-    refused before any distance is computed."""
+    refused before any distance is computed.
+
+    On a bipartite graph an odd k below the diameter has the phase-1 set,
+    classes and prices of k - 1 (see :func:`_bipartite`), so its result is
+    that of k - 1 with no second solve."""
     if k_max < 0:
         raise ValueError(f"k_max {k_max} is negative")
     if dm is None:
         dm = all_pairs_distances(g)
     if k_max > dm.diameter:
         raise ValueError(f"k_max {k_max} exceeds the diameter {dm.diameter}")
-    return [two_step_qstar(g, k, dm) for k in range(k_max + 1)]
+    odd_as_even = _bipartite(g, dm)
+    curve: list[TwoStepResult] = []
+    for k in range(k_max + 1):
+        if odd_as_even and k % 2 and k < dm.diameter:
+            curve.append(replace(curve[-1], k=k))
+        else:
+            curve.append(two_step_qstar(g, k, dm))
+    return curve

@@ -25,6 +25,13 @@ def ladder_graph(rungs: int) -> Graph:
     return Graph.from_edges(2 * rungs, edges)
 
 
+def grid_graph(rows: int, cols: int) -> Graph:
+    """The rows x cols grid, vertex r * cols + c at row r, column c."""
+    edges = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+    edges += [(v, v + cols) for v in range((rows - 1) * cols)]
+    return Graph.from_edges(rows * cols, edges)
+
+
 def star_graph(leaves: int) -> Graph:
     """Center 0 with the given number of leaves."""
     return Graph.from_edges(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
@@ -102,3 +109,15 @@ def sparse_graphs(draw, max_n: int = 60):
     n = draw(st.integers(1, max_n))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=n // 2))
     return Graph.from_edges(n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))
+
+
+@st.composite
+def bipartite_graphs(draw, max_n: int = 60):
+    """A random tree, a grid or an even cycle: connected and bipartite."""
+    kind = draw(st.sampled_from(("tree", "grid", "even-cycle")))
+    if kind == "tree":
+        return draw(random_trees(max_n))
+    if kind == "grid":
+        rows = draw(st.integers(1, 7))
+        return grid_graph(rows, draw(st.integers(1, max(1, max_n // rows))))
+    return cycle_graph(2 * draw(st.integers(2, max_n // 2)))

@@ -297,14 +297,15 @@ class TestBlocks:
 
     @pytest.mark.parametrize(
         "rows, candidates, pairs",
-        [(40, 3, 200_000), (40, 9, 0), (50, 1000, 1000)],
-        ids=["crosses-uint16-cap", "no-pairs", "partial-last-block"],
+        [(40, 3, 200_000), (40, 9, 0), (50, 1000, 1000), (30, 5, 1000)],
+        ids=["crosses-uint16-cap", "no-pairs", "partial-last-block", "crosses-uint8-cap"],
     )
     def test_split_matches_plain_count(self, rows, candidates, pairs):
         rng = np.random.default_rng(rows + candidates + pairs)
         columns = rng.integers(0, 4, size=(rows, candidates)).astype(np.uint8)
         u, v = (rng.integers(0, rows, size=pairs).astype(np.int32) for _ in range(2))
-        assert pairs % min(65535, engine._BATCH_ELEMENTS // candidates) != 0 or pairs == 0
+        # blocks of at most 255 rows: every case but no-pairs ends on a partial block
+        assert pairs % min(255, engine._BATCH_ELEMENTS // candidates) != 0 or pairs == 0
         split = engine._split(columns, u, v)
         assert split.dtype == np.int64
         assert split.tolist() == self.plain_split(columns, u, v).tolist()
@@ -320,7 +321,7 @@ class TestBlocks:
         monkeypatch.setattr(engine, "_BATCH_ELEMENTS", batch)
         mask = np.random.default_rng(batch).random((37, 37)) < 0.4
         rows = lambda lo, hi: mask[lo:hi]
-        u, v = engine._upper_pairs(rows, 37, engine._count_pairs(rows, 37))
+        u, v = engine._upper_pairs(rows, 37, int(np.count_nonzero(np.triu(mask, 1))))
         eu, ev = np.nonzero(np.triu(mask, 1))
         assert u.dtype == v.dtype == np.int32
         assert (u.tolist(), v.tolist()) == (eu.tolist(), ev.tolist())

@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+from itertools import combinations
+
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from relaxmdim import (
+    Graph,
     all_pairs_distances,
     brute_force_md,
     greedy_k_resolving_set,
+    greedy_resolve_within,
+    largest_connected_component,
     qstar_curve,
+    rgg,
     sweep_metrics,
     two_step_qstar,
     uniform_tree,
@@ -17,12 +25,16 @@ from relaxmdim import (
 from relaxmdim import localization
 
 from conftest import (
+    bipartite_graphs,
+    connected_graphs,
     cycle_graph,
     full_m_ary_tree,
+    grid_graph,
     path_graph,
     random_connected_graph,
     star_graph,
 )
+from localization_oracle import greedy_sweep_per_k, qstar_curve_per_k
 
 
 class TestSweep:
@@ -64,7 +76,12 @@ class TestSweep:
 
         monkeypatch.setattr(localization, solver, counted)
         sweep_metrics(full_m_ary_tree(2, 3), [0, 1, 2], resolver=resolver)
-        assert calls == [0, 1, 2]
+        # on a bipartite graph greedy takes k = 1's record from its k = 0 solve
+        assert calls == ([0, 1, 2] if resolver == "exact-tree" else [0, 2])
+        if resolver == "greedy":  # an odd cycle is not bipartite: every k is solved
+            calls.clear()
+            sweep_metrics(cycle_graph(7), [0, 1, 2], resolver=resolver)
+            assert calls == [0, 1, 2]
 
     def test_histogram_mass_equals_non_resolved(self):
         g = random_connected_graph(30, 8, seed=2)
@@ -193,6 +210,125 @@ class TestQstarCurve:
         g = path_graph(5)
         with pytest.raises(ValueError, match="diameter"):
             qstar_curve(g, 10)
+
+
+class TestOddFromEven:
+    """On a bipartite graph every vertex splits every pair at odd distance,
+    so greedy at an odd k below the diameter repeats k - 1."""
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(bipartite_graphs())
+    def test_sensors_and_traces_at_k_and_k_minus_1(self, g):
+        dm = all_pairs_distances(g)
+        assert localization._bipartite(g, dm) == (g.n >= 2)
+        for k in range(1, dm.diameter, 2):
+            sensors, trace = greedy_k_resolving_set(dm, k)
+            below, below_trace = greedy_k_resolving_set(dm, k - 1)
+            at_k = int(np.count_nonzero(np.triu(dm.matrix == k, 1)))
+            assert sensors == below
+            assert trace.remaining == below_trace.remaining
+            assert trace.newly_covered[1:] == below_trace.newly_covered[1:]
+            assert trace.newly_covered[0] == below_trace.newly_covered[0] - at_k
+
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(connected_graphs())
+    def test_bipartite_check_matches_networkx(self, g):
+        nxg = nx.Graph(list(g.edges()))
+        nxg.add_nodes_from(range(g.n))
+        expected = g.n >= 2 and nx.is_bipartite(nxg)
+        assert localization._bipartite(g, all_pairs_distances(g)) == expected
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: full_m_ary_tree(2, 4),
+            lambda: uniform_tree(60, seed=2),
+            lambda: grid_graph(4, 6),
+            lambda: cycle_graph(12),
+            lambda: cycle_graph(11),
+            lambda: random_connected_graph(40, 12, seed=3),
+            lambda: largest_connected_component(rgg(120, 1.5, seed=4))[0],
+            lambda: path_graph(4),  # diameter 3: k = 3 leaves nothing to cover, k = 2 does
+            lambda: path_graph(2),
+            lambda: path_graph(1),
+        ],
+        ids=["binary-tree", "uniform-tree", "grid", "even-cycle", "odd-cycle", "chords", "rgg-lcc",
+             "odd-diameter-path", "edge", "one-vertex"],
+    )
+    def test_curve_and_sweep_match_the_per_k_loop(self, make):
+        g = make()
+        diameter = all_pairs_distances(g).diameter
+        assert qstar_curve(g, diameter) == qstar_curve_per_k(g, diameter)
+        ks = list(range(diameter + 2))
+        assert sweep_metrics(g, ks) == greedy_sweep_per_k(g, ks)
+        # k before k - 1, odd k with no k - 1, and repeats
+        ks = [3, 2, 1, 0, 1, 5, 5, 4, diameter + 1, diameter]
+        assert sweep_metrics(g, ks) == greedy_sweep_per_k(g, ks)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(bipartite_graphs(max_n=30))
+    def test_curve_matches_the_per_k_loop_on_bipartite_graphs(self, g):
+        diameter = all_pairs_distances(g).diameter
+        assert qstar_curve(g, diameter) == qstar_curve_per_k(g, diameter)
+        assert sweep_metrics(g, range(diameter + 1)) == greedy_sweep_per_k(g, range(diameter + 1))
+
+    def test_empty_graph(self):
+        g = Graph.from_adjacency(())
+        assert qstar_curve(g, 0) == qstar_curve_per_k(g, 0)
+        with pytest.raises(ValueError, match="empty"):
+            sweep_metrics(g, [0, 1])
+
+    def test_odd_k_of_a_bipartite_curve_is_not_solved(self, monkeypatch):
+        calls = []
+        original = localization.two_step_qstar
+
+        def counted(g, k, dm=None):
+            calls.append(k)
+            return original(g, k, dm)
+
+        monkeypatch.setattr(localization, "two_step_qstar", counted)
+        qstar_curve(path_graph(6), 5)  # diameter 5: k = 5 covers nothing, k = 4 does
+        assert calls == [0, 2, 4, 5]
+
+
+class TestSmallClassPrices:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: random_connected_graph(12, 3, seed=0),
+            lambda: random_connected_graph(11, 8, seed=1),
+            lambda: uniform_tree(12, seed=2),
+            lambda: star_graph(6),
+            lambda: cycle_graph(9),
+            lambda: grid_graph(3, 4),
+        ],
+        ids=["chords", "dense-chords", "tree", "star", "odd-cycle", "grid"],
+    )
+    def test_every_pair_and_triple_against_greedy(self, make):
+        dm = all_pairs_distances(make())
+        for pair in combinations(range(dm.n), 2):
+            assert len(greedy_resolve_within(dm, pair)) == 1
+        triples = list(combinations(range(dm.n), 3))
+        prices = list(localization._triple_prices(dm, triples))
+        assert prices == [len(greedy_resolve_within(dm, t)) for t in triples]
+
+    def test_no_triples(self):
+        assert list(localization._triple_prices(all_pairs_distances(path_graph(3)), [])) == []
+
+    def test_only_larger_classes_call_greedy(self, monkeypatch):
+        g = random_connected_graph(40, 10, seed=5)
+        dm = all_pairs_distances(g)
+        expected = qstar_curve_per_k(g, dm.diameter)
+        sizes = []
+        original = localization.greedy_resolve_within
+
+        def counted(dm, targets):
+            sizes.append(len(targets))
+            return original(dm, targets)
+
+        monkeypatch.setattr(localization, "greedy_resolve_within", counted)
+        assert [two_step_qstar(g, k, dm) for k in range(dm.diameter + 1)] == expected
+        assert all(size > 3 for size in sizes)
 
 
 @pytest.mark.parametrize(
