@@ -48,7 +48,7 @@ import os
 import sys
 from array import array
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from itertools import accumulate, chain
 from typing import Iterable, Iterator, Protocol, Sequence, TextIO
@@ -225,13 +225,13 @@ def _graph_from_keys(n: int, key: np.ndarray) -> Graph:
     return Graph(indptr, key)
 
 
-def _row_sums(g: Graph, values: np.ndarray) -> np.ndarray:
-    """The sum of ``values`` (one per CSR entry of ``g``: booleans or vertex
-    ids) over each row, as intp: one ``reduceat`` at the rows' starts, with
-    no array as long as the entries made. The rows that start at the end of
-    the entries are left out of it, and every empty row reads 0."""
-    indptr = g.indptr
-    sums = np.zeros(g.n, dtype=np.intp)
+def _row_sums(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The sum of ``values`` (one per entry of the rows ``indptr`` cuts, as a
+    graph's CSR rows: booleans or vertex ids) over each row, as intp: one
+    ``reduceat`` at the rows' starts, with no array as long as the entries
+    made. The rows that start at the end of the entries are left out of it,
+    and every empty row reads 0."""
+    sums = np.zeros(indptr.size - 1, dtype=np.intp)
     inside = int(np.searchsorted(indptr[:-1], values.size))  # rows that start before the end
     if inside:
         np.add.reduceat(values, indptr[:inside], dtype=np.intp, out=sums[:inside])
@@ -415,27 +415,24 @@ def _component_labels(g: Graph) -> np.ndarray:
     return label
 
 
-def _jump(label: np.ndarray, moving: np.ndarray) -> None:
+def _jump(label: np.ndarray, moving: np.ndarray, steps: np.ndarray | None = None, rounds: float = np.inf) -> None:
     """Pointer jumping on the vertices ``moving`` of a label forest, in
     place: each one's label is replaced by its label's label, and a vertex
     leaves once it points at a root. A moving vertex ends at its root when
-    every vertex on its chain that is not moving points at a root."""
-    while moving.size:
+    every vertex on its chain that is not moving points at a root. Each jump
+    adds to ``steps``, if given, the steps of the vertex jumped over (0 at a
+    root). ``rounds`` caps the jumps, for labels where a cycle may keep
+    vertices moving."""
+    while moving.size and rounds > 0:
         up = label[moving]
+        if steps is not None:
+            steps[moving] += steps[up]
         top = label[up]
         label[moving] = top
-        moving = moving[top != up]
-
-
-def connected_components(g: Graph) -> list[list[int]]:
-    """Vertex lists of the connected components, each sorted ascending,
-    ordered by smallest contained vertex: the vertices in order of their
-    labels (see :func:`_component_labels`), cut at each label's count."""
-    label = _component_labels(g)
-    members = np.argsort(label, kind="stable").tolist()
-    sizes = np.bincount(label)
-    ends = list(accumulate(sizes[sizes > 0].tolist()))
-    return [members[a:b] for a, b in zip([0, *ends[:-1]], ends)]
+        stay = top != up
+        del up, top  # before the moving vertices are compacted
+        moving = moving[stay]
+        rounds -= 1
 
 
 def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -448,14 +445,19 @@ def induced_subgraph(g: Graph, vertices: Sequence[int]) -> tuple[Graph, tuple[in
     starts = g.indptr[keep]
     bounds = np.zeros(keep.size + 1, dtype=np.intp)
     np.cumsum(g.indptr[keep + 1] - starts, out=bounds[1:])
-    # the kept rows' entries, row after row
+    # the kept rows' entries, row after row, then in the same buffer their
+    # neighbours and those neighbours' new ids (-1 outside)
     at = np.repeat(starts - bounds[:-1], np.diff(bounds))
     at += np.arange(bounds[-1])
-    nbrs = index[g.indices[at]]
-    inside = nbrs >= 0
+    np.take(g.indices, at, out=at, mode="clip")
+    np.take(index, at, out=at, mode="clip")
+    inside = at >= 0
+    indptr = np.zeros(keep.size + 1, dtype=np.intp)
+    np.cumsum(_row_sums(bounds, inside), out=indptr[1:])
     # index is increasing on keep, so every relabeled row stays sorted
-    indptr = np.concatenate(([0], np.cumsum(inside)))[bounds]
-    return Graph(indptr, nbrs[inside]), tuple(keep.tolist())
+    sub = Graph(indptr, at[inside])
+    del at, inside  # before the map's Python ints are made
+    return sub, tuple(keep.tolist())
 
 
 def largest_connected_component(g: Graph) -> tuple[Graph, tuple[int, ...]]:
@@ -476,19 +478,26 @@ def largest_connected_component(g: Graph) -> tuple[Graph, tuple[int, ...]]:
 class DistanceMatrix:
     """All-pairs shortest-path hop counts of a connected graph.
 
-    Every entry is a finite, nonnegative distance: a matrix with a negative
-    entry, such as UNREACHABLE, raises ValueError.
+    Every entry is a hop count, an integer from 0 to n - 1: a matrix of
+    another dtype or with an entry outside that range, such as UNREACHABLE,
+    raises ValueError. ``diameter`` is the largest entry (0 with none).
     """
 
     matrix: np.ndarray
+    diameter: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.matrix.size and int(self.matrix.min()) < 0:
+        m = self.matrix
+        if m.dtype.kind not in "iu":
+            raise ValueError(f"a distance matrix holds integer hop counts, not {m.dtype}")
+        low, top = (int(m.min()), int(m.max())) if m.size else (0, 0)
+        if low < 0 or top >= max(self.n, 1):
             raise ValueError(
-                "a distance matrix holds the nonnegative distances of a connected "
+                f"a distance matrix holds the hop counts 0..{self.n - 1} of a connected "
                 "graph; apply largest_connected_component first"
             )
-        self.matrix.setflags(write=False)
+        object.__setattr__(self, "diameter", top)
+        m.setflags(write=False)
 
     @property
     def n(self) -> int:
@@ -496,13 +505,6 @@ class DistanceMatrix:
 
     def d(self, u: int, v: int) -> int:
         return int(self.matrix[u, v])
-
-    @cached_property
-    def diameter(self) -> int:
-        """Largest distance (0 for the empty/one-vertex graph)."""
-        if self.n == 0:
-            return 0
-        return int(self.matrix.max())
 
     def profile_keys(self, sensors: Sequence[int]) -> np.ndarray:
         """Each vertex's row of distances to the sensors, as one raw-bytes
@@ -1027,7 +1029,7 @@ def _peel(
     pinned = np.asarray(pinned, dtype=np.intp)
     degree = np.diff(g.indptr)
     degree[pinned] += n + 1  # never falls to 1
-    nbr_sum = _row_sums(g, g.indices)
+    nbr_sum = _row_sums(g.indptr, g.indices)
     removed_in = np.zeros(n, dtype=np.int32)
     batch = np.flatnonzero(degree <= 1)
     done = 0

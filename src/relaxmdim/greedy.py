@@ -6,7 +6,7 @@ ends; each round computes every candidate's exact gain and picks the first
 argmax, the largest gain with the smallest id. A pair is open iff its ends
 share a class of the partition the chosen sensors induce (Hauptmann, Schmied
 & Viehmann 2012), so a gain is the same-class pairs, minus those the
-candidate's row leaves together (a bincount over (class, distance rank)
+candidate's row leaves together (a bincount over (class, distance)
 keys), minus the close (<= k) same-class pairs it splits: work = |close| + m
 + bins per candidate and round. The open pairs are listed once fewer than
 work, or once work >= 2 * the last gain: a gain never grows, so at least
@@ -21,8 +21,9 @@ Close pairs are counted from the symmetric matrix (none at k = 0), then
 pairs are listed as int32 indices a block of rows at a time; the close pairs
 are never listed when round one lists the open ones. So working memory is
 the pair list (8 bytes a pair, refused beyond physical memory before it is
-made) and one block: the ranks are the matrix itself, viewed as unsigned,
-and greedy_resolve_within gathers its targets' rows once.
+made) and one block. The distance keys are the matrix itself, viewed as
+unsigned with no copy, since a DistanceMatrix holds only hop counts below n;
+greedy_resolve_within gathers its targets' rows once.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from .graph import DistanceMatrix, _check_sensors, _refuse_beyond_memory
 
 _BATCH_ELEMENTS = 1 << 18  # entries per block: a block's buffers stay in cache
-_Mask = Callable[[int, int], np.ndarray]  # (lo, hi) -> rows lo..hi - 1 of an m x m boolean mask
+_Mask = Callable[[int, int], np.ndarray]  # (lo, hi) -> a new array: rows lo..hi - 1 of an m x m boolean mask
 
 
 @dataclass(frozen=True)
@@ -51,17 +52,6 @@ class GreedyTrace:
             {"pick_index": i, "sensor": s, "newly_covered": c, "remaining": r}
             for i, (s, c, r) in enumerate(zip(self.sensors, self.newly_covered, self.remaining))
         ]
-
-
-def _dense_ranks(block: np.ndarray) -> tuple[np.ndarray, int]:
-    """Keys in [0, width): BFS distances (< n) viewed, without a copy, as the
-    unsigned integers of their width; other values by rank."""
-    top = int(block.max()) if block.size else 0
-    if block.dtype.kind in "iu" and top < block.shape[0]:
-        return block.view(f"u{block.itemsize}"), top + 1
-    values, keys = np.unique(block, return_inverse=True)
-    width = max(1, values.size)
-    return keys.reshape(block.shape).astype(np.min_scalar_type(width - 1)), width
 
 
 def _pairs_left_together(keys: np.ndarray, bins: int) -> np.ndarray:
@@ -102,16 +92,25 @@ def _count_close(close: _Mask, m: int, k: int) -> int:
 
 
 def _upper_pairs(mask: _Mask, m: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ``count`` pairs the mask holds, in row-major order, as int32 arrays
-    filled a block of rows at a time: :class:`TooLargeError` before they are
-    allocated if they and a block's workspace exceed physical memory."""
+    """The ``count`` pairs i < j the mask holds, in row-major order, as int32
+    arrays filled a block of rows at a time from the flat indices of the
+    block's upper band: :class:`TooLargeError` before they are allocated if
+    they and a block's workspace exceed physical memory."""
     _refuse_beyond_memory(8 * (count + _BATCH_ELEMENTS), f"greedy's {count} vertex pairs need")
     u, v = np.empty(count, dtype=np.int32), np.empty(count, dtype=np.int32)
     step, at = max(1, _BATCH_ELEMENTS // max(1, m)), 0
     for lo in range(0, m if count else 0, step):
-        r, c = np.nonzero(np.triu(mask(lo, lo + step), lo + 1))
-        u[at : at + r.size], v[at : at + r.size] = r + lo, c
-        at += r.size
+        block = mask(lo, lo + step)
+        rows = block.shape[0]
+        block[:, :lo] = False  # cut to the upper band, in place
+        block[:, lo : lo + rows][np.tri(rows, dtype=bool)] = False
+        flat = np.flatnonzero(block)
+        # unsafe casts convert a buffer at a time: no int64 row or column ids
+        np.floor_divide(flat, m, out=u[at : at + flat.size], casting="unsafe")
+        np.remainder(flat, m, out=v[at : at + flat.size], casting="unsafe")
+        u[at : at + flat.size] += lo
+        at += flat.size
+        del block, flat  # before the next block's mask is made
     return u, v
 
 
@@ -119,9 +118,10 @@ def _greedy(dm: DistanceMatrix, active: np.ndarray | None, k: int) -> GreedyTrac
     """Cover the pairs of ``active`` vertices (None: all) more than k apart."""
     # the active vertices' rows (by symmetry, their columns), gathered once
     rows, cols = (dm.matrix, slice(None)) if active is None else (dm.matrix[active], active)
-    ranks, width = _dense_ranks(rows.T)  # candidate rows
-    columns = np.ascontiguousarray(ranks.T)  # a pair reads two rows of this: ``rows`` unless ranked
-    ranks = columns if active is None else ranks  # symmetric: candidate rows in memory order
+    # a pair reads two rows of this, a candidate one row of ``ranks``: no copy
+    columns = rows.view(f"u{rows.itemsize}")
+    ranks = columns if active is None else columns.T  # symmetric: candidate rows in memory order
+    width = 1 + (dm.diameter if active is None else int(rows.max()))  # keys lie in [0, width)
     n, m = ranks.shape
     labels = np.zeros(m, dtype=np.intp)  # class of each active vertex
     bins, same = width, m * (m - 1) // 2  # (class, rank) keys; same-class pairs

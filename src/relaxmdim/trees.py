@@ -26,6 +26,7 @@ from .graph import (
     _pair_keys,
     _SCALAR_BATCH,
     _component_labels,
+    _jump,
     _peel,
     _unpeeled,
     all_pairs_distances,
@@ -142,13 +143,7 @@ class TreeMetric:
         del removed_in
         up[~off] = np.flatnonzero(~off)
         a = off.astype(np.int32)
-        moving = np.flatnonzero(off)
-        while moving.size:
-            step = up[moving]
-            a[moving] += a[step]
-            top = up[step]
-            up[moving] = top
-            moving = moving[off[top]]
+        _jump(up, np.flatnonzero(off), a)
         up *= self.n
         up += a
         return up
@@ -257,27 +252,25 @@ def _array_tree(parent: np.ndarray, root: int) -> Graph:
     """The graph of the parent array (root entry -1), or ValueError unless it
     is a tree: :meth:`RootedTree.from_parents` on arrays. With root 0,
     ``parent[v] < v`` for every other v is proof enough; otherwise pointer
-    jumping, every vertex's ancestor replaced by that ancestor's ancestor,
-    reaches the root from every vertex within log2(n) + 1 rounds exactly
-    when the array is a tree. The CSR arrays come from one sort of the
-    (parent, child) pair keys."""
+    jumping (``graph._jump``), every vertex's ancestor replaced by that
+    ancestor's ancestor, reaches the root from every vertex within
+    log2(n) + 1 rounds exactly when the array is a tree. The CSR arrays
+    come from one sort of the (parent, child) pair keys."""
     n = parent.size
     child = np.flatnonzero(parent >= 0)
-    up = parent[child]
-    if child.size < n - 1 or (child.size and int(up.max()) >= n):
+    if child.size < n - 1 or int(parent.max()) >= n:
         outside = np.flatnonzero((parent < 0) | (parent >= n))
         v = int(outside[outside != root][0])
         raise _not_a_vertex(int(parent[v]), v, n)
-    if not (root == 0 and bool((up < child).all())):
+    if not (root == 0 and bool((parent[child] < child).all())):
         ancestor = parent.copy()
         ancestor[root] = root
-        for _ in range(n.bit_length()):
-            ancestor = ancestor[ancestor]
+        _jump(ancestor, child, rounds=n.bit_length())
         lost = int(np.count_nonzero(ancestor != root))
         del ancestor  # before the pair keys are made
         if lost:
             raise _cyclic(lost, n, root)
-    return _graph_from_keys(n, _pair_keys(n, up, child))
+    return _graph_from_keys(n, _pair_keys(n, parent[child], child))
 
 
 def _list_tree(parent: list[int], root: int) -> Graph:

@@ -384,9 +384,9 @@ def list_walk_leaf_groups(g: Graph, removed: Iterable[int] = ()) -> tuple[list[i
     left = np.ones(g.n, dtype=bool)
     left[np.fromiter(removed, dtype=np.intp)] = False
     kept = left[g.indices]
-    degree = np.where(left, _row_sums(g, kept), 0)
+    degree = np.where(left, _row_sums(g.indptr, kept), 0)
     leaves = np.flatnonzero(degree == 1).tolist()
-    degree, nbr_sum = degree.tolist(), _row_sums(g, np.where(kept, g.indices, 0)).tolist()
+    degree, nbr_sum = degree.tolist(), _row_sums(g.indptr, np.where(kept, g.indices, 0)).tolist()
     groups: dict[int, list[int]] = {}
     for leaf in leaves:
         prev, cur = leaf, nbr_sum[leaf]

@@ -20,7 +20,6 @@ import numpy as np
 
 from relaxmdim import DistanceMatrix, GreedyTrace
 from relaxmdim.graph import _check_sensors
-from relaxmdim.greedy import _dense_ranks
 
 # Workspace cap for the per-round candidate scan (bytes of gathered rows).
 _SCAN_BYTES = 64_000_000
@@ -119,7 +118,7 @@ def _greedy(dm: DistanceMatrix, active: np.ndarray | None, k: int) -> GreedyTrac
     block = dm.matrix if active is None else dm.matrix[:, active]  # candidate rows
     local = block if active is None else block[active]
     n, m = block.shape
-    ranks, width = _dense_ranks(block)
+    ranks, width = block.view(f"u{block.itemsize}"), int(block.max(initial=0)) + 1  # hop counts, all < n
     columns = np.ascontiguousarray(ranks.T)  # a pair reads two rows of this
     labels = np.zeros(m, dtype=np.int64)  # class of each active vertex
     bins, same = width, m * (m - 1) // 2  # (class, rank) keys; same-class pairs

@@ -104,9 +104,8 @@ class TestBATree:
     def test_100000_vertices_in_little_memory(self):
         # the stubs become the parents, drawn in one call, and one array of
         # pointers resolves the anchors; both the bounds and the pointers
-        # are gone before the parent array's graph build, the peak: 5.6 to
-        # 6.4 MB, 56 to 64 bytes a vertex; the refusal's 24 bytes a vertex
-        # stay below it
+        # are gone before the parent array's graph build, the peak: 4.8 MB,
+        # 48 bytes a vertex; the refusal's 24 bytes a vertex stay below it
         tracemalloc.start()
         try:
             g = ba_tree(100_000, 5)
@@ -156,7 +155,7 @@ class TestUniformTree:
     def test_100000_vertices_in_little_memory(self):
         # the codes, their counts and the parents are arrays the decode reads
         # through memoryviews, and the pair keys are one buffer that becomes
-        # the graph's indices: 5.6 MB, of which the graph keeps 2.4; the
+        # the graph's indices: 5.0 to 5.8 MB, of which the graph keeps 2.4; the
         # lists of the decode and the keys' copies took 7.2 MB
         tracemalloc.start()
         try:

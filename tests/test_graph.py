@@ -36,7 +36,6 @@ from relaxmdim.graph import (
     UNREACHABLE,
     DistanceMatrix,
     bfs_distances,
-    connected_components,
     induced_subgraph,
     peel_degree_le1,
 )
@@ -71,6 +70,7 @@ from graph_oracle import (
     tuple_graph_from_pairs,
     unblocked_bit_bfs_rows,
     unblocked_core_sum_and_diameter,
+    walk_profile_keys,
 )
 
 # trees, unicyclic and sparse connected graphs, and disconnected sparse
@@ -229,7 +229,11 @@ class TestLargestComponent:
         """Components, the largest one and the tree check against the BFS
         oracle: ties go to the component with the smallest min-id."""
         expected = bfs_components(g)
-        assert connected_components(g) == expected
+        smallest = [0] * g.n  # each vertex's label: its component's smallest vertex
+        for comp in expected:
+            for v in comp:
+                smallest[v] = comp[0]
+        assert graph._component_labels(g).tolist() == smallest
         assert trees.is_tree(g) == (g.m == g.n - 1 and len(expected) == 1)
         if g.n:
             best = max(expected, key=len)  # the first largest
@@ -308,6 +312,58 @@ class TestLargestComponent:
             tracemalloc.stop()
         assert 99_000 < sub.n < g.n  # the rgg is disconnected
         assert peak < 5 * graph_bytes, (peak, graph_bytes)
+
+
+class TestJump:
+    """graph._jump with step counts against the tree metric's walk, and with
+    a round cap on parent arrays that may hold cycles."""
+
+    @settings(derandomize=True, deadline=None, max_examples=200)
+    @given(random_trees(), st.data())
+    def test_steps_give_the_tree_metric_keys(self, g, data):
+        sensors = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1, unique=True))
+        expected = walk_profile_keys(g, sensors)
+        # the sensors' subtree are the roots; every other vertex points one
+        # step toward it, along a BFS from a sensor
+        on = expected == np.arange(g.n) * g.n
+        label = np.array(bfs_parents(g, sensors[0]))
+        label[on] = np.flatnonzero(on)
+        steps = (~on).astype(np.int64)
+        graph._jump(label, np.flatnonzero(~on), steps)
+        assert np.array_equal(label * g.n + steps, expected)
+
+    @staticmethod
+    def capped(parent: np.ndarray, root: int) -> np.ndarray:
+        """Every vertex's ancestor after the tree check's capped jumps."""
+        label = parent.copy()
+        label[root] = root
+        graph._jump(label, np.flatnonzero(np.arange(label.size) != root), rounds=label.size.bit_length())
+        return label
+
+    @pytest.mark.parametrize(
+        "parent, lost",
+        [
+            ([-1, 2, 1, 1], 3),  # a 2-cycle, and a vertex hanging from it
+            ([-1, 0, 2, 2], 2),  # a self-parent, and a vertex hanging from it
+            ([-1, *range(2, 100), 1], 99),  # a 99-cycle: odd, so it never becomes a star
+            ([-1, *range(2, 65), 1, 0], 64),  # a 64-cycle: it collapses to self-parents
+        ],
+        ids=["two-cycle", "self-parent", "long-odd-cycle", "power-of-two-cycle"],
+    )
+    def test_cycles_never_reach_the_root(self, parent, lost):
+        parent = np.array(parent)
+        assert np.count_nonzero(self.capped(parent, 0) != 0) == lost
+        with pytest.raises(ValueError, match=f"{lost} of {parent.size} vertices lie on cycles"):
+            trees._array_tree(parent, 0)
+
+    @pytest.mark.parametrize("root", [0, 99_999])
+    def test_100000_vertex_path_reaches_either_end(self, root):
+        # depth 99 999 needs all 17 = n.bit_length() rounds
+        v = np.arange(100_000)
+        parent = v - 1 if root == 0 else v + 1
+        parent[root] = -1
+        assert (self.capped(parent, root) == root).all()
+        assert trees._array_tree(parent, root).m == 99_999
 
 
 class TestGraphFromPairs:
@@ -480,7 +536,7 @@ class TestCSRStorage:
     @given(ANY_GRAPH)
     def test_row_sums_match_the_rows(self, g):
         # empty rows at the start, inside and at the end read 0
-        ids, flags = graph._row_sums(g, g.indices), graph._row_sums(g, g.indices % 2 == 1)
+        ids, flags = graph._row_sums(g.indptr, g.indices), graph._row_sums(g.indptr, g.indices % 2 == 1)
         assert ids.dtype == flags.dtype == np.intp
         assert ids.tolist() == [sum(row) for row in rows(g)]
         assert flags.tolist() == [sum(w % 2 for w in row) for row in rows(g)]
@@ -561,6 +617,15 @@ class TestDistances:
         g = Graph.from_edges(3, [(0, 1)])
         assert bfs_distances(g, 0) == [0, 1, UNREACHABLE]
         assert_refused_unallocated(g)
+
+    def test_hand_built_entries_are_integer_hop_counts(self):
+        # no path in an n-vertex graph has n edges or more
+        path = np.array([[0, 1, 2], [1, 0, 1], [2, 1, 0]], dtype=np.int8)
+        assert DistanceMatrix(path).diameter == 2
+        with pytest.raises(ValueError, match="hop counts 0..2 "):
+            DistanceMatrix(np.array([[0, 3, 2], [3, 0, 1], [2, 1, 0]], dtype=np.int8))
+        with pytest.raises(ValueError, match="integer"):
+            DistanceMatrix(path.astype(np.float64))
 
     def test_hand_built_negative_entry_refused(self):
         with pytest.raises(ValueError, match="largest_connected_component"):
@@ -768,8 +833,9 @@ class TestAllPairsDistances:
         )
         assert_refused_unallocated(g)
         assert_refused_unallocated(Graph.from_edges(5, []))
-        for comp in connected_components(g):
-            self.check(induced_subgraph(g, comp)[0])
+        label = graph._component_labels(g)
+        for root in np.unique(label):
+            self.check(induced_subgraph(g, np.flatnonzero(label == root))[0])
 
     @staticmethod
     def block_dtypes(monkeypatch, engine: str, refused: str) -> set:

@@ -241,6 +241,18 @@ class TestAgainstLazyOracle:
         assert greedy_resolve_within(dm, targets) == lazy_resolve_within(dm, targets)
 
 
+def recorded_columns(monkeypatch) -> list:
+    """Every ``columns`` array greedy's ``_split`` reads, call by call."""
+    split, seen = engine._split, []
+
+    def recording_split(columns, u, v):
+        seen.append(columns)
+        return split(columns, u, v)
+
+    monkeypatch.setattr(engine, "_split", recording_split)
+    return seen
+
+
 class TestCountKeys:
     def test_dense_and_sorted_counts_agree(self):
         rng = np.random.default_rng(0)
@@ -249,19 +261,20 @@ class TestCountKeys:
         assert engine._pairs_left_together(keys, 12).tolist() == expected
         assert engine._pairs_left_together(keys, 10**6).tolist() == expected
 
-    def test_large_distance_values_are_not_narrowed(self):
-        # 32768 * d overflowed the old int16 copy of the matrix
-        g = random_connected_graph(14, 5, seed=0)
-        dm = all_pairs_distances(g)
-        scaled = DistanceMatrix(dm.matrix.astype(np.int64) * 32768)
-        assert greedy_k_resolving_set(scaled, 0)[0] == greedy_k_resolving_set(dm, 0)[0]
-        assert greedy_resolve_within(scaled, range(6)) == greedy_resolve_within(dm, range(6))
+    def test_scaled_distances_are_refused(self):
+        # greedy keys a row by its distances as they are, so a matrix of
+        # values n or more, which no graph's hop counts reach, never gets in
+        dm = all_pairs_distances(random_connected_graph(14, 5, seed=0))
+        with pytest.raises(ValueError, match="hop counts 0..13 "):
+            DistanceMatrix(dm.matrix.astype(np.int64) * 32768)
 
-    def test_keys_stay_small_for_huge_values(self):
-        block = np.array([[0, 10**9], [10**9, 0]])
-        keys, width = engine._dense_ranks(block)
-        assert width == 2
-        assert keys.dtype == np.uint8
+    def test_within_keys_are_the_gathered_rows_viewed_unsigned(self, monkeypatch):
+        # the targets' rows are gathered once, and keyed with no second copy
+        dm = all_pairs_distances(random_connected_graph(14, 5, seed=0))
+        seen = recorded_columns(monkeypatch)
+        greedy_resolve_within(dm, range(6))
+        assert seen and all(c is seen[0] for c in seen)
+        assert seen[0].dtype == np.uint8 and np.array_equal(seen[0], dm.matrix[:6])
 
 
 def spider_303():
@@ -274,10 +287,11 @@ def spider_303():
 class TestWideRanks:
     def test_uint16_ranks_through_split(self, monkeypatch):
         dm = all_pairs_distances(spider_303())
-        assert engine._dense_ranks(dm.matrix)[0].dtype == np.uint16
+        assert dm.matrix.dtype == np.int16
         split, pairs = engine._split, []
 
         def counting_split(columns, u, v):
+            assert columns.dtype == np.uint16
             pairs.append(u.size)
             return split(columns, u, v)
 
@@ -320,7 +334,7 @@ class TestBlocks:
     def test_upper_pairs_match_nonzero(self, batch, monkeypatch):
         monkeypatch.setattr(engine, "_BATCH_ELEMENTS", batch)
         mask = np.random.default_rng(batch).random((37, 37)) < 0.4
-        rows = lambda lo, hi: mask[lo:hi]
+        rows = lambda lo, hi: mask[lo:hi].copy()  # a new array, as the engine's masks are
         u, v = engine._upper_pairs(rows, 37, int(np.count_nonzero(np.triu(mask, 1))))
         eu, ev = np.nonzero(np.triu(mask, 1))
         assert u.dtype == v.dtype == np.int32
@@ -373,8 +387,10 @@ class TestWorkingMemory:
         dm = all_pairs_distances(ba_tree(2000, seed=1))
         assert self.peak_per_pair(lambda: greedy_resolve_within(dm, range(0, dm.n, 2)), dm.n) <= 3.0
 
-    def test_ranks_are_a_view_of_the_matrix(self):
+    def test_ranks_are_a_view_of_the_matrix(self, monkeypatch):
         dm = all_pairs_distances(ba_tree(300, seed=1))
-        ranks, width = engine._dense_ranks(dm.matrix)
-        assert np.shares_memory(ranks, dm.matrix)
-        assert width == dm.diameter + 1
+        seen = recorded_columns(monkeypatch)
+        for k in (0, 2):
+            greedy_k_resolving_set(dm, k)
+        assert seen and all(np.shares_memory(c, dm.matrix) for c in seen)
+        assert dm.diameter == int(dm.matrix.max())

@@ -96,8 +96,8 @@ def leaf_groups(g: Graph, removed=None) -> tuple[list[int], dict[int, list[int]]
         removed_in[np.array(removed, dtype=np.intp)] = 1
     alive = removed_in == 0
     kept = alive[g.indices]
-    degree = np.where(alive, _row_sums(g, kept), 0)
-    leaves, owner = trees._leaf_owners(removed_in, degree, _row_sums(g, np.where(kept, g.indices, 0)))
+    degree = np.where(alive, _row_sums(g.indptr, kept), 0)
+    leaves, owner = trees._leaf_owners(removed_in, degree, _row_sums(g.indptr, np.where(kept, g.indices, 0)))
     groups: dict[int, list[int]] = {}
     for leaf, major in zip(leaves.tolist(), owner.tolist()):
         if major >= 0:
