@@ -21,12 +21,11 @@ memory grows with the block and not with the square of the core, or from
 scipy's Dijkstra when the core's diameter is too large for it; each block
 writes its sources' rows straight into the matrix, and every other row
 follows from a parent row in one vectorized step. scipy is imported only by
-that fallback. The matrix is
-stored in the narrowest signed integer dtype that holds an upper bound on
-the diameter. Distances are defined on connected graphs only: a
-disconnected graph, or a matrix larger than physical memory, is refused
-before the matrix is allocated, so every :class:`DistanceMatrix` holds
-finite, nonnegative hop counts.
+that fallback. The matrix is stored in the narrowest signed integer dtype
+that holds an upper bound on the diameter. Distances are defined on
+connected graphs only: a disconnected graph, or a matrix larger than
+physical memory, is refused before the matrix is allocated, so every
+:class:`DistanceMatrix` holds finite, nonnegative hop counts.
 
 Statistics need only the sum and the maximum of the distances, so
 :func:`graph_stats` reduces the same core search block by block of sources
@@ -38,7 +37,9 @@ block, the largest distance between two vertices with equal vectors. A
 matrix keys a vertex by its row of sensor distances; a tree metric
 (``trees.TreeMetric``) keys it by its nearest vertex on the smallest
 subtree holding the sensors and its distance to that vertex, and finds the
-widest block from branch heights, with no distance columns at all.
+widest block from branch heights, with no distance columns at all. A
+:class:`EquivalencePartition` is the runs of one stable sort of the keys,
+held as two arrays: no block becomes a tuple until a reader asks for one.
 """
 
 from __future__ import annotations
@@ -520,17 +521,14 @@ class DistanceMatrix:
         none); with no sensors, the diameter, read with no matrix copy."""
         if len(sensors) == 0:
             return self.diameter
-        order, sizes = _profile_runs(self, sensors)
-        shared = sizes > 1
-        blocks = _runs_as_blocks(order[np.repeat(shared, sizes)], sizes[shared])
-        return max((int(self.matrix[b[:, None], b].max()) for b in map(np.array, blocks)), default=0)
+        blocks = _shared_runs(*_runs(self, sensors))
+        return max((int(self.matrix[b[:, None], b].max()) for b in blocks), default=0)
 
 
 class Metric(Protocol):
-    """What the labelling helper and the resolving check read of a graph's
-    distances: a key per vertex that stands for its identification vector,
-    and the widest block those vectors leave. :class:`DistanceMatrix` and
-    ``trees.TreeMetric`` answer both."""
+    """What partitions and the resolving check read of a graph's distances:
+    a key per vertex standing for its identification vector, and the widest
+    block. :class:`DistanceMatrix` and ``trees.TreeMetric`` answer both."""
 
     @property
     def n(self) -> int: ...
@@ -901,41 +899,55 @@ def _check_sensors(n: int, sensors: SensorSet) -> list[int]:
 
 
 def identification_vector(dm: DistanceMatrix, u: int, sensors: SensorSet) -> tuple[int, ...]:
-    """Distances from ``u`` to each sensor, in sensor order. Empty sensor set
-    gives the empty vector (all vertices equivalent)."""
+    """Distances from ``u`` to each sensor, in sensor order (the empty vector
+    for no sensors). No command reads it: it is the public per-vertex read of
+    the paper's definition, which ``TestIdentificationVectors`` checks."""
     s = _check_sensors(dm.n, sensors)
     if not 0 <= u < dm.n:
         raise ValueError(f"vertex {u} out of range")
     return tuple(int(dm.matrix[u, v]) for v in s)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EquivalencePartition:
-    """Vertices grouped by identical identification vector.
+    """Vertices grouped by identical identification vector, as runs:
+    ``order`` lists every vertex, each block one ascending run and the runs
+    ordered by their smallest member, and ``sizes`` holds the run lengths.
+    ``alpha`` (the largest block), ``non_resolved_count`` (the vertices in
+    blocks of two or more) and :meth:`histogram` read ``sizes`` alone;
+    ``blocks``, the runs as tuples, is built on first read."""
 
-    ``blocks`` partition 0..n-1, each sorted ascending and ordered by their
-    smallest member. ``alpha`` is the largest block size and
-    ``non_resolved_count`` the number of vertices in blocks of size > 1.
-    """
+    order: np.ndarray
+    sizes: np.ndarray
 
-    blocks: tuple[tuple[int, ...], ...]
-    alpha: int
-    non_resolved_count: int
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EquivalencePartition):
+            return NotImplemented
+        return np.array_equal(self.order, other.order) and np.array_equal(self.sizes, other.sizes)
+
+    @property
+    def alpha(self) -> int:
+        return int(self.sizes.max(initial=0))
+
+    @property
+    def non_resolved_count(self) -> int:
+        return int(self.sizes[self.sizes > 1].sum())
 
     def histogram(self) -> dict[int, int]:
-        """Block-size histogram, singletons excluded."""
-        hist: dict[int, int] = {}
-        for b in self.blocks:
-            if len(b) > 1:
-                hist[len(b)] = hist.get(len(b), 0) + 1
-        return hist
+        """Block-size histogram, singletons excluded, by ascending size."""
+        sizes, counts = np.unique(self.sizes[self.sizes > 1], return_counts=True)
+        return dict(zip(sizes.tolist(), counts.tolist()))
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        members, ends = self.order.tolist(), np.cumsum(self.sizes).tolist()
+        return tuple(tuple(members[end - size : end]) for size, end in zip(self.sizes.tolist(), ends))
 
 
-def _profile_runs(dm: Metric, sensors: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Vertices grouped by identification vector: every vertex, ordered so
-    that each group is one ascending run, and the length of each run. One
-    stable sort of the metric's keys puts equal vectors next to each other,
-    in vertex order."""
+def _runs(dm: Metric, sensors: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The ``order`` and ``sizes`` of an :class:`EquivalencePartition`: a
+    stable sort of the metric's keys makes ascending runs of equal vectors,
+    a sort of the runs' first members orders them, and one gather moves them."""
     n = dm.n
     if n == 0:
         return np.arange(0), np.arange(0)
@@ -943,28 +955,26 @@ def _profile_runs(dm: Metric, sensors: list[int]) -> tuple[np.ndarray, np.ndarra
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    return order, np.diff(starts, append=n)
+    del keys
+    by_first = np.argsort(order[starts])
+    sizes = np.diff(starts, append=n)[by_first]
+    # position i of run r in the new order reads the old start of r plus i
+    at = np.repeat(starts[by_first] - (np.cumsum(sizes) - sizes), sizes)
+    at += np.arange(n)
+    return order[at], sizes
 
 
-def _runs_as_blocks(order: np.ndarray, sizes: np.ndarray) -> list[tuple[int, ...]]:
-    """The runs of ``order`` of lengths ``sizes`` as tuples of Python ints,
-    ordered by smallest (first) member."""
-    members = order.tolist()
-    ends = list(accumulate(sizes.tolist()))
-    blocks = [tuple(members[a:b]) for a, b in zip([0, *ends[:-1]], ends)]
-    blocks.sort()
-    return blocks
+def _shared_runs(order: np.ndarray, sizes: np.ndarray) -> Iterator[np.ndarray]:
+    """The runs of two or more vertices, in order, as views of ``order``."""
+    shared = sizes > 1
+    for end, size in zip(np.cumsum(sizes)[shared].tolist(), sizes[shared].tolist()):
+        yield order[end - size : end]
 
 
 def equivalence_partition(dm: Metric, sensors: SensorSet) -> EquivalencePartition:
     """Group vertices by identification vector with respect to ``sensors``.
     ``dm`` is a :class:`DistanceMatrix` or a ``trees.TreeMetric``."""
-    blocks = tuple(_runs_as_blocks(*_profile_runs(dm, _check_sensors(dm.n, sensors))))
-    if not blocks:
-        return EquivalencePartition((), 0, 0)
-    alpha = max(len(b) for b in blocks)
-    non_resolved = sum(len(b) for b in blocks if len(b) > 1)
-    return EquivalencePartition(blocks, alpha, non_resolved)
+    return EquivalencePartition(*_runs(dm, _check_sensors(dm.n, sensors)))
 
 
 def is_k_relaxed_resolving(dm: Metric, sensors: SensorSet, k: int) -> bool:

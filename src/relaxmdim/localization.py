@@ -9,16 +9,11 @@ follow-up placement needed to pin the target down inside its candidate class.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
-from .graph import (
-    DistanceMatrix,
-    Graph,
-    all_pairs_distances,
-    equivalence_partition,
-)
+from .graph import DistanceMatrix, Graph, _shared_runs, all_pairs_distances, equivalence_partition
 from .greedy import greedy_k_resolving_set, greedy_resolve_within
 from .trees import TreeMetric, exact_tree_md
 
@@ -41,12 +36,7 @@ class SweepRecord:
 
     def csv_row(self) -> str:
         return "{},{},{!r},{!r},{},{!r}".format(
-            self.k,
-            self.sensors,
-            self.sensor_fraction,
-            self.non_resolved_ratio,
-            self.alpha,
-            self.alpha_fraction,
+            self.k, self.sensors, self.sensor_fraction, self.non_resolved_ratio, self.alpha, self.alpha_fraction
         )
 
 
@@ -156,40 +146,40 @@ class TwoStepResult:
         }
 
 
-def _triple_prices(dm: DistanceMatrix, triples: list[tuple[int, ...]]) -> Iterator[int]:
+def _triple_prices(dm: DistanceMatrix, triples: np.ndarray | Sequence[Sequence[int]]) -> Iterator[int]:
     """The phase-2 price of each 3-vertex class, in order, from one gather of
-    their rows: 1 if some vertex sees the three at different distances."""
-    rows = dm.matrix[np.array(triples, dtype=np.intp).reshape(-1, 3)]
+    their rows (``triples`` holds the classes as rows of three, or flat): 1
+    if some vertex sees the three at different distances."""
+    rows = dm.matrix[np.asarray(triples, dtype=np.intp).reshape(-1, 3)]
     a, b, c = rows[:, 0], rows[:, 1], rows[:, 2]
     return iter(np.where(((a != b) & (a != c) & (b != c)).any(axis=1), 1, 2).tolist())
 
 
-def two_step_qstar(
-    g: Graph, k: int, dm: DistanceMatrix | None = None
-) -> TwoStepResult:
+def two_step_qstar(g: Graph, k: int, dm: DistanceMatrix | None = None) -> TwoStepResult:
     """Phase-1 greedy k-relaxed set plus the worst-case phase-2 price.
 
-    Iteration is over distinct candidate classes (vertices in one class share
-    the same phase-2 requirement); singleton classes cost nothing. A class's
-    price is the size of :func:`greedy_resolve_within` on it, which for two
-    or three vertices is known without a solve: a pair costs 1, and a triple
-    costs 1 if some vertex sees its members at three different distances,
+    Iteration is over the partition's runs of two or more vertices, the
+    candidate classes, by smallest member; singletons cost nothing, and only
+    the classes become tuples, for ``class_prices`` and ``worst_class``.
+    The price is the size of :func:`greedy_resolve_within` on the class,
+    known without a solve for two or three vertices: a pair costs 1, and a
+    triple 1 if some vertex sees its members at three different distances,
     else 2 (a first pick splits 2 or 3 of its pairs, as each member splits
-    itself from the other two). Ties on the worst class go to the one
-    containing the smallest vertex id. A negative k is refused before any
-    distance is computed.
+    itself from the other two). Ties on the worst class go to the first.
+    A negative k is refused before any distance is computed.
     """
     if k < 0:
         raise ValueError("relaxation parameter k must be nonnegative")
     if dm is None:
         dm = all_pairs_distances(g)
     phase1, _ = greedy_k_resolving_set(dm, k)
-    classes = [block for block in equivalence_partition(dm, phase1).blocks if len(block) > 1]
-    triples = _triple_prices(dm, [block for block in classes if len(block) == 3])
+    part = equivalence_partition(dm, phase1)
+    triples = _triple_prices(dm, part.order[np.repeat(part.sizes == 3, part.sizes)])
     prices: list[tuple[tuple[int, ...], int]] = []
     worst: tuple[int, ...] = ()
     max_s2 = 0
-    for block in classes:  # ordered by smallest member: ties resolved
+    for run in _shared_runs(part.order, part.sizes):  # ordered by smallest member: ties resolved
+        block = tuple(run.tolist())
         if len(block) == 2:
             price = 1
         elif len(block) == 3:

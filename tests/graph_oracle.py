@@ -20,6 +20,10 @@ subgraphs relabel through a dict. Each peeling
 round rescans every vertex, so peeling a path of n vertices costs
 Theta(n^2); vertices are grouped through a dict keyed by distance-row
 tuples; the resolving check and the brute-force search run on that grouping.
+The tuple partition groups a metric's keys by one stable sort, as the
+library does, but makes every run a tuple, sorts the tuples and counts
+alpha, the non-resolved vertices and the histogram (by first appearance)
+over them; a matrix's widest block makes each shared block an array.
 The rooted walks are the three the library had before one walk replaced
 them: the tree metric's DFS from vertex 0, the rooted tree's BFS from its
 root, and the DFS of the pendant trees that steps to every neighbour but the
@@ -35,8 +39,8 @@ input tree.
 from __future__ import annotations
 
 import sys
-from itertools import chain, combinations
-from typing import Iterable, Iterator
+from itertools import accumulate, chain, combinations
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 import pytest
@@ -304,6 +308,40 @@ def dict_blocks(matrix: np.ndarray, sensors) -> tuple[tuple[int, ...], ...]:
     for v, row in enumerate(matrix[:, list(sensors)].tolist()):
         groups.setdefault(tuple(row), []).append(v)
     return tuple(sorted((tuple(b) for b in groups.values()), key=lambda b: b[0]))
+
+
+class TuplePartition(NamedTuple):
+    blocks: tuple[tuple[int, ...], ...]
+    alpha: int
+    non_resolved_count: int
+    histogram: dict[int, int]
+
+
+def tuple_partition(metric, sensors) -> TuplePartition:
+    """``equivalence_partition`` as it was when every block became a tuple:
+    the runs of one stable sort of the metric's keys made tuples and sorted
+    by smallest member, and the counts taken by loops over the tuples."""
+    if metric.n == 0:
+        return TuplePartition((), 0, 0, {})
+    keys = metric.profile_keys(list(sensors))
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    members = order.tolist()
+    ends = list(accumulate(np.diff(starts, append=metric.n).tolist()))
+    blocks = sorted(tuple(members[a:b]) for a, b in zip([0, *ends[:-1]], ends))
+    histogram: dict[int, int] = {}
+    for b in blocks:
+        if len(b) > 1:
+            histogram[len(b)] = histogram.get(len(b), 0) + 1
+    shared = sum(len(b) for b in blocks if len(b) > 1)
+    return TuplePartition(tuple(blocks), max(len(b) for b in blocks), shared, histogram)
+
+
+def tuple_widest_block(matrix: np.ndarray, blocks) -> int:
+    """The largest entry of the submatrix of any block of two or more, each
+    block made an array (0 if none)."""
+    return max((int(matrix[b[:, None], b].max()) for b in map(np.array, blocks) if b.size > 1), default=0)
 
 
 def dict_is_k_resolved(matrix: np.ndarray, sensors, k: int) -> bool:

@@ -26,6 +26,7 @@ from relaxmdim import (
     is_k_relaxed_resolving,
     ba_tree,
     configuration_model,
+    exact_tree_md,
     largest_connected_component,
     load_edge_list,
     rgg,
@@ -48,6 +49,7 @@ from conftest import (
     random_connected_graph,
     random_trees,
     sparse_graphs,
+    spider_graph,
     star_graph,
 )
 from graph_oracle import (
@@ -68,6 +70,8 @@ from graph_oracle import (
     set_load_edge_list,
     tuple_edges,
     tuple_graph_from_pairs,
+    tuple_partition,
+    tuple_widest_block,
     unblocked_bit_bfs_rows,
     unblocked_core_sum_and_diameter,
     walk_profile_keys,
@@ -1022,6 +1026,117 @@ class TestEquivalencePartition:
         assert part.blocks == expected
         assert part.alpha == max(len(b) for b in expected)
         assert part.non_resolved_count == sum(len(b) for b in expected if len(b) > 1)
+
+
+def assert_runs_match_tuples(metric, matrix: np.ndarray, sensors) -> None:
+    """A partition of ``metric`` and its widest block against the tuple
+    partition; ``matrix`` is the distance matrix of the same graph."""
+    part = equivalence_partition(metric, sensors)
+    expected = tuple_partition(metric, sensors)
+    assert part.blocks == expected.blocks
+    assert part.order.tolist() == [v for block in expected.blocks for v in block]
+    assert part.sizes.tolist() == [len(block) for block in expected.blocks]
+    assert part.alpha == expected.alpha
+    assert part.non_resolved_count == expected.non_resolved_count
+    assert part.histogram() == expected.histogram
+    assert list(part.histogram()) == sorted(expected.histogram)
+    assert metric.widest_block(sensors) == tuple_widest_block(matrix, expected.blocks)
+
+
+@st.composite
+def sensor_sets(draw, n: int):
+    """Distinct sensors in arbitrary order, as a list or an intp array."""
+    sensors = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+    return np.array(sensors, dtype=np.intp) if draw(st.booleans()) else sensors
+
+
+class TestPartitionRuns:
+    """Partitions kept as sorted runs, against the tuple-building oracle."""
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(connected_graphs(), st.data())
+    def test_matrix_runs_match_the_tuples(self, g, data):
+        dm = all_pairs_distances(g)
+        assert_runs_match_tuples(dm, dm.matrix, data.draw(sensor_sets(g.n)))
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(random_trees(), st.data())
+    def test_tree_runs_match_the_tuples(self, g, data):
+        sensors = data.draw(sensor_sets(g.n))
+        assert_runs_match_tuples(TreeMetric(g), all_pairs_distances(g).matrix, sensors)
+
+    @pytest.mark.parametrize("metric_of", [TreeMetric, all_pairs_distances], ids=["tree", "matrix"])
+    @pytest.mark.parametrize(
+        "g, sensors",
+        [
+            (path_graph(1), []),
+            (path_graph(1), [0]),
+            (path_graph(2), []),
+            (path_graph(2), [1]),
+            (path_graph(2), [1, 0]),
+            (path_graph(9), []),
+            (path_graph(9), [0]),
+            (path_graph(9), [4]),
+            (star_graph(6), [1, 2, 3, 4, 5]),
+            (spider_graph([1, 1, 2, 2]), [0]),
+            (uniform_tree(40, seed=3), list(range(39, -1, -1))),
+            (uniform_tree(40, seed=3), np.arange(40)),
+        ],
+        ids=["n1-none", "n1-all", "n2-none", "n2-one", "n2-all", "path-none", "path-end", "path-middle",
+             "star-resolved", "spider", "all-singletons", "array"],
+    )
+    def test_edge_cases_match_the_tuples(self, metric_of, g, sensors):
+        assert_runs_match_tuples(metric_of(g), all_pairs_distances(g).matrix, sensors)
+
+    def test_shapes_of_the_runs(self):
+        # the empty sensor set leaves one run; a resolving set leaves n runs
+        # of one, so no block is shared; the spider's histogram ascends,
+        # though its larger class comes first
+        g = spider_graph([1, 1, 2, 2])
+        dm = all_pairs_distances(g)
+        none, resolved = equivalence_partition(dm, []), equivalence_partition(dm, [1, 2, 3])
+        assert none.sizes.tolist() == [g.n] and none.order.tolist() == list(range(g.n))
+        assert resolved.sizes.tolist() == [1] * g.n and resolved.histogram() == {}
+        assert (resolved.alpha, resolved.non_resolved_count, dm.widest_block([1, 2, 3])) == (1, 0, 0)
+        part = equivalence_partition(dm, [0])
+        assert part.blocks == ((0,), (1, 2, 3, 5), (4, 6))
+        assert list(part.histogram().items()) == [(2, 1), (4, 1)]
+        assert part == equivalence_partition(TreeMetric(g), np.array([0])) and part != none
+
+    @pytest.mark.parametrize("metric_of", [TreeMetric, all_pairs_distances], ids=["tree", "matrix"])
+    def test_reads_leave_the_blocks_unbuilt(self, metric_of):
+        g = uniform_tree(300, seed=4)
+        metric = metric_of(g)
+        sensors = list(exact_tree_md(g, 2).witness)
+        part = equivalence_partition(metric, sensors)
+        assert part.alpha > 1 and part.non_resolved_count > 0 and part.histogram()
+        assert is_k_relaxed_resolving(metric, sensors, 2)
+        assert "blocks" not in part.__dict__
+        assert part.blocks == tuple_partition(metric, sensors).blocks
+        assert "blocks" in part.__dict__
+
+    def test_sweep_step_at_100000_vertices_in_little_memory(self):
+        # a partition of the exact-tree witness and its three reads, as one
+        # sweep step takes them: 132-159 bytes a vertex when every block was
+        # a tuple, about 50 as runs; measured after one warm-up call, so
+        # that no first-call allocation counts
+        g = uniform_tree(10**5, 1)
+        metric = TreeMetric(g)
+
+        def step(sensors):
+            part = equivalence_partition(metric, sensors)
+            return part.alpha, part.non_resolved_count, part.histogram()
+
+        step([0])
+        for k in (0, 2, 4):
+            sensors = list(exact_tree_md(g, k).witness)
+            tracemalloc.start()
+            try:
+                step(sensors)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 64 * g.n, (k, peak / g.n)
 
 
 class TestIsKRelaxedResolving:
